@@ -10,18 +10,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality; ValueError where no exact verdict exists."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"modulus {p} is too large for an exact primality test "
+            f"(limit {_MR_EXACT_BELOW})")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

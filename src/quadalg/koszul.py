@@ -93,7 +93,10 @@ class ComplexSlice:
             r_out = ranks[t] if t < len(ranks) else 0
             r_in = ranks[t - 1] if t > 0 else 0
             h = dim_t - r_out - r_in
-            assert h >= 0
+            if h < 0:
+                raise ArithmeticError(
+                    f"negative homology at position {t}: dim {dim_t} - "
+                    f"rank out {r_out} - rank in {r_in} = {h}")
             out.append(h)
         return tuple(out)
 

@@ -4,13 +4,27 @@ Everything downstream (products, duals, complexes, diagram checks) reduces
 to row reduction here.  Subspaces are kept in reduced row-echelon form, so
 set equality is representation equality.  Pivoting is fixed: leftmost
 nonzero column, lowest row index.
+
+RREF has two kernels.  GF(p) with p below NUMPY_MODULUS_LIMIT
+eliminates on int64 numpy arrays, where every product of two residues fits.
+Q and the larger primes share one pure-Python integer Gauss-Jordan loop:
+over Q each row is cleared of denominators and kept primitive
+(fraction-free), over GF(p) it is reduced mod p; Fractions are only built
+for the final reduced rows.  Matrix products use the same numpy limit.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import numpy as np
 
 from .fields import PrimeField, check_same_field
+
+# Moduli below this keep every product of two residues, and the blocked
+# sums in ``__matmul__``, inside int64; larger ones take the Python paths.
+NUMPY_MODULUS_LIMIT = 1 << 20
 
 
 class Matrix:
@@ -115,7 +129,7 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        if isinstance(f, PrimeField):
+        if isinstance(f, PrimeField) and f.p < NUMPY_MODULUS_LIMIT:
             a = np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
             b = np.array(other.data, dtype=np.int64).reshape(other.rows, other.cols)
             # block the contraction so intermediate sums stay below 2^63
@@ -203,9 +217,27 @@ def _rref_primefield(M: Matrix):
     return reduced, rank, pivots
 
 
-def _rref_exact(M: Matrix):
+def _rref_integer(M: Matrix):
+    """Gauss-Jordan on Python ints: fraction-free over Q, mod p over GF(p).
+
+    Over Q, ``(pv/g) * row - (a/g) * prow`` is a nonzero multiple of the
+    Fraction update ``row - (a/pv) * prow``, so after its content is divided
+    out each stored row is the primitive integer multiple of the unique
+    Gauss-Jordan intermediate row.  The Bareiss row is an integer multiple
+    of that same row, so stored entries divide the Bareiss ones and are
+    bounded by minors of the denominator-cleared input.
+    """
     f = M.field
-    rows = [list(r) for r in M.data]
+    p = f.p if isinstance(f, PrimeField) else None
+    if p is None:
+        rows = []
+        for row in M.data:
+            den = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            g = gcd(*ints)
+            rows.append([x // g for x in ints] if g > 1 else ints)
+    else:
+        rows = [list(row) for row in M.data]
     nrows, ncols = M.rows, M.cols
     pivots = []
     r = 0
@@ -214,28 +246,45 @@ def _rref_exact(M: Matrix):
             break
         pivot_row = None
         for i in range(r, nrows):
-            if not f.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
+        if p is not None and pv != 1:
+            inv = pow(pv, -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
         for i in range(nrows):
             if i == r:
                 continue
-            factor = rows[i][c]
-            if f.is_zero(factor):
+            row = rows[i]
+            a = row[c]
+            if not a:
                 continue
-            rows[i] = [f.sub(x, f.mul(factor, y))
-                       for x, y in zip(rows[i], rows[r])]
+            if p is not None:
+                rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
+                continue
+            g = gcd(pv, a)
+            s, t = pv // g, a // g
+            new = [s * x - t * y for x, y in zip(row, prow)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
     rank = r
-    reduced = Matrix(f, rows[:rank], cols=ncols)
-    return reduced, rank, pivots
+    if p is None:
+        zero = f.zero
+        out = []
+        for row, c in zip(rows, pivots):
+            pv = row[c]
+            out.append([Fraction(x, pv) if x else zero for x in row])
+    else:
+        out = rows[:rank]
+    return Matrix(f, out, cols=ncols), rank, pivots
 
 
 def rref(M: Matrix):
@@ -243,9 +292,10 @@ def rref(M: Matrix):
 
     Returns ``(R, rank, pivots)`` where R keeps only the nonzero rows.
     """
-    if isinstance(M.field, PrimeField) and M.rows and M.field.p < (1 << 20):
+    if (isinstance(M.field, PrimeField) and M.rows
+            and M.field.p < NUMPY_MODULUS_LIMIT):
         return _rref_primefield(M)
-    return _rref_exact(M)
+    return _rref_integer(M)
 
 
 def kernel(M: Matrix) -> "Subspace":
@@ -347,8 +397,11 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
 def intersect(A: Subspace, B: Subspace) -> Subspace:
     _check_compatible(A, B)
     result = annihilator(subspace_sum(annihilator(A), annihilator(B)))
-    # modular-law sanity: dim A + dim B = dim sum + dim intersection
-    assert A.dim + B.dim == subspace_sum(A, B).dim + result.dim
+    total = subspace_sum(A, B).dim
+    if A.dim + B.dim != total + result.dim:
+        raise ArithmeticError(
+            f"modular law fails: dim A {A.dim} + dim B {B.dim} != "
+            f"dim sum {total} + dim intersection {result.dim}")
     return result
 
 

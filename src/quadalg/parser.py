@@ -89,8 +89,8 @@ def _parse_field(parts, lineno, raw):
                              _column_of(raw, parts[1])) from None
         try:
             return PrimeField(p)
-        except ValueError:
-            raise ParseError(f"modulus {p} is not prime", lineno,
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno,
                              _column_of(raw, parts[1])) from None
     raise ParseError("expected: field Q | field GF <p>", lineno)
 

@@ -7,7 +7,9 @@ Regenerate the goldens (after an intentional output change) with::
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -119,6 +121,20 @@ def test_missing_file_exit_code():
             contextlib.redirect_stderr(io.StringIO()):
         status = main(["dual", "/nonexistent/path.qa"])
     assert status == 2
+
+
+def test_golden_under_python_O():
+    # runtime checks must not be asserts: -O strips them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys; from quadalg.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, "koszul", "--max", "6",
+         _f("sym3")], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "koszul_sym3.txt").read_text()
 
 
 def _regenerate():

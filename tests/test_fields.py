@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,39 @@ def test_nonprime_modulus_rejected():
     for p in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError):
             PrimeField(p)
+
+
+def test_large_prime_accepted_quickly():
+    start = time.perf_counter()
+    f = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.mul(2, f.inv(2)) == 1
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751,
+                               3825123056546413051])
+def test_pseudoprimes_rejected(n):
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2,
+    # 3215031751 one to the prime bases up to 7, 3825123056546413051
+    # one to those up to 23
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_is_prime_matches_trial_division():
+    from quadalg.fields import _is_prime
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 71):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if sieve[n]]
+
+
+def test_modulus_beyond_exact_primality_bound_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2 ** 89 - 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])

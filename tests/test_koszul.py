@@ -7,6 +7,7 @@ import pytest
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_dim
 from quadalg.koszul import (
+    ComplexSlice,
     bar_complex_in_degree,
     bar_homology,
     dh_square_is_zero,
@@ -34,6 +35,13 @@ def test_second_complex_slice_sym2_degree2():
     assert sl.position_dims == (1, 4, 3)
     assert sl.ranks() == (1, 3)
     assert sl.homology_dims() == (0, 0, 0)
+
+
+def test_negative_homology_raises(monkeypatch):
+    sl = second_complex_slice(load("sym2"), 2)
+    monkeypatch.setattr(ComplexSlice, "ranks", lambda self: (2, 3))
+    with pytest.raises(ArithmeticError, match="negative homology"):
+        sl.homology_dims()
 
 
 def test_first_complex_free1():

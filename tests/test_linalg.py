@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, annihilator, contains,
                             intersect, kernel, matrix_rank, member,
@@ -11,6 +12,10 @@ from quadalg.linalg import (Matrix, Subspace, annihilator, contains,
                             sparse_rank, subspace_sum)
 
 F5 = PrimeField(5)
+F32003 = PrimeField(32003)
+# above the numpy modulus limit, and p^2 > 2^63
+P_BIG = 4294967311
+FBIG = PrimeField(P_BIG)
 
 
 def mat(field, rows):
@@ -24,6 +29,69 @@ def gf5_matrices(max_dim=4):
             lambda m: st.lists(
                 st.lists(st.integers(0, 4), min_size=m, max_size=m),
                 min_size=n, max_size=n).map(lambda rows: mat(F5, rows))))
+
+
+def reference_rref(M):
+    """Textbook Gauss-Jordan through the field operations (the oracle)."""
+    f = M.field
+    rows = [list(r) for r in M.data]
+    nrows, ncols = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if not f.is_zero(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = rows[i][c]
+            if f.is_zero(factor):
+                continue
+            rows[i] = [f.sub(x, f.mul(factor, y))
+                       for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(f, rows[:r], cols=ncols), r, pivots
+
+
+q_scalars = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 4)),
+)
+
+
+@st.composite
+def q_matrices(draw, field=QQ):
+    """1-6 x 1-8 matrices with zero rows and dependent rows mixed in."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["free", "zero", "combo"]
+                                    if i else ["free", "zero"]))
+        if kind == "free":
+            rows.append(draw(st.lists(q_scalars, min_size=m, max_size=m)))
+        elif kind == "zero":
+            rows.append([0] * m)
+        else:
+            a, b = draw(q_scalars), draw(q_scalars)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+    return mat(field, draw(st.permutations(rows)))
 
 
 def test_rref_known_example():
@@ -46,6 +114,45 @@ def test_rref_rank_bounds(M):
     _, rank, pivots = rref(M)
     assert 0 <= rank <= min(M.rows, M.cols)
     assert pivots == sorted(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices())
+def test_rref_q_matches_reference(M):
+    assert rref(M) == reference_rref(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_matrices(FBIG))
+def test_rref_large_prime_matches_reference(M):
+    assert rref(M) == reference_rref(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_rref_q_idempotent(M):
+    R, rank, pivots = rref(M)
+    assert rref(R) == (R, rank, pivots)
+
+
+def _has_denominator_divisible_by(M, p):
+    return any(x.denominator % p == 0 for row in M.data for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_rref_q_reduces_mod_p(M):
+    # If p divides no denominator of M or of R = rref(M), then M = F R with
+    # F integral at p, so R mod p spans the row space of M mod p; with
+    # equal ranks, R mod p is that space's RREF.
+    p = F32003.p
+    R, rank, pivots = rref(M)
+    assume(not _has_denominator_divisible_by(M, p))
+    assume(not _has_denominator_divisible_by(R, p))
+    Rp, rank_p, pivots_p = rref(Matrix(F32003, M.data, cols=M.cols))
+    assume(rank_p == rank)
+    assert Rp == Matrix(F32003, R.data, cols=M.cols)
+    assert pivots_p == pivots
 
 
 @settings(max_examples=60)
@@ -157,6 +264,21 @@ def test_fraction_entries_stay_exact():
     R, rank, _ = rref(M)
     assert rank == 2
     assert R == Matrix.identity(QQ, 2)
+
+
+def test_matmul_above_numpy_limit_does_not_overflow():
+    p = P_BIG
+    A = mat(FBIG, [[p - 1, p - 2], [3, p - 4]])
+    B = mat(FBIG, [[p - 5, 6], [7, p - 8]])
+    assert (A @ B) == mat(FBIG, [[4294967302, 10], [4294967268, 50]])
+
+
+def test_intersect_modular_law_guard(monkeypatch):
+    full = Subspace.full(QQ, 2)
+    monkeypatch.setattr(linalg, "annihilator",
+                        lambda S: Subspace.zero(QQ, S.ambient_dim))
+    with pytest.raises(ArithmeticError, match="modular law"):
+        intersect(full, full)
 
 
 def test_matrix_shape_errors():

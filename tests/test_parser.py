@@ -57,6 +57,19 @@ def test_reject_non_prime_modulus():
     assert "not prime" in str(exc.value)
 
 
+def test_large_prime_modulus_parses():
+    _, A = parse("field GF 2305843009213693951\nalgebra big\ngens x\n"
+                 "rel 2*x*x\n")
+    assert A.field == PrimeField(2 ** 61 - 1) and A.R.dim == 1
+
+
+def test_reject_modulus_without_exact_primality_test():
+    with pytest.raises(ParseError) as exc:
+        parse(f"field GF {2 ** 89 - 1}\nalgebra big\ngens x\n")
+    assert exc.value.line == 1
+    assert "too large" in str(exc.value)
+
+
 def test_reject_unknown_generator():
     with pytest.raises(ParseError) as exc:
         parse("field Q\nalgebra bad\ngens x\nrel x*q\n")
