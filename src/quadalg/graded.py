@@ -2,9 +2,9 @@
 
 The degree-m component is the quotient of the word space by the degree-m
 piece of the relation ideal.  The engine builds quotients inductively,
-dividing A_{m-1} (x) V by the image of the relation space; the direct span
-sum_i V^i (x) R (x) V^j is kept as an independent oracle
-(`relation_space_in_degree`) for cross-checks at small degrees.
+dividing A_{m-1} (x) V by the image of the relation space; the rank of the
+direct span sum_i V^i (x) R (x) V^j is kept as an independent oracle
+(`graded_dim_by_oracle`) for cross-checks at small degrees.
 """
 
 from __future__ import annotations
@@ -139,32 +139,6 @@ def graded_structure(A: QuadraticPresentation) -> GradedStructure:
     if A not in _structures:
         _structures[A] = GradedStructure(A)
     return _structures[A]
-
-
-def relation_space_in_degree(A: QuadraticPresentation, m: int) -> Subspace:
-    """Degree-m piece of the relation ideal, by direct span and row reduction.
-
-    Independent of the inductive quotient engine; exponential in m, so use
-    at desk scale only.
-    """
-    f, n = A.field, A.n
-    if m < 2:
-        return Subspace.zero(f, n ** m)
-    ambient = n ** m
-    rows = []
-    for i in range(m - 1):
-        left = n ** i
-        right = n ** (m - 2 - i)
-        for rel in A.R.basis.data:
-            support = [(k, c) for k, c in enumerate(rel) if not f.is_zero(c)]
-            for w1 in range(left):
-                for w2 in range(right):
-                    row = [f.zero] * ambient
-                    base = w1 * n * n * right
-                    for k, c in support:
-                        row[(base + k * right) + w2] = c
-                    rows.append(row)
-    return Subspace(ambient, Matrix(f, rows, cols=ambient))
 
 
 def graded_dim(A: QuadraticPresentation, m: int) -> int:

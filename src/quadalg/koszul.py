@@ -9,32 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import matrix_rank, Matrix, rref
+from .linalg import matrix_rank, Matrix
 from .presentations import (QuadraticPresentation, dual, is_morphism)
 from .graded import graded_structure
 from .tensorindex import kron
-
-
-def alpha(A: QuadraticPresentation):
-    """The canonical element sum_i u_i (x) u^i, as n^2 coordinates."""
-    f, n = A.field, A.n
-    coords = [f.zero] * (n * n)
-    for i in range(n):
-        coords[i * n + i] = f.one
-    return tuple(coords)
-
-
-def alpha_h(A: QuadraticPresentation, h: Matrix):
-    """sum_i h(u_i) (x) u^i for a verified endomorphism h."""
-    ok, cert = is_morphism(A, A, h)
-    if not ok:
-        raise ValueError(f"not an endomorphism; residual {cert.residual}")
-    f, n = A.field, A.n
-    coords = [f.zero] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            coords[j * n + i] = h.entry(j, i)
-    return tuple(coords)
 
 
 def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):

@@ -13,11 +13,10 @@ from random import Random
 
 from .fields import QQ, check_same_field
 from .linalg import Matrix, rref, solve
-from .presentations import (AlgebraMorphism, QuadraticPresentation, black,
-                            canonical_column, dual, evaluation_matrix,
-                            free_presentation, full_relations_presentation,
-                            internal_hom, is_morphism, unit_black, unit_white,
-                            white)
+from .presentations import (AlgebraMorphism, black, canonical_column, dual,
+                            evaluation_matrix, free_presentation,
+                            full_relations_presentation, internal_hom,
+                            is_morphism, unit_black, unit_white, white)
 from .tensorindex import flip, kron, push_subspace
 
 
@@ -488,7 +487,7 @@ def _primed(U, tag: str):
 
 
 def suite_axioms(pool, trials: int, seed: int):
-    from .sampling import random_matrix, sample_endomorphisms
+    from .sampling import random_matrix
     rng = Random(seed)
     field = pool[0].field
     max_total = 6 if field == QQ else 8

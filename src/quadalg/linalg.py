@@ -5,12 +5,20 @@ to row reduction here.  Subspaces are kept in reduced row-echelon form, so
 set equality is representation equality.  Pivoting is fixed: leftmost
 nonzero column, lowest row index.
 
+Every entry of a Matrix is a canonical scalar: ``Matrix.__init__`` coerces
+it to a Fraction over Q and to an int in 0..p-1 over GF(p).  So an entry is
+zero exactly when it is falsy, and the matrix code tests ``if x`` rather
+than ``x == zero`` (``Fraction.__bool__`` reads only the numerator, while
+``Fraction.__eq__`` goes through an isinstance chain).
+
 RREF has two kernels.  GF(p) with p below NUMPY_MODULUS_LIMIT
 eliminates on int64 numpy arrays, where every product of two residues fits.
 Q and the larger primes share one pure-Python integer Gauss-Jordan loop:
 over Q each row is cleared of denominators and kept primitive
 (fraction-free), over GF(p) it is reduced mod p; Fractions are only built
 for the final reduced rows.  Matrix products use the same numpy limit.
+The sparse rank for large Q matrices eliminates fraction-free on integer
+row dicts in the same way.
 """
 
 from __future__ import annotations
@@ -75,8 +83,7 @@ class Matrix:
         return self.data[i]
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field,
@@ -88,9 +95,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
         f = self.field
-        zero = f.zero
-        return Matrix(f, [[b if a == zero else (a if b == zero
-                                                else f.add(a, b))
+        return Matrix(f, [[(f.add(a, b) if b else a) if a else b
                            for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)],
                       cols=self.cols)
@@ -113,10 +118,11 @@ class Matrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        f = self.field
-        return all(x == (f.one if i == j else f.zero)
-                   for i, row in enumerate(self.data)
-                   for j, x in enumerate(row))
+        one = self.field.one
+        data = self.data
+        return (all(row[i] == one for i, row in enumerate(data))
+                and not any(any(row[:i]) or any(row[i + 1:])
+                            for i, row in enumerate(data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -138,23 +144,23 @@ class Matrix:
             for k0 in range(0, self.cols, step):
                 c = (c + a[:, k0:k0 + step] @ b[k0:k0 + step, :]) % f.p
             return Matrix(f, c.tolist(), cols=other.cols)
-        # accumulate rows of `other`, skipping zero coefficients
+        # accumulate the nonzero entries of the rows of `other`, scaled by
+        # the nonzero coefficients of each row of `self`
         zero, one = f.zero, f.one
-        odata = other.data
+        support = [[(j, y) for j, y in enumerate(orow) if y]
+                   for orow in other.data]
+        columns = range(other.cols)
         out = []
         for row in self.data:
-            acc = [zero] * other.cols
-            for k, a in enumerate(row):
-                if a == zero:
+            acc = {}
+            for a, terms in zip(row, support):
+                if not a:
                     continue
-                orow = odata[k]
-                if a == one:
-                    acc = [x + y if y != zero else x
-                           for x, y in zip(acc, orow)]
-                else:
-                    acc = [x + a * y if y != zero else x
-                           for x, y in zip(acc, orow)]
-            out.append(acc)
+                if a != one:
+                    terms = [(j, a * y) for j, y in terms]
+                for j, y in terms:
+                    acc[j] = acc[j] + y if j in acc else y
+            out.append([acc.get(j, zero) for j in columns])
         return Matrix(f, out, cols=other.cols)
 
     def apply(self, vec):
@@ -163,12 +169,12 @@ class Matrix:
             raise ValueError("vector length mismatch")
         f = self.field
         zero = f.zero
-        support = [(j, x) for j, x in enumerate(vec) if x != zero]
+        support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for row in self.data:
             acc = zero
             for j, x in support:
-                if row[j] != zero:
+                if row[j]:
                     acc = f.add(acc, f.mul(row[j], x))
             out.append(acc)
         return tuple(out)
@@ -303,7 +309,8 @@ def kernel(M: Matrix) -> "Subspace":
     f = M.field
     reduced, rank, pivots = rref(M)
     n = M.cols
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [f.zero] * n
@@ -370,11 +377,10 @@ class Subspace:
 
 
 def _pivot_columns(reduced: Matrix):
-    f = reduced.field
     pivots = []
     for row in reduced.data:
         for c, x in enumerate(row):
-            if not f.is_zero(x):
+            if x:
                 pivots.append(c)
                 break
     return pivots
@@ -429,11 +435,13 @@ def quotient_data(ambient_dim: int, S: Subspace):
             row[pc] = f.neg(S.basis.entry(r, fc))
         proj_rows.append(row)
     proj = Matrix(f, proj_rows, cols=ambient_dim)
+    position = {c: i for i, c in enumerate(free)}
     section_rows = []
     for c in range(ambient_dim):
         row = [f.zero] * len(free)
-        if c in free:
-            row[free.index(c)] = f.one
+        i = position.get(c)
+        if i is not None:
+            row[i] = f.one
         section_rows.append(row)
     section = Matrix(f, section_rows, cols=len(free))
     return proj, section
@@ -488,8 +496,11 @@ def sparse_rank(field, rows) -> int:
     """Rank of a row collection given as {column: value} dicts.
 
     Elimination keeps only nonzero entries, so kron-structured and
-    band-like matrices reduce far faster than the dense routine.
+    band-like matrices reduce far faster than the dense routine.  Values
+    are field scalars; over Q elimination is fraction-free on integers.
     """
+    if not isinstance(field, PrimeField):
+        return _sparse_rank_integer(rows)
     pivots = {}  # pivot column -> normalized row dict
     rank = 0
     for row in rows:
@@ -512,13 +523,48 @@ def sparse_rank(field, rows) -> int:
     return rank
 
 
+def _sparse_rank_integer(rows) -> int:
+    """Forward elimination over Q on primitive integer row dicts.
+
+    As in ``_rref_integer``, ``(pv/g) * work - (a/g) * prow`` is a nonzero
+    multiple of the Fraction update, so the rank is unchanged, and dividing
+    out the content keeps each row the primitive multiple of the Fraction
+    row.  Only the rank is needed, so pivot rows are never back-reduced.
+    """
+    pivots = {}  # pivot column -> primitive integer row dict
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        work = {j: v.numerator * (den // v.denominator)
+                for j, v in row.items() if v}
+        while work:
+            g = gcd(*work.values())
+            if g > 1:
+                work = {k: v // g for k, v in work.items()}
+            j = min(work)
+            prow = pivots.get(j)
+            if prow is None:
+                pivots[j] = work
+                break
+            pv, a = prow[j], work[j]
+            g = gcd(pv, a)
+            s, t = pv // g, a // g
+            if s != 1:
+                work = {k: s * v for k, v in work.items()}
+            for k, v in prow.items():
+                x = work.get(k, 0) - t * v
+                if x:
+                    work[k] = x
+                else:
+                    work.pop(k, None)
+        # empty work: row was dependent
+    return len(pivots)
+
+
 def matrix_rank(M: Matrix) -> int:
     """Exact rank; over Q large matrices go through sparse elimination."""
     if M.rows == 0 or M.cols == 0:
         return 0
     if isinstance(M.field, PrimeField) or M.rows * M.cols <= 4096:
         return rref(M)[1]
-    f = M.field
-    rows = ({j: v for j, v in enumerate(row) if not f.is_zero(v)}
-            for row in M.data)
-    return sparse_rank(f, rows)
+    rows = ({j: v for j, v in enumerate(row) if v} for row in M.data)
+    return sparse_rank(M.field, rows)

@@ -9,11 +9,11 @@ with the full complements, the dual the annihilator.
 from __future__ import annotations
 
 from functools import lru_cache
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, contains, reduce_against, subspace_sum
-from .tensorindex import flip, kron, push_subspace, t23, tensor_subspace
+from .linalg import Matrix, Subspace, reduce_against, subspace_sum
+from .tensorindex import kron, push_subspace, t23, tensor_subspace
 
 
 class QuadraticPresentation:
@@ -81,13 +81,6 @@ def unit_black(field) -> QuadraticPresentation:
     makes dual(unit_black) equal unit_white on the nose.
     """
     return full_relations_presentation(field, ("e",))
-
-
-def embed_vector_space(field, d: int, labels=None) -> QuadraticPresentation:
-    """A d-dim vector space as a quadratic algebra with zero product."""
-    if labels is None:
-        labels = tuple(f"v{i}" for i in range(d))
-    return full_relations_presentation(field, labels)
 
 
 def _product_labels(A, B):
@@ -228,15 +221,3 @@ def evaluation_matrix(A: QuadraticPresentation) -> Matrix:
     for i in range(n):
         row[i * n + i] = f.one
     return Matrix(f, [row], cols=n * n)
-
-
-def braiding_black(A: QuadraticPresentation, B: QuadraticPresentation):
-    """The flip as a morphism black(A, B) -> black(B, A)."""
-    P = flip(A.n, B.n).matrix(A.field)
-    return AlgebraMorphism(black(A, B), black(B, A), P)
-
-
-def braiding_white(A: QuadraticPresentation, B: QuadraticPresentation):
-    """The flip as a morphism white(A, B) -> white(B, A)."""
-    P = flip(A.n, B.n).matrix(A.field)
-    return AlgebraMorphism(white(A, B), white(B, A), P)

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from random import Random
 
-from .fields import PrimeField, Rationals
+from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .presentations import QuadraticPresentation, is_morphism
 
@@ -84,17 +84,3 @@ def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random,
         # small valid family: repeat a previously found endomorphism
         found.append(found[rng.randrange(len(found))])
     return found[:count]
-
-
-def sample_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
-                    rng: Random, budget: int = 200):
-    """A valid morphism matrix src -> dst, or None if sampling fails."""
-    f = src.field
-    if src.R.dim == 0 or dst.R.dim == dst.n * dst.n:
-        return random_matrix(f, dst.n, src.n, rng)
-    for _ in range(budget):
-        M = random_matrix(f, dst.n, src.n, rng)
-        ok, _ = is_morphism(src, dst, M)
-        if ok:
-            return M
-    return None

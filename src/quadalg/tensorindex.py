@@ -145,13 +145,12 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
             brow = B.data[k]
             out = []
             for a in arow:
-                if a == zero:
+                if not a:
                     out.extend(zeros)
                 elif a == one:
                     out.extend(brow)
                 else:
-                    out.extend(f.mul(a, b) if b != zero else zero
-                               for b in brow)
+                    out.extend(f.mul(a, b) if b else zero for b in brow)
             rows.append(out)
     return Matrix(f, rows, cols=A.cols * B.cols)
 
@@ -177,8 +176,16 @@ def tensor_subspace(A: Subspace, B: Subspace) -> Subspace:
     check_same_field(A.field, B.field)
     f = A.field
     ambient = A.ambient_dim * B.ambient_dim
+    zero = f.zero
+    zeros = (zero,) * B.ambient_dim
     rows = []
     for ra in A.basis.data:
         for rb in B.basis.data:
-            rows.append([f.mul(a, b) for a in ra for b in rb])
+            row = []
+            for a in ra:
+                if a:
+                    row.extend(f.mul(a, b) if b else zero for b in rb)
+                else:
+                    row.extend(zeros)
+            rows.append(row)
     return Subspace(ambient, Matrix(f, rows, cols=ambient))

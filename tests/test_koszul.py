@@ -69,6 +69,16 @@ def test_bar_homology_diagonal_sym2():
             assert table.entry(p, m) == 0, (p, m)
 
 
+def test_bar_homology_diagonal_sym3_degree5():
+    # Degree 5 differentials are over the dense limit, so their ranks come
+    # from the sparse Q elimination: exterior dual 1, 3, 3, 1 on the diagonal.
+    table = bar_homology(load("sym3"), 5)
+    assert [table.entry(p, p) for p in range(6)] == [1, 3, 3, 1, 0, 0]
+    for m in range(6):
+        for p in range(m):
+            assert table.entry(p, m) == 0, (p, m)
+
+
 def test_bar_complex_free2_dims():
     # Reduced bar positions in degree 3 for the free 2-generator algebra:
     # p = 3, 2, 1, 0 have dims 8, 8+8, 8, 0 before homology.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from quadalg.linalg import (Matrix, Subspace, annihilator, contains,
                             intersect, kernel, matrix_rank, member,
                             quotient_data, reduce_against, rref, solve,
                             sparse_rank, subspace_sum)
+from quadalg.tensorindex import kron
 
 F5 = PrimeField(5)
 F32003 = PrimeField(32003)
@@ -63,6 +65,31 @@ def reference_rref(M):
         pivots.append(c)
         r += 1
     return Matrix(f, rows[:r], cols=ncols), r, pivots
+
+
+def reference_sparse_rank(field, rows):
+    """Sparse forward elimination through the field operations (the oracle)."""
+    pivots = {}
+    for row in rows:
+        work = {j: v for j, v in row.items() if not field.is_zero(v)}
+        while work:
+            j = min(work)
+            if j not in pivots:
+                inv = field.inv(work[j])
+                pivots[j] = {k: field.mul(inv, v) for k, v in work.items()}
+                break
+            c = work[j]
+            for k, v in pivots[j].items():
+                new = field.sub(work.get(k, field.zero), field.mul(c, v))
+                if field.is_zero(new):
+                    work.pop(k, None)
+                else:
+                    work[k] = new
+    return len(pivots)
+
+
+def row_dicts(M):
+    return [{j: x for j, x in enumerate(row) if x} for row in M.data]
 
 
 q_scalars = st.one_of(
@@ -257,6 +284,85 @@ def test_sparse_rank_agrees_with_rref():
 @given(gf5_matrices())
 def test_matrix_rank_dispatch(M):
     assert matrix_rank(M) == rref(M)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices())
+def test_sparse_rank_q_matches_rref_and_reference(M):
+    rank = rref(M)[1]
+    assert sparse_rank(QQ, row_dicts(M)) == rank
+    assert reference_sparse_rank(QQ, row_dicts(M)) == rank
+
+
+@settings(max_examples=20, deadline=None)
+@given(q_matrices())
+def test_matrix_rank_q_sparse_path(M):
+    # kron(M, I_k) has k^2 * M.rows * M.cols > 4096 cells, so matrix_rank
+    # eliminates sparsely; its rank is k * rank(M)
+    k = 1 + isqrt(4096 // (M.rows * M.cols))
+    big = kron(M, Matrix.identity(QQ, k))
+    assert big.rows * big.cols > 4096
+    rank = rref(M)[1]
+    assert matrix_rank(big) == k * rank
+    assert reference_sparse_rank(QQ, row_dicts(big)) == k * rank
+
+
+def test_matrix_rank_q_sparse_path_dense_block():
+    # 65 x 65 = 4225 cells: over the dense limit, with Fraction entries,
+    # a zero row and a dependent row
+    n = 65
+    rows = [[Fraction((i * j) % 7 - 3, 1 + (i + j) % 5) if (i + 2 * j) % 3
+             else 0 for j in range(n)] for i in range(n - 2)]
+    rows.append([0] * n)
+    rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
+    M = mat(QQ, rows)
+    assert M.rows * M.cols > 4096
+    rank = rref(M)[1]
+    assert matrix_rank(M) == rank == reference_sparse_rank(QQ, row_dicts(M))
+    assert rank <= n - 2
+
+
+raw_q = st.one_of(st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+raw_gf7 = st.one_of(st.integers(-15, 15), st.sampled_from([7, -7, 14, 8, -6]))
+
+
+@st.composite
+def raw_square(draw, scalars, field):
+    """A raw n x n array near the identity, near zero, or arbitrary."""
+    n = draw(st.integers(1, 4))
+    base = draw(st.sampled_from(["identity", "zero", "any"]))
+    if base == "any":
+        rows = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[int(base == "identity" and i == j) for j in range(n)]
+                for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(scalars)
+    return field, rows
+
+
+@settings(max_examples=150)
+@given(st.one_of(raw_square(raw_q, QQ), raw_square(raw_gf7, PrimeField(7))))
+def test_zero_and_identity_tests_match_field_is_zero(case):
+    f, rows = case
+    M = Matrix(f, rows)
+    assert M.is_zero() == all(f.is_zero(x) for row in rows for x in row)
+    assert M.is_identity() == all(
+        f.is_zero(x - (1 if i == j else 0))
+        for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+def test_zero_and_identity_tests_on_noncanonical_input():
+    F7 = PrimeField(7)
+    assert Matrix(F7, [[7, -7]]).is_zero()
+    assert not Matrix(F7, [[7, -1]]).is_zero()
+    assert Matrix(F7, [[8, 14], [-7, 15]]).is_identity()
+    assert Matrix(QQ, [[Fraction(3, 3) - 1]]).is_zero()
+    assert Matrix(QQ, [[Fraction(3, 3), Fraction(3, 3) - 1],
+                       [0, Fraction(-2, -2)]]).is_identity()
+    assert not Matrix(QQ, [[1, Fraction(1, 3)], [0, 1]]).is_identity()
 
 
 def test_fraction_entries_stay_exact():
