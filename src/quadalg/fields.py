@@ -2,7 +2,8 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` residues in ``0..p-1`` over a prime field.  A field object carries
-the arithmetic; values never float.
+the arithmetic; values never float: ``coerce`` accepts only an int or a
+Fraction and raises TypeError on anything else.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ class Rationals:
 
     @staticmethod
     def coerce(x) -> Fraction:
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is Fraction:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise TypeError(f"not an exact scalar over Q: {x!r}")
 
     @staticmethod
     def add(a, b):
@@ -119,7 +124,9 @@ class PrimeField:
             num = x.numerator % self.p
             den = x.denominator % self.p
             return (num * self.inv(den)) % self.p if den != 1 else num
-        return int(x) % self.p
+        if isinstance(x, int):
+            return x % self.p
+        raise TypeError(f"not an exact scalar over {self}: {x!r}")
 
     def add(self, a, b):
         return (a + b) % self.p

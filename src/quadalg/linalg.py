@@ -2,8 +2,7 @@
 
 Everything downstream (products, duals, complexes, diagram checks) reduces
 to row reduction here.  Subspaces are kept in reduced row-echelon form, so
-set equality is representation equality.  Pivoting is fixed: leftmost
-nonzero column, lowest row index.
+set equality is representation equality.
 
 Every entry of a Matrix is a canonical scalar: ``Matrix.__init__`` coerces
 it to a Fraction over Q and to an int in 0..p-1 over GF(p).  So an entry is
@@ -11,14 +10,15 @@ zero exactly when it is falsy, and the matrix code tests ``if x`` rather
 than ``x == zero`` (``Fraction.__bool__`` reads only the numerator, while
 ``Fraction.__eq__`` goes through an isinstance chain).
 
-RREF has two kernels.  GF(p) with p below NUMPY_MODULUS_LIMIT
-eliminates on int64 numpy arrays, where every product of two residues fits.
-Q and the larger primes share one pure-Python integer Gauss-Jordan loop:
-over Q each row is cleared of denominators and kept primitive
-(fraction-free), over GF(p) it is reduced mod p; Fractions are only built
-for the final reduced rows.  Matrix products use the same numpy limit.
-The sparse rank for large Q matrices eliminates fraction-free on integer
-row dicts in the same way.
+One elimination kernel, ``_echelon``, serves both field families and every
+caller: forward elimination on sparse ``{column: int}`` row dicts.  Over
+GF(p) the entries are residues and each pivot row is scaled to a leading 1;
+Python ints never overflow, so no modulus is too large.  Over Q each row is
+cleared of denominators and kept primitive (fraction-free), and every
+stored integer is bounded by a minor of the denominator-cleared input (see
+``_echelon``).  ``sparse_rank`` and ``matrix_rank`` count its pivots;
+``rref`` adds back-substitution and builds Fractions only for the final
+rows.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .fields import PrimeField, check_same_field
-
-# Moduli below this keep every product of two residues, and the blocked
-# sums in ``__matmul__``, inside int64; larger ones take the Python paths.
-NUMPY_MODULUS_LIMIT = 1 << 20
 
 
 class Matrix:
@@ -135,17 +129,9 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        if isinstance(f, PrimeField) and f.p < NUMPY_MODULUS_LIMIT:
-            a = np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
-            b = np.array(other.data, dtype=np.int64).reshape(other.rows, other.cols)
-            # block the contraction so intermediate sums stay below 2^63
-            c = np.zeros((self.rows, other.cols), dtype=np.int64)
-            step = max(1, (1 << 62) // max(1, f.p * f.p * other.cols))
-            for k0 in range(0, self.cols, step):
-                c = (c + a[:, k0:k0 + step] @ b[k0:k0 + step, :]) % f.p
-            return Matrix(f, c.tolist(), cols=other.cols)
         # accumulate the nonzero entries of the rows of `other`, scaled by
-        # the nonzero coefficients of each row of `self`
+        # the nonzero coefficients of each row of `self`; over GF(p) the
+        # sums stay unreduced until Matrix() coerces them
         zero, one = f.zero, f.one
         support = [[(j, y) for j, y in enumerate(orow) if y]
                    for orow in other.data]
@@ -192,105 +178,85 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
 
-def _rref_primefield(M: Matrix):
-    p = M.field.p
-    a = np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols) % p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col_all = a[:, c].copy()
-        col_all[r] = 0
-        mask = col_all != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col_all[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    rank = r
-    reduced = Matrix(M.field, a[:rank].tolist() if rank else [],
-                     cols=ncols)
-    return reduced, rank, pivots
+def _sparse_rows(M: Matrix):
+    return ({j: x for j, x in enumerate(row) if x} for row in M.data)
 
 
-def _rref_integer(M: Matrix):
-    """Gauss-Jordan on Python ints: fraction-free over Q, mod p over GF(p).
+def _reduce(work, prow, j, p):
+    """Clear column j of the integer row dict ``work`` with the pivot row
+    ``prow``, whose leading entry is at j; return the new row.
 
-    Over Q, ``(pv/g) * row - (a/g) * prow`` is a nonzero multiple of the
-    Fraction update ``row - (a/pv) * prow``, so after its content is divided
-    out each stored row is the primitive integer multiple of the unique
-    Gauss-Jordan intermediate row.  The Bareiss row is an integer multiple
-    of that same row, so stored entries divide the Bareiss ones and are
-    bounded by minors of the denominator-cleared input.
+    Over GF(p) (``p`` an int) ``prow`` has a leading 1 and ``work`` is
+    updated in place.  Over Q (``p`` None) ``(pv/g) * work - (a/g) * prow``
+    replaces the Fraction update ``work - (a/pv) * prow``; it is a nonzero
+    multiple of it, and dividing out the content keeps the row primitive.
     """
-    f = M.field
-    p = f.p if isinstance(f, PrimeField) else None
-    if p is None:
-        rows = []
-        for row in M.data:
-            den = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (den // x.denominator) for x in row]
-            g = gcd(*ints)
-            rows.append([x // g for x in ints] if g > 1 else ints)
-    else:
-        rows = [list(row) for row in M.data]
-    nrows, ncols = M.rows, M.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
+    a = work[j]
+    if p is not None:
+        for k, v in prow.items():
+            x = (work.get(k, 0) - a * v) % p
+            if x:
+                work[k] = x
+            else:
+                del work[k]
+        return work
+    pv = prow[j]
+    g = gcd(pv, a)
+    s, t = pv // g, a // g
+    if s != 1:
+        work = {k: s * v for k, v in work.items()}
+    for k, v in prow.items():
+        x = work.get(k, 0) - t * v
+        if x:
+            work[k] = x
+        else:
+            del work[k]
+    g = gcd(*work.values())
+    return {k: v // g for k, v in work.items()} if g > 1 else work
+
+
+def _echelon(field, rows):
+    """Forward elimination of ``{column: value}`` rows of field scalars.
+
+    Returns ``{pivot column: row}``, one integer row dict per pivot with its
+    leading entry at that column.  Each input row is reduced against the
+    pivot rows found so far, leftmost entry first, until it is zero or
+    leads at a new pivot column.
+
+    Over GF(p) entries are residues and each pivot row is scaled to a
+    leading 1.  Over Q each row is cleared of denominators and kept
+    primitive, so it is the primitive integer multiple of the row the
+    Fraction elimination would hold.  That row is the unique vector of the
+    span of the input rows used so far that has coefficient 1 on the
+    current input row and zeros at the pivot columns left of its lead; by
+    Cramer's rule every stored integer divides a minor of the
+    denominator-cleared input.
+    """
+    p = field.p if isinstance(field, PrimeField) else None
+    pivots = {}
+    for row in rows:
+        if p is None:
+            den = lcm(*(v.denominator for v in row.values()))
+            work = {j: v.numerator * (den // v.denominator)
+                    for j, v in row.items() if v}
+            g = gcd(*work.values())
+            if g > 1:
+                work = {k: v // g for k, v in work.items()}
+        else:
+            work = {j: x for j, v in row.items() if (x := v % p)}
+        while work:
+            j = min(work)
+            prow = pivots.get(j)
+            if prow is None:
+                a = work[j]
+                if p is not None and a != 1:
+                    inv = pow(a, -1, p)
+                    work = {k: v * inv % p for k, v in work.items()}
+                pivots[j] = work
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if p is not None and pv != 1:
-            inv = pow(pv, -1, p)
-            prow = rows[r] = [x * inv % p for x in prow]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            a = row[c]
-            if not a:
-                continue
-            if p is not None:
-                rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
-                continue
-            g = gcd(pv, a)
-            s, t = pv // g, a // g
-            new = [s * x - t * y for x, y in zip(row, prow)]
-            g = gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    rank = r
-    if p is None:
-        zero = f.zero
-        out = []
-        for row, c in zip(rows, pivots):
-            pv = row[c]
-            out.append([Fraction(x, pv) if x else zero for x in row])
-    else:
-        out = rows[:rank]
-    return Matrix(f, out, cols=ncols), rank, pivots
+            work = _reduce(work, prow, j, p)
+        # empty work: the row was dependent
+    return pivots
 
 
 def rref(M: Matrix):
@@ -298,27 +264,49 @@ def rref(M: Matrix):
 
     Returns ``(R, rank, pivots)`` where R keeps only the nonzero rows.
     """
-    if (isinstance(M.field, PrimeField) and M.rows
-            and M.field.p < NUMPY_MODULUS_LIMIT):
-        return _rref_primefield(M)
-    return _rref_integer(M)
+    f = M.field
+    p = f.p if isinstance(f, PrimeField) else None
+    rows = _echelon(f, _sparse_rows(M))
+    pivots = sorted(rows)
+    # back-substitution from the last pivot up: the rows below are already
+    # reduced, so clearing one pivot column brings in no other
+    for lead in reversed(pivots):
+        work = rows[lead]
+        for c in [k for k in work if k != lead and k in rows]:
+            work = _reduce(work, rows[c], c, p)
+        rows[lead] = work
+    zero = f.zero
+    out = []
+    for lead in pivots:
+        work = rows[lead]
+        pv = work[lead]
+        row = [zero] * M.cols
+        for k, v in work.items():
+            row[k] = v if p is not None else Fraction(v, pv)
+        out.append(row)
+    return Matrix(f, out, cols=M.cols), len(pivots), pivots
+
+
+def _free_rows(basis: Matrix, pivots):
+    """The non-pivot columns of the RREF ``basis`` and, for each such
+    column fc, the row e_fc minus column fc of ``basis`` at the pivots."""
+    f, n = basis.field, basis.cols
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    rows = []
+    for fc in free:
+        v = [f.zero] * n
+        v[fc] = f.one
+        for brow, pc in zip(basis.data, pivots):
+            v[pc] = f.neg(brow[fc])
+        rows.append(v)
+    return free, Matrix(f, rows, cols=n)
 
 
 def kernel(M: Matrix) -> "Subspace":
     """Right null space of M, as a canonical subspace of the column space."""
-    f = M.field
-    reduced, rank, pivots = rref(M)
-    n = M.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [f.zero] * n
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced.entry(r, fc))
-        basis.append(v)
-    return Subspace(n, Matrix(f, basis, cols=n), _canonical=False)
+    reduced, _, pivots = rref(M)
+    return Subspace(M.cols, _free_rows(reduced, pivots)[1])
 
 
 class Subspace:
@@ -425,16 +413,7 @@ def quotient_data(ambient_dim: int, S: Subspace):
     section sends the class of e_f back to e_f.
     """
     f = S.field
-    pivot_set = set(S.pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    proj_rows = []
-    for fc in free:
-        row = [f.zero] * ambient_dim
-        row[fc] = f.one
-        for r, pc in enumerate(S.pivots):
-            row[pc] = f.neg(S.basis.entry(r, fc))
-        proj_rows.append(row)
-    proj = Matrix(f, proj_rows, cols=ambient_dim)
+    free, proj = _free_rows(S.basis, S.pivots)
     position = {c: i for i, c in enumerate(free)}
     section_rows = []
     for c in range(ambient_dim):
@@ -496,75 +475,11 @@ def sparse_rank(field, rows) -> int:
     """Rank of a row collection given as {column: value} dicts.
 
     Elimination keeps only nonzero entries, so kron-structured and
-    band-like matrices reduce far faster than the dense routine.  Values
-    are field scalars; over Q elimination is fraction-free on integers.
+    band-like matrices stay cheap however large they are.
     """
-    if not isinstance(field, PrimeField):
-        return _sparse_rank_integer(rows)
-    pivots = {}  # pivot column -> normalized row dict
-    rank = 0
-    for row in rows:
-        work = {j: v for j, v in row.items() if not field.is_zero(v)}
-        while work:
-            j = min(work)
-            if j not in pivots:
-                inv = field.inv(work[j])
-                pivots[j] = {k: field.mul(inv, v) for k, v in work.items()}
-                rank += 1
-                break
-            c = work[j]
-            for k, v in pivots[j].items():
-                new = field.sub(work.get(k, field.zero), field.mul(c, v))
-                if field.is_zero(new):
-                    work.pop(k, None)
-                else:
-                    work[k] = new
-        # empty work: row was dependent
-    return rank
-
-
-def _sparse_rank_integer(rows) -> int:
-    """Forward elimination over Q on primitive integer row dicts.
-
-    As in ``_rref_integer``, ``(pv/g) * work - (a/g) * prow`` is a nonzero
-    multiple of the Fraction update, so the rank is unchanged, and dividing
-    out the content keeps each row the primitive multiple of the Fraction
-    row.  Only the rank is needed, so pivot rows are never back-reduced.
-    """
-    pivots = {}  # pivot column -> primitive integer row dict
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        work = {j: v.numerator * (den // v.denominator)
-                for j, v in row.items() if v}
-        while work:
-            g = gcd(*work.values())
-            if g > 1:
-                work = {k: v // g for k, v in work.items()}
-            j = min(work)
-            prow = pivots.get(j)
-            if prow is None:
-                pivots[j] = work
-                break
-            pv, a = prow[j], work[j]
-            g = gcd(pv, a)
-            s, t = pv // g, a // g
-            if s != 1:
-                work = {k: s * v for k, v in work.items()}
-            for k, v in prow.items():
-                x = work.get(k, 0) - t * v
-                if x:
-                    work[k] = x
-                else:
-                    work.pop(k, None)
-        # empty work: row was dependent
-    return len(pivots)
+    return len(_echelon(field, rows))
 
 
 def matrix_rank(M: Matrix) -> int:
-    """Exact rank; over Q large matrices go through sparse elimination."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if isinstance(M.field, PrimeField) or M.rows * M.cols <= 4096:
-        return rref(M)[1]
-    rows = ({j: v for j, v in enumerate(row) if v} for row in M.data)
-    return sparse_rank(M.field, rows)
+    """Exact rank, by sparse elimination of the nonzero entries."""
+    return sparse_rank(M.field, _sparse_rows(M))

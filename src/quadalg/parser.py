@@ -152,10 +152,6 @@ def _as_fraction(piece, lineno, raw):
                          _column_of(raw, piece)) from None
 
 
-def _format_coeff(field, c) -> str:
-    return str(c)
-
-
 def unparse(name: str, A: QuadraticPresentation) -> str:
     """Canonical text form; parses back to an equal presentation."""
     lines = []
@@ -178,11 +174,10 @@ def unparse(name: str, A: QuadraticPresentation) -> str:
         for k, (c, word) in enumerate(terms):
             negative = (not isinstance(A.field, PrimeField)) and c < 0
             mag = -c if negative else c
-            body = word if mag == 1 else f"{_format_coeff(A.field, mag)}*{word}"
+            body = word if mag == 1 else f"{mag}*{word}"
             if k == 0:
                 # a leading negative rides along as a signed coefficient
-                parts.append(f"{_format_coeff(A.field, c)}*{word}"
-                             if negative else body)
+                parts.append(f"{c}*{word}" if negative else body)
             else:
                 parts.append("- " + body if negative else "+ " + body)
         lines.append("rel " + " ".join(parts))

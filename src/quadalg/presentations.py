@@ -124,13 +124,6 @@ def internal_hom(U: QuadraticPresentation, V: QuadraticPresentation):
 
 
 @dataclass(frozen=True)
-class GradedElement:
-    algebra: QuadraticPresentation
-    degree: int
-    coords: tuple
-
-
-@dataclass(frozen=True)
 class MorphismCertificate:
     ok: bool
     residual: tuple | None = None
@@ -194,20 +187,15 @@ def dual_morphism(h: AlgebraMorphism) -> AlgebraMorphism:
     return AlgebraMorphism(dual(h.dst), dual(h.src), h.M.transpose())
 
 
-def canonical_element(A: QuadraticPresentation) -> GradedElement:
-    """The identity tensor sum_i u_i (x) u^i in degree 1 of A white dual(A)."""
+def canonical_column(A: QuadraticPresentation) -> Matrix:
+    """c'_A as an (n^2 x 1) matrix out of the black unit's generator: the
+    identity tensor sum_i u_i (x) u^i in degree 1 of A white dual(A)."""
     f = A.field
     n = A.n
-    coords = [f.zero] * (n * n)
+    col = [[f.zero] for _ in range(n * n)]
     for i in range(n):
-        coords[i * n + i] = f.one
-    return GradedElement(white(A, dual(A)), 1, tuple(coords))
-
-
-def canonical_column(A: QuadraticPresentation) -> Matrix:
-    """c'_A as an (n^2 x 1) matrix out of the black unit's generator."""
-    elt = canonical_element(A)
-    return Matrix(A.field, [[x] for x in elt.coords], cols=1)
+        col[i * n + i] = [f.one]
+    return Matrix(f, col, cols=1)
 
 
 def evaluation_matrix(A: QuadraticPresentation) -> Matrix:

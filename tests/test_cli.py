@@ -7,6 +7,7 @@ Regenerate the goldens (after an intentional output change) with::
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -83,7 +84,16 @@ def _manifest():
          ["laws", "--suite", "duality", "--trials", "3", "--seed", "0",
           "--output", "structured", _f("sym2"), _f("ext2")], 0),
     ]
+    entries += NUMPY_FREE
     return entries
+
+
+# One Q and one GF(p) corpus file at low degree; also run without numpy.
+NUMPY_FREE = [
+    (f"{cmd}{top}_{stem}", [cmd, "--max", str(top), _f(stem)], 0)
+    for stem in ("sym3", "gf7_seed1")
+    for cmd, top in (("hilbert", 4), ("koszul", 3))
+]
 
 
 MANIFEST = _manifest()
@@ -135,6 +145,35 @@ def test_golden_under_python_O():
          _f("sym3")], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "koszul_sym3.txt").read_text()
+
+
+def test_golden_without_numpy():
+    # the library has no runtime dependency: importing numpy must not be
+    # needed anywhere on the CLI path, over Q or over GF(p)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from quadalg.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        status = main(argv)\n"
+        "    out.append([status, buf.getvalue()])\n"
+        "print(json.dumps(out))\n")
+    argvs = [argv for _, argv, _ in NUMPY_FREE]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(NUMPY_FREE)
+    for (name, _, want_status), (status, text) in zip(NUMPY_FREE, results):
+        assert status == want_status, name
+        assert text == (GOLDEN / f"{name}.txt").read_text(), name
 
 
 def _regenerate():

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadalg.fields import (QQ, FieldMismatchError, PrimeField,
                             check_same_field)
+from quadalg.linalg import Matrix
 
 
 def test_rationals_singleton():
@@ -71,6 +73,25 @@ def test_primefield_coerces_fractions():
     f = PrimeField(5)
     assert f.coerce(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1 mod 5
     assert f.coerce(-1) == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("x", [2.7, 0.1, 2.0, Decimal("2"), "2", None])
+def test_coerce_rejects_non_exact_scalars(field, x):
+    # a float would truncate mod p (2.7 -> 2) or expand over Q
+    # (0.1 -> 3602879701896397/2^55); a string or Decimal is not a scalar
+    with pytest.raises(TypeError):
+        field.coerce(x)
+    with pytest.raises(TypeError):
+        Matrix(field, [[x, 1], [1, 1]])
+
+
+def test_coerce_keeps_exact_scalars():
+    F7 = PrimeField(7)
+    assert QQ.coerce(3) == Fraction(3) and type(QQ.coerce(3)) is Fraction
+    assert QQ.coerce(Fraction(1, 10)) == Fraction(1, 10)
+    assert F7.coerce(-1) == 6 and F7.coerce(Fraction(1, 2)) == 4
+    assert QQ.coerce(True) == 1 and F7.coerce(True) == 1
 
 
 def test_inverse_of_zero():

@@ -15,7 +15,7 @@ from quadalg.tensorindex import kron
 
 F5 = PrimeField(5)
 F32003 = PrimeField(32003)
-# above the numpy modulus limit, and p^2 > 2^63
+# p^2 > 2^63: products of two residues overflow int64
 P_BIG = 4294967311
 FBIG = PrimeField(P_BIG)
 
@@ -92,17 +92,20 @@ def row_dicts(M):
     return [{j: x for j, x in enumerate(row) if x} for row in M.data]
 
 
-q_scalars = st.one_of(
+int_scalars = st.one_of(
     st.just(0),
     st.integers(-3, 3),
     st.integers(-10 ** 6, 10 ** 6),
+)
+q_scalars = st.one_of(
+    int_scalars,
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
               st.integers(1, 10 ** 4)),
 )
 
 
 @st.composite
-def q_matrices(draw, field=QQ):
+def q_matrices(draw, field=QQ, scalars=q_scalars):
     """1-6 x 1-8 matrices with zero rows and dependent rows mixed in."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 8))
@@ -111,11 +114,11 @@ def q_matrices(draw, field=QQ):
         kind = draw(st.sampled_from(["free", "zero", "combo"]
                                     if i else ["free", "zero"]))
         if kind == "free":
-            rows.append(draw(st.lists(q_scalars, min_size=m, max_size=m)))
+            rows.append(draw(st.lists(scalars, min_size=m, max_size=m)))
         elif kind == "zero":
             rows.append([0] * m)
         else:
-            a, b = draw(q_scalars), draw(q_scalars)
+            a, b = draw(scalars), draw(scalars)
             j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
             rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
     return mat(field, draw(st.permutations(rows)))
@@ -126,6 +129,22 @@ def test_rref_known_example():
     R, rank, pivots = rref(M)
     assert rank == 2 and pivots == [0, 1]
     assert R == mat(QQ, [[1, 0, -1], [0, 1, 2]])
+
+
+def test_rref_gf_scales_pivots_to_one():
+    R, rank, pivots = rref(mat(F5, [[2, 4, 1], [0, 0, 3]]))
+    assert (rank, pivots) == (2, [0, 2])
+    assert R == mat(F5, [[1, 2, 0], [0, 0, 1]])
+
+
+def test_rref_q_back_substitution_fills_in():
+    # forward elimination leaves row 0 zero in column 2; clearing its
+    # entry at pivot column 1 brings in -1/6 there
+    M = mat(QQ, [[2, 1, 0], [0, 3, 1], [4, 5, 1]])
+    R, rank, pivots = rref(M)
+    assert (rank, pivots) == (2, [0, 1])
+    assert R == mat(QQ, [[1, 0, Fraction(-1, 6)], [0, 1, Fraction(1, 3)]])
+    assert (R, rank, pivots) == reference_rref(M)
 
 
 def test_rref_idempotent_and_canonical():
@@ -152,6 +171,13 @@ def test_rref_q_matches_reference(M):
 @settings(max_examples=60, deadline=None)
 @given(q_matrices(FBIG))
 def test_rref_large_prime_matches_reference(M):
+    assert rref(M) == reference_rref(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F5, F32003]).flatmap(
+    lambda f: q_matrices(f, int_scalars)))
+def test_rref_gf_matches_reference(M):
     assert rref(M) == reference_rref(M)
 
 
@@ -294,6 +320,27 @@ def test_sparse_rank_q_matches_rref_and_reference(M):
     assert reference_sparse_rank(QQ, row_dicts(M)) == rank
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F5, F32003, FBIG]),
+       st.lists(st.dictionaries(st.integers(0, 7), int_scalars, max_size=8),
+                max_size=6))
+def test_sparse_rank_gf_matches_reference(field, rows):
+    # raw integer values: negative, zero mod p and above p are all allowed
+    assert sparse_rank(field, rows) == reference_sparse_rank(field, rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([QQ, F5, F32003]).flatmap(
+    lambda f: q_matrices(f, q_scalars if f == QQ else int_scalars)))
+def test_matrix_rank_equals_rref_rank_across_sizes(M):
+    # M itself is far below 4096 cells, kron(M, I_k) above
+    k = 1 + isqrt(4096 // (M.rows * M.cols))
+    big = kron(M, Matrix.identity(M.field, k))
+    assert M.rows * M.cols < 4096 < big.rows * big.cols
+    assert matrix_rank(M) == rref(M)[1]
+    assert matrix_rank(big) == rref(big)[1] == k * rref(M)[1]
+
+
 @settings(max_examples=20, deadline=None)
 @given(q_matrices())
 def test_matrix_rank_q_sparse_path(M):
@@ -320,6 +367,21 @@ def test_matrix_rank_q_sparse_path_dense_block():
     rank = rref(M)[1]
     assert matrix_rank(M) == rank == reference_sparse_rank(QQ, row_dicts(M))
     assert rank <= n - 2
+
+
+@pytest.mark.parametrize("field", [F5, F32003, FBIG])
+def test_matrix_rank_gf_dense_block(field):
+    # 70 x 70 dense residues with a zero row and a dependent row
+    n = 70
+    rows = [[(i * j * 31 + 7 * i + j) % 23 - 11 if (i + 2 * j) % 4 else 0
+             for j in range(n)] for i in range(n - 2)]
+    rows.append([0] * n)
+    rows.append([x - 3 * y for x, y in zip(rows[0], rows[1])])
+    M = mat(field, rows)
+    R, rank, _ = rref(M)
+    assert matrix_rank(M) == rank == reference_sparse_rank(field, row_dicts(M))
+    assert rank <= n - 2
+    assert R == reference_rref(M)[0]
 
 
 raw_q = st.one_of(st.integers(-3, 3),

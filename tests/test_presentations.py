@@ -11,7 +11,6 @@ from quadalg.presentations import (
     QuadraticPresentation,
     black,
     canonical_column,
-    canonical_element,
     dual,
     dual_morphism,
     evaluation_matrix,
@@ -150,12 +149,11 @@ def test_dual_morphism_reverses_and_transposes():
 
 def test_canonical_element_and_evaluation():
     A = load("sym2")
-    elt = canonical_element(A)
-    assert elt.coords == (1, 0, 0, 1)
+    col = canonical_column(A)
+    assert tuple(row[0] for row in col.data) == (1, 0, 0, 1)
     # The canonical element is a relation-respecting degree-1 element of
     # A white dual(A): pairing it against the evaluation gives dim V.
     ev = evaluation_matrix(A)
-    col = canonical_column(A)
     assert (ev @ col).data[0][0] == A.n
 
 
