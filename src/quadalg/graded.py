@@ -36,16 +36,10 @@ class GradedStructure:
 
     def step_proj(self, m: int) -> Matrix:
         self._ensure(m)
-        if self._step_proj[m] is None:  # free step: materialize lazily
-            self._step_proj[m] = Matrix.identity(self.A.field,
-                                                 self._dims[m])
         return self._step_proj[m]
 
     def step_section(self, m: int) -> Matrix:
         self._ensure(m)
-        if self._step_section[m] is None:
-            self._step_section[m] = Matrix.identity(self.A.field,
-                                                    self._dims[m])
         return self._step_section[m]
 
     def _ensure(self, m: int):
@@ -54,28 +48,13 @@ class GradedStructure:
         A, f, n = self.A, self.A.field, self.A.n
         while max(self._dims) < m:
             k = max(self._dims) + 1
-            prev_dim = self._dims[k - 1]
-            ambient = prev_dim * n
-            if A.R.dim == 0 or self._dims[k - 2] == 0:
-                # nothing to quotient by: A_k = A_{k-1} (x) V
-                self._dims[k] = ambient
-                self._step_proj[k] = None
-                self._step_section[k] = None
-                continue
-            step_prev = self.step_proj(k - 1)
-            rows = []
-            for s in range(self._dims[k - 2]):
-                for rel in A.R.basis.data:
-                    row = [f.zero] * ambient
-                    for b in range(n):
-                        vec = [f.zero] * (self._dims[k - 2] * n)
-                        for a in range(n):
-                            vec[s * n + a] = rel[a * n + b]
-                        q = step_prev.apply(vec)
-                        for t, x in enumerate(q):
-                            row[t * n + b] = f.add(row[t * n + b], x)
-                    rows.append(row)
-            K = Subspace(ambient, Matrix(f, rows, cols=ambient))
+            ambient = self._dims[k - 1] * n
+            # K is spanned by the images of s (x) r, for s a basis vector
+            # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
+            relations = kron(Matrix.identity(f, self._dims[k - 2]),
+                             A.R.basis)
+            push = kron(self._step_proj[k - 1], Matrix.identity(f, n))
+            K = Subspace(ambient, relations @ push.transpose())
             proj, section = quotient_data(ambient, K)
             self._dims[k] = proj.rows
             self._step_proj[k] = proj
@@ -117,19 +96,20 @@ class GradedStructure:
 
     def right_mult_by_generator(self, m: int, a: int) -> Matrix:
         """Right multiplication by generator a: A_m -> A_{m+1}."""
-        f, n = self.A.field, self.A.n
+        n = self.A.n
         step = self.step_proj(m + 1)
-        rows = [[step.entry(r, s * n + a) for s in range(self.dim(m))]
-                for r in range(step.rows)]
-        return Matrix(f, rows, cols=self.dim(m))
+        rows = [{j // n: x for j, x in row.items() if j % n == a}
+                for row in step.sparse]
+        return Matrix.from_rows(self.A.field, rows, self.dim(m))
 
     def left_mult_by_generator(self, m: int, a: int) -> Matrix:
         """Left multiplication by generator a: A_m -> A_{m+1}."""
         mult = self.mult(1, m)
         d = self.dim(m)
-        rows = [[mult.entry(r, a * d + t) for t in range(d)]
-                for r in range(mult.rows)]
-        return Matrix(self.A.field, rows, cols=d)
+        lo = a * d
+        rows = [{j - lo: x for j, x in row.items() if lo <= j < lo + d}
+                for row in mult.sparse]
+        return Matrix.from_rows(self.A.field, rows, d)
 
 
 _structures: dict[QuadraticPresentation, GradedStructure] = {}
@@ -160,9 +140,8 @@ def graded_dim_by_oracle(A: QuadraticPresentation, m: int) -> int:
     def rows():
         for i in range(m - 1):
             right = n ** (m - 2 - i)
-            for rel in A.R.basis.data:
-                support = [(k, c) for k, c in enumerate(rel)
-                           if not f.is_zero(c)]
+            for rel in A.R.basis.sparse:
+                support = rel.items()
                 for w1 in range(n ** i):
                     for w2 in range(right):
                         base = w1 * n * n * right

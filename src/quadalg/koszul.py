@@ -213,7 +213,7 @@ def bar_complex_in_degree(A: QuadraticPresentation, m: int) -> ComplexSlice:
         src_comps, src_dim = layout[p]
         dst_comps, dst_dim = layout[p - 1]
         dst_offset = {comp: (off, d) for comp, d, off in dst_comps}
-        rows = [[f.zero] * src_dim for _ in range(dst_dim)]
+        rows = [{} for _ in range(dst_dim)]
         for comp, letter_dims, off in src_comps:
             strides = [1] * p
             for k in range(p - 2, -1, -1):
@@ -223,7 +223,7 @@ def bar_complex_in_degree(A: QuadraticPresentation, m: int) -> ComplexSlice:
                 merged = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2:]
                 toff, _ = dst_offset[merged]
                 mult = gs.mult(comp[i], comp[i + 1])
-                sign = f.one if i % 2 == 1 else f.neg(f.one)
+                minus = i % 2 == 0
                 # sign convention d = sum_{i=1}^{p-1} (-1)^i merge_i; our
                 # loop index is i-1, so even loop index carries the minus
                 m_dims = tuple(gs.dim(d) for d in merged)
@@ -239,17 +239,23 @@ def bar_complex_in_degree(A: QuadraticPresentation, m: int) -> ComplexSlice:
                     pair_col = letters[i] * letter_dims[i + 1] + letters[i + 1]
                     merged_letters = (letters[:i]
                                       + [None] + letters[i + 2:])
-                    for r in range(mult.rows):
-                        c = mult.entry(r, pair_col)
-                        if f.is_zero(c):
+                    for r, mrow in enumerate(mult.sparse):
+                        c = mrow.get(pair_col)
+                        if c is None:
                             continue
                         merged_letters[i] = r
                         ridx = toff
                         for k, lt in enumerate(merged_letters):
                             ridx += lt * m_strides[k]
-                        rows[ridx][off + col] = f.add(rows[ridx][off + col],
-                                                      f.mul(sign, c))
-        maps.append(Matrix(f, rows, cols=src_dim))
+                        row, key = rows[ridx], off + col
+                        x = f.neg(c) if minus else c
+                        if key in row:
+                            x = f.add(row[key], x)
+                        if x:
+                            row[key] = x
+                        else:
+                            del row[key]
+        maps.append(Matrix.from_rows(f, rows, src_dim))
     return ComplexSlice(tuple(dims), tuple(maps), m, "chain")
 
 

@@ -515,7 +515,7 @@ def suite_axioms(pool, trials: int, seed: int):
         checks.append(check_bullet_to_circle(U1, U2))
         small = min((U1, U2, U3), key=lambda A: A.n)
         checks.extend(check_hom_algebra(small))
-    return _sorted_checks(checks)
+    return _sorted_checks(checks), []
 
 
 def suite_duality(pool, trials: int, seed: int):
@@ -526,7 +526,7 @@ def suite_duality(pool, trials: int, seed: int):
     for _ in range(trials):
         U, V = _pick_sizes(pool, rng, 2, 9)
         checks.append(check_dual_antimultiplicative(U, V))
-    return _sorted_checks(checks)
+    return _sorted_checks(checks), []
 
 
 def suite_braiding(pool, trials: int, seed: int):
@@ -537,7 +537,7 @@ def suite_braiding(pool, trials: int, seed: int):
     for _ in range(trials):
         U1, U2, U3 = _pick_sizes(pool, rng, 3, max_total)
         checks.append(check_braiding(U1, U2, U3))
-    return _sorted_checks(checks)
+    return _sorted_checks(checks), []
 
 
 def suite_hom_algebra(pool, trials: int, seed: int):
@@ -545,7 +545,7 @@ def suite_hom_algebra(pool, trials: int, seed: int):
     for U in pool:
         if U.n <= 2:  # full morphism validation of l_U stays cheap
             checks.extend(check_hom_algebra(U))
-    return _sorted_checks(checks)
+    return _sorted_checks(checks), []
 
 
 def suite_rigid(pool, trials: int, seed: int):
@@ -611,7 +611,11 @@ def trace_multiplicativity_report(U, rng) -> str:
             f"in sample")
 
 
-SUITES = ("axioms", "duality", "braiding", "hom-algebra", "rigid")
+# suite name -> suite(pool, trials, seed) -> (checks, report lines)
+_SUITES = {"axioms": suite_axioms, "duality": suite_duality,
+           "braiding": suite_braiding, "hom-algebra": suite_hom_algebra,
+           "rigid": suite_rigid}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, pool, trials: int = 100, seed: int = 0):
@@ -621,14 +625,7 @@ def run_suite(name: str, pool, trials: int = 100, seed: int = 0):
     f0 = pool[0].field
     for U in pool:
         check_same_field(f0, U.field)
-    if name == "axioms":
-        return suite_axioms(pool, trials, seed), []
-    if name == "duality":
-        return suite_duality(pool, trials, seed), []
-    if name == "braiding":
-        return suite_braiding(pool, trials, seed), []
-    if name == "hom-algebra":
-        return suite_hom_algebra(pool, trials, seed), []
-    if name == "rigid":
-        return suite_rigid(pool, trials, seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    if name not in _SUITES:
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    return _SUITES[name](pool, trials, seed)

@@ -1,14 +1,17 @@
-"""Dense exact matrices and the canonical-subspace calculus.
+"""Sparse exact matrices and the canonical-subspace calculus.
 
 Everything downstream (products, duals, complexes, diagram checks) reduces
 to row reduction here.  Subspaces are kept in reduced row-echelon form, so
 set equality is representation equality.
 
-Every entry of a Matrix is a canonical scalar: ``Matrix.__init__`` coerces
-it to a Fraction over Q and to an int in 0..p-1 over GF(p).  So an entry is
-zero exactly when it is falsy, and the matrix code tests ``if x`` rather
-than ``x == zero`` (``Fraction.__bool__`` reads only the numerator, while
-``Fraction.__eq__`` goes through an isinstance chain).
+A Matrix stores one ``{column: scalar}`` dict per row, holding only the
+nonzero entries, each canonical: a Fraction over Q and an int in 1..p-1
+over GF(p).  These are the rows the elimination kernel works on.
+Operations that keep the invariant build their results from rows they
+already hold, without coercing them again.  A canonical sum is zero exactly
+when it is falsy, so the code tests ``if x`` rather than ``x == zero``
+(``Fraction.__bool__`` reads only the numerator, while ``Fraction.__eq__``
+goes through an isinstance chain).
 
 One elimination kernel, ``_echelon``, serves both field families and every
 caller: forward elimination on sparse ``{column: int}`` row dicts.  Over
@@ -30,93 +33,126 @@ from .fields import PrimeField, check_same_field
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable sparse matrix over an exact field.
 
-    ``data`` is a tuple of row tuples; scalars are Fractions over Q and int
-    residues over GF(p).
+    ``sparse`` is a tuple with one ``{column: scalar}`` dict per row that
+    holds only the nonzero canonical entries (see the module docstring).
+    ``Matrix(field, rows, cols)`` takes dense input from outside the matrix
+    layer: it coerces every entry, checks the shape and drops zeros.
+    ``Matrix.from_rows(field, rows, cols)`` takes rows that already keep the
+    invariant as they are; nothing may mutate them afterwards, since
+    matrices share rows.  ``data`` is a read-only dense view, a tuple of
+    row tuples, built on each access.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "sparse")
 
     def __init__(self, field, data, cols=None):
-        data = tuple(tuple(field.coerce(x) for x in row) for row in data)
-        rows = len(data)
-        if rows:
-            cols_found = {len(row) for row in data}
-            if len(cols_found) != 1:
+        coerce = field.coerce
+        sparse = []
+        widths = set()
+        for row in data:
+            row = [coerce(x) for x in row]
+            widths.add(len(row))
+            sparse.append({j: x for j, x in enumerate(row) if x})
+        if sparse:
+            if len(widths) != 1:
                 raise ValueError("ragged rows")
-            width = cols_found.pop()
+            width = widths.pop()
             if cols is not None and cols != width:
                 raise ValueError("explicit column count disagrees with rows")
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs explicit column count")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        _fill(self, field, cols, tuple(sparse))
+
+    @staticmethod
+    def from_rows(field, rows, cols) -> "Matrix":
+        """A matrix on canonical sparse rows, taken as they are."""
+        M = object.__new__(Matrix)
+        _fill(M, field, cols, tuple(rows))
+        return M
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def data(self):
+        zero, cols = self.field.zero, self.cols
+        out = []
+        for row in self.sparse:
+            dense = [zero] * cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
     @staticmethod
     def identity(field, n):
-        one, zero = field.one, field.zero
-        return Matrix(field, [[one if i == j else zero for j in range(n)]
-                              for i in range(n)], cols=n)
+        one = field.one
+        return Matrix.from_rows(field, [{i: one} for i in range(n)], n)
 
     @staticmethod
     def zero(field, rows, cols):
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return Matrix.from_rows(field, [{} for _ in range(rows)], cols)
 
     def entry(self, i, j):
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
+        return self.sparse[i].get(j, self.field.zero)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
+        return not any(self.sparse)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], cols=self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_rows(self.field, out, self.rows)
+
+    def _merge(self, other: "Matrix", negate: bool, what: str) -> "Matrix":
+        """self + other, or self - other when ``negate``; zero sums are
+        dropped."""
+        check_same_field(self.field, other.field)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch in matrix {what}")
+        f = self.field
+        out = []
+        for r1, r2 in zip(self.sparse, other.sparse):
+            row = dict(r1)
+            for j, y in r2.items():
+                if negate:
+                    y = f.neg(y)
+                x = row.get(j)
+                if x is None:
+                    row[j] = y
+                elif s := f.add(x, y):
+                    row[j] = s
+                else:
+                    del row[j]
+            out.append(row)
+        return Matrix.from_rows(f, out, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        f = self.field
-        return Matrix(f, [[(f.add(a, b) if b else a) if a else b
-                           for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return self._merge(other, False, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return self._merge(other, True, "subtraction")
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data],
-                      cols=self.cols)
+        if not c:
+            return Matrix.zero(f, self.rows, self.cols)
+        return Matrix.from_rows(
+            f, [{j: f.mul(c, x) for j, x in row.items()}
+                for row in self.sparse], self.cols)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
         one = self.field.one
-        data = self.data
-        return (all(row[i] == one for i, row in enumerate(data))
-                and not any(any(row[:i]) or any(row[i + 1:])
-                            for i, row in enumerate(data)))
+        return all(len(row) == 1 and row.get(i) == one
+                   for i, row in enumerate(self.sparse))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -129,57 +165,54 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        # accumulate the nonzero entries of the rows of `other`, scaled by
-        # the nonzero coefficients of each row of `self`; over GF(p) the
-        # sums stay unreduced until Matrix() coerces them
-        zero, one = f.zero, f.one
-        support = [[(j, y) for j, y in enumerate(orow) if y]
-                   for orow in other.data]
-        columns = range(other.cols)
+        # accumulate the rows of `other`, scaled by the entries of each row
+        # of `self`; over GF(p) the sums stay unreduced until the one
+        # coerce per output entry
+        coerce, one = f.coerce, f.one
+        orows = other.sparse
         out = []
-        for row in self.data:
+        for row in self.sparse:
             acc = {}
-            for a, terms in zip(row, support):
-                if not a:
-                    continue
+            for k, a in row.items():
+                terms = orows[k].items()
                 if a != one:
                     terms = [(j, a * y) for j, y in terms]
                 for j, y in terms:
                     acc[j] = acc[j] + y if j in acc else y
-            out.append([acc.get(j, zero) for j in columns])
-        return Matrix(f, out, cols=other.cols)
+            out.append({j: x for j, v in acc.items() if (x := coerce(v))})
+        return Matrix.from_rows(f, out, other.cols)
 
     def apply(self, vec):
         """Matrix times a coordinate vector (returned as a tuple)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         f = self.field
-        zero = f.zero
-        support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
-        for row in self.data:
-            acc = zero
-            for j, x in support:
-                if row[j]:
-                    acc = f.add(acc, f.mul(row[j], x))
+        for row in self.sparse:
+            acc = f.zero
+            for j, x in row.items():
+                acc = f.add(acc, f.mul(x, vec[j]))
             out.append(acc)
         return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.sparse)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
 
-def _sparse_rows(M: Matrix):
-    return ({j: x for j, x in enumerate(row) if x} for row in M.data)
+def _fill(M: Matrix, field, cols: int, sparse: tuple):
+    for name, value in (("field", field), ("rows", len(sparse)),
+                        ("cols", cols), ("sparse", sparse)):
+        object.__setattr__(M, name, value)
 
 
 def _reduce(work, prow, j, p):
@@ -266,7 +299,7 @@ def rref(M: Matrix):
     """
     f = M.field
     p = f.p if isinstance(f, PrimeField) else None
-    rows = _echelon(f, _sparse_rows(M))
+    rows = _echelon(f, M.sparse)
     pivots = sorted(rows)
     # back-substitution from the last pivot up: the rows below are already
     # reduced, so clearing one pivot column brings in no other
@@ -275,16 +308,12 @@ def rref(M: Matrix):
         for c in [k for k in work if k != lead and k in rows]:
             work = _reduce(work, rows[c], c, p)
         rows[lead] = work
-    zero = f.zero
-    out = []
-    for lead in pivots:
-        work = rows[lead]
-        pv = work[lead]
-        row = [zero] * M.cols
-        for k, v in work.items():
-            row[k] = v if p is not None else Fraction(v, pv)
-        out.append(row)
-    return Matrix(f, out, cols=M.cols), len(pivots), pivots
+    # over GF(p) the pivot rows are canonical residue rows with a leading 1
+    out = [rows[lead] for lead in pivots]
+    if p is None:
+        out = [{k: Fraction(v, row[lead]) for k, v in row.items()}
+               for row, lead in zip(out, pivots)]
+    return Matrix.from_rows(f, out, M.cols), len(pivots), pivots
 
 
 def _free_rows(basis: Matrix, pivots):
@@ -293,14 +322,12 @@ def _free_rows(basis: Matrix, pivots):
     f, n = basis.field, basis.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        v = [f.zero] * n
-        v[fc] = f.one
-        for brow, pc in zip(basis.data, pivots):
-            v[pc] = f.neg(brow[fc])
-        rows.append(v)
-    return free, Matrix(f, rows, cols=n)
+    rows = {fc: {fc: f.one} for fc in free}
+    for brow, pc in zip(basis.sparse, pivots):
+        for c, x in brow.items():
+            if c != pc:
+                rows[c][pc] = f.neg(x)
+    return free, Matrix.from_rows(f, rows.values(), n)
 
 
 def kernel(M: Matrix) -> "Subspace":
@@ -320,7 +347,7 @@ class Subspace:
         if not _canonical:
             basis, _, pivots = rref(basis)
         else:
-            pivots = _pivot_columns(basis)
+            pivots = [min(row) for row in basis.sparse]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -338,7 +365,7 @@ class Subspace:
 
     @staticmethod
     def zero(field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(field, [], cols=ambient_dim),
+        return Subspace(ambient_dim, Matrix.zero(field, 0, ambient_dim),
                         _canonical=True)
 
     @staticmethod
@@ -364,16 +391,6 @@ class Subspace:
                 f"over {self.field})")
 
 
-def _pivot_columns(reduced: Matrix):
-    pivots = []
-    for row in reduced.data:
-        for c, x in enumerate(row):
-            if x:
-                pivots.append(c)
-                break
-    return pivots
-
-
 def _check_compatible(A: Subspace, B: Subspace):
     check_same_field(A.field, B.field)
     if A.ambient_dim != B.ambient_dim:
@@ -383,8 +400,8 @@ def _check_compatible(A: Subspace, B: Subspace):
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     _check_compatible(A, B)
-    stacked = Matrix(A.field, list(A.basis.data) + list(B.basis.data),
-                     cols=A.ambient_dim)
+    stacked = Matrix.from_rows(A.field, A.basis.sparse + B.basis.sparse,
+                               A.ambient_dim)
     return Subspace(A.ambient_dim, stacked)
 
 
@@ -414,16 +431,10 @@ def quotient_data(ambient_dim: int, S: Subspace):
     """
     f = S.field
     free, proj = _free_rows(S.basis, S.pivots)
-    position = {c: i for i, c in enumerate(free)}
-    section_rows = []
-    for c in range(ambient_dim):
-        row = [f.zero] * len(free)
-        i = position.get(c)
-        if i is not None:
-            row[i] = f.one
-        section_rows.append(row)
-    section = Matrix(f, section_rows, cols=len(free))
-    return proj, section
+    section_rows = [{} for _ in range(ambient_dim)]
+    for i, c in enumerate(free):
+        section_rows[c][i] = f.one
+    return proj, Matrix.from_rows(f, section_rows, len(free))
 
 
 def contains(A: Subspace, B: Subspace) -> bool:
@@ -438,6 +449,7 @@ def reduce_against(A: Subspace, vectors):
     Returns None when every vector lies in A.
     """
     f = A.field
+    basis = A.basis.data
     pivot_of = {pc: r for r, pc in enumerate(A.pivots)}
     for vec in vectors:
         v = list(vec)
@@ -448,7 +460,7 @@ def reduce_against(A: Subspace, vectors):
             if r is None:
                 return tuple(v)
             coef = v[c]
-            brow = A.basis.data[r]
+            brow = basis[r]
             v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, brow)]
     return None
 
@@ -482,4 +494,4 @@ def sparse_rank(field, rows) -> int:
 
 def matrix_rank(M: Matrix) -> int:
     """Exact rank, by sparse elimination of the nonzero entries."""
-    return sparse_rank(M.field, _sparse_rows(M))
+    return sparse_rank(M.field, M.sparse)

@@ -88,10 +88,10 @@ class PermutationMap:
         return tuple(out)
 
     def matrix(self, field) -> Matrix:
-        rows = [[field.zero] * self.size for _ in range(self.size)]
+        rows = [None] * self.size
         for i, j in enumerate(self.image):
-            rows[j][i] = field.one
-        return Matrix(field, rows, cols=self.size)
+            rows[j] = {i: field.one}
+        return Matrix.from_rows(field, rows, self.size)
 
     def __eq__(self, other):
         return isinstance(other, PermutationMap) and self.image == other.image
@@ -136,23 +136,21 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     f = A.field
     if A.is_identity() and B.is_identity():
         return Matrix.identity(f, A.rows * B.rows)
+    one, width = f.one, B.cols
     rows = []
-    zero, one = f.zero, f.one
-    zeros = (zero,) * B.cols
-    for i in range(A.rows):
-        arow = A.data[i]
-        for k in range(B.rows):
-            brow = B.data[k]
-            out = []
-            for a in arow:
-                if not a:
-                    out.extend(zeros)
-                elif a == one:
-                    out.extend(brow)
+    for arow in A.sparse:
+        for brow in B.sparse:
+            out = {}
+            for j, a in arow.items():
+                base = j * width
+                if a == one:
+                    for l, b in brow.items():
+                        out[base + l] = b
                 else:
-                    out.extend(f.mul(a, b) if b else zero for b in brow)
+                    for l, b in brow.items():
+                        out[base + l] = f.mul(a, b)
             rows.append(out)
-    return Matrix(f, rows, cols=A.cols * B.cols)
+    return Matrix.from_rows(f, rows, A.cols * width)
 
 
 def push_subspace(P, S: Subspace) -> Subspace:
@@ -160,9 +158,11 @@ def push_subspace(P, S: Subspace) -> Subspace:
     if isinstance(P, PermutationMap):
         if P.size != S.ambient_dim:
             raise ValueError("permutation size != ambient dimension")
-        f = S.field
-        rows = [P.apply_vector(row, f) for row in S.basis.data]
-        return Subspace(S.ambient_dim, Matrix(f, rows, cols=S.ambient_dim))
+        image = P.image
+        rows = [{image[j]: x for j, x in row.items()}
+                for row in S.basis.sparse]
+        return Subspace(S.ambient_dim,
+                        Matrix.from_rows(S.field, rows, S.ambient_dim))
     if P.cols != S.ambient_dim:
         raise ValueError("matrix width != ambient dimension")
     if S.dim == 0:
@@ -172,20 +172,12 @@ def push_subspace(P, S: Subspace) -> Subspace:
 
 
 def tensor_subspace(A: Subspace, B: Subspace) -> Subspace:
-    """A tensor B inside the row-major tensor product coordinate space."""
+    """A tensor B inside the row-major tensor product coordinate space.
+
+    The Kronecker product of two RREF bases is already in RREF: row
+    (a, b) leads at column lead_a * n_B + lead_b, these leads increase with
+    the row, and every other row is zero there.
+    """
     check_same_field(A.field, B.field)
-    f = A.field
-    ambient = A.ambient_dim * B.ambient_dim
-    zero = f.zero
-    zeros = (zero,) * B.ambient_dim
-    rows = []
-    for ra in A.basis.data:
-        for rb in B.basis.data:
-            row = []
-            for a in ra:
-                if a:
-                    row.extend(f.mul(a, b) if b else zero for b in rb)
-                else:
-                    row.extend(zeros)
-            rows.append(row)
-    return Subspace(ambient, Matrix(f, rows, cols=ambient))
+    return Subspace(A.ambient_dim * B.ambient_dim, kron(A.basis, B.basis),
+                    _canonical=True)

@@ -124,6 +124,52 @@ def q_matrices(draw, field=QQ, scalars=q_scalars):
     return mat(field, draw(st.permutations(rows)))
 
 
+def field_matrices(fields=(QQ, F5, F32003)):
+    """q_matrices over one of ``fields``."""
+    return st.sampled_from(fields).flatmap(
+        lambda f: q_matrices(f, q_scalars if f == QQ else int_scalars))
+
+
+@st.composite
+def partners(draw, M):
+    """A matrix of M's shape whose entries cancel M's, vanish or are drawn."""
+    scalars = q_scalars if M.field == QQ else int_scalars
+    kinds = st.sampled_from(["cancel", "zero", "any"])
+    rows = []
+    for row in M.data:
+        out = []
+        for x in row:
+            kind = draw(kinds)
+            out.append(-x if kind == "cancel" else
+                       0 if kind == "zero" else draw(scalars))
+        rows.append(out)
+    return mat(M.field, rows)
+
+
+def assert_canonical(M):
+    """M.sparse has one dict per row holding only nonzero canonical
+    entries: Fractions over Q, ints in 1..p-1 over GF(p)."""
+    assert isinstance(M.sparse, tuple) and len(M.sparse) == M.rows
+    for row in M.sparse:
+        for j, x in row.items():
+            assert 0 <= j < M.cols
+            if M.field == QQ:
+                assert type(x) is Fraction and x
+            else:
+                assert type(x) is int and 0 < x < M.field.p
+
+
+def dense_product(A, B):
+    f = A.field
+    out = []
+    for row in A.data:
+        acc = [f.zero] * B.cols
+        for a, brow in zip(row, B.data):
+            acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, brow)]
+        out.append(acc)
+    return Matrix(f, out, cols=B.cols)
+
+
 def test_rref_known_example():
     M = mat(QQ, [[0, 2, 4], [1, 1, 1]])
     R, rank, pivots = rref(M)
@@ -454,3 +500,50 @@ def test_matrix_shape_errors():
         mat(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError):
         mat(QQ, [[1, 2]]) @ mat(QQ, [[1, 2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_operations_keep_sparse_rows_canonical(data):
+    A = data.draw(field_matrices())
+    B = data.draw(partners(A))
+    C = data.draw(partners(A.transpose()))
+    f = A.field
+    c = data.draw(q_scalars if f == QQ else int_scalars)
+    results = {
+        "+": A + B, "-": A - B, "A - A": A - A, "@": A @ C, "@ left": C @ A,
+        "scale": A.scale(c), "scale 0": A.scale(0), "transpose": A.transpose(),
+        "kron": kron(A, B), "rref": rref(A)[0],
+        "identity": Matrix.identity(f, A.rows),
+        "zero": Matrix.zero(f, A.rows, A.cols),
+    }
+    results["proj"], results["section"] = quotient_data(
+        A.cols, Subspace(A.cols, A))
+    for M in results.values():
+        assert_canonical(M)
+    assert (A - A).is_zero()
+    assert (A + B).data == tuple(tuple(f.add(x, y) for x, y in zip(r, s))
+                                 for r, s in zip(A.data, B.data))
+    assert (A - B).data == tuple(tuple(f.sub(x, y) for x, y in zip(r, s))
+                                 for r, s in zip(A.data, B.data))
+    assert A @ C == dense_product(A, C) and C @ A == dense_product(C, A)
+    assert A.scale(c).data == tuple(tuple(f.mul(f.coerce(c), x) for x in r)
+                                    for r in A.data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_round_trip_and_hash_ignore_dict_order(data):
+    A = data.draw(field_matrices())
+    B = data.draw(partners(A))
+    for M in (A, A + B, B - A, A.transpose(), rref(A)[0], kron(A, B)):
+        again = Matrix(M.field, M.data, cols=M.cols)
+        assert again == M and hash(again) == hash(M)
+    assert A + B == B + A and hash(A + B) == hash(B + A)
+
+
+def test_hash_ignores_dict_order():
+    # A + B lists column 1 first in its row, B + A column 0
+    A, B = mat(QQ, [[0, 1]]), mat(QQ, [[1, 0]])
+    assert list((A + B).sparse[0]) != list((B + A).sparse[0])
+    assert A + B == B + A and hash(A + B) == hash(B + A)

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix
+from quadalg.linalg import Matrix, Subspace
 from quadalg.tensorindex import (
     PermutationMap,
     flip,
@@ -14,9 +14,12 @@ from quadalg.tensorindex import (
     kron,
     mixed_index,
     mixed_word,
+    push_subspace,
     t23,
+    tensor_subspace,
     word_to_index,
 )
+from test_linalg import assert_canonical, field_matrices
 
 F5 = PrimeField(5)
 
@@ -125,3 +128,36 @@ def test_kron_multiplicativity():
     B = Matrix(QQ, [[2, 0], [1, 1]], cols=2)
     D = Matrix(QQ, [[0, 1], [1, 0]], cols=2)
     assert kron(A @ C, B @ D) == kron(A, B) @ kron(C, D)
+
+
+def _subspaces(M):
+    """The row space of M and the zero subspace of its ambient space."""
+    return [Subspace(M.cols, M), Subspace.zero(M.field, M.cols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tensor_subspace_is_the_rref_of_kron(data):
+    Ma = data.draw(field_matrices())
+    Mb = data.draw(field_matrices([Ma.field]))
+    for A in _subspaces(Ma):
+        for B in _subspaces(Mb):
+            T = tensor_subspace(A, B)
+            expected = Subspace(A.ambient_dim * B.ambient_dim,
+                                kron(A.basis, B.basis))
+            assert T == expected and T.pivots == expected.pivots
+            assert T.dim == A.dim * B.dim
+            assert_canonical(T.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_push_subspace_by_permutation_matches_its_matrix(data):
+    M = data.draw(field_matrices())
+    image = data.draw(st.permutations(range(M.cols)))
+    P = PermutationMap(image)
+    S = Subspace(M.cols, M)
+    pushed = push_subspace(P, S)
+    assert pushed == push_subspace(P.matrix(M.field), S)
+    assert_canonical(pushed.basis)
+    assert_canonical(P.matrix(M.field))
