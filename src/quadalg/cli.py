@@ -112,7 +112,7 @@ def _cmd_koszul(args, out):
 def _cmd_ext(args, out):
     name, A = _load(args.file)
     table = koszul.bar_homology(A, args.max)
-    diag = koszul.ext_diagonal_check(A, args.max)
+    diag = table.on_diagonal(A)
     _, verdict = koszul.koszul_verdict(A, args.max)
     for m in range(args.max + 1):
         row = ",".join(str(table.entry(p, m)) for p in range(args.max + 1))

@@ -187,6 +187,12 @@ class BidegreeTable:
     def entry(self, p: int, m: int) -> int:
         return self.entries.get((p, m), 0)
 
+    def on_diagonal(self, A: QuadraticPresentation) -> bool:
+        """Concentrated on p = m, with the dims of the dual algebra there."""
+        gd = graded_structure(dual(A))
+        return all(self.entry(p, m) == (gd.dim(p) if p == m else 0)
+                   for m in range(self.m_max + 1) for p in range(m + 1))
+
 
 def _bar_spaces(gs, m: int, p: int):
     """Component list [(composition, dims-per-letter, offset)] and total dim."""
@@ -281,14 +287,7 @@ def ext_diagonal_check(A: QuadraticPresentation, m_max: int) -> bool:
     """Bar homology concentrated on the diagonal with dual-algebra dims."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    table = bar_homology(A, m_max)
-    gd = graded_structure(dual(A))
-    for m in range(m_max + 1):
-        for p in range(m + 1):
-            expected = gd.dim(p) if p == m else 0
-            if table.entry(p, m) != expected:
-                return False
-    return True
+    return bar_homology(A, m_max).on_diagonal(A)
 
 
 def search_non_koszul(field, n: int, max_degree: int = 6,

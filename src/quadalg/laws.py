@@ -246,15 +246,13 @@ def composition_map(U) -> AlgebraMorphism:
     n = U.n
     H = internal_hom(U, U)
     nh = n * n
-    rows = [[f.zero] * (nh * nh) for _ in range(nh)]
+    # the generator (a, i) (x) (i, j) goes to (a, j)
+    rows = [{} for _ in range(nh)]
     for a in range(n):
         for i in range(n):
-            for b in range(n):
-                for j in range(n):
-                    src = (a * n + i) * nh + (b * n + j)
-                    if i == b:
-                        rows[a * n + j][src] = f.one
-    M = Matrix(f, rows, cols=nh * nh)
+            for j in range(n):
+                rows[a * n + j][(a * n + i) * nh + i * n + j] = f.one
+    M = Matrix.from_rows(f, rows, nh * nh)
     return _morphism(black(H, H), H, M, "l_U")
 
 
@@ -375,27 +373,22 @@ def solve_contragredient(h: AlgebraMorphism):
     # unknown Y = (M_h')^T, an nu x nv matrix; equations M_h Y = I, Y M_h = I
     rows = []
     rhs = []
-    Mh = h.M
-    for a in range(nv):
+    for a, mrow in enumerate(h.M.sparse):
         for b in range(nv):
-            row = [f.zero] * (nu * nv)
-            for k in range(nu):
-                row[k * nv + b] = Mh.entry(a, k)
-            rows.append(row)
+            rows.append({k * nv + b: x for k, x in mrow.items()})
             rhs.append(f.one if a == b else f.zero)
+    cols = h.M.transpose().sparse
     for i in range(nu):
-        for j in range(nu):
-            row = [f.zero] * (nu * nv)
-            for k in range(nv):
-                row[i * nv + k] = Mh.entry(k, j)
-            rows.append(row)
+        for j, mcol in enumerate(cols):
+            rows.append({i * nv + k: x for k, x in mcol.items()})
             rhs.append(f.one if i == j else f.zero)
-    sol = solve(Matrix(f, rows, cols=nu * nv), rhs)
+    sol = solve(Matrix.from_rows(f, rows, nu * nv), rhs)
     if sol is None:
         return None
-    Y = Matrix(f, [[sol[i * nv + j] for j in range(nv)] for i in range(nu)],
-               cols=nv)
-    Mp = Y.transpose()
+    # M_h' = Y^T: row j holds the entries sol[i * nv + j]
+    Mp = Matrix.from_rows(f, [{i: x for i in range(nu)
+                               if (x := sol[i * nv + j])}
+                              for j in range(nv)], nu)
     ok, _ = is_morphism(dual(U), dual(V), Mp)
     if not ok:
         return None
@@ -423,27 +416,20 @@ def contragredient_invertibility(h: AlgebraMorphism, hp: AlgebraMorphism):
 
 
 def solve_linear_inverse(M: Matrix):
+    """The inverse of M, or None when M is not square or is singular."""
     if M.rows != M.cols:
         return None
     f = M.field
     n = M.rows
-    aug = Matrix(f, [list(M.data[i]) + [f.one if j == i else f.zero
-                                        for j in range(n)]
-                     for i in range(n)], cols=2 * n)
-    reduced, rank, pivots = rref(aug)
-    if rank < n or pivots[:n] != list(range(n)):
+    aug = Matrix.from_rows(f, [{**row, n + i: f.one}
+                               for i, row in enumerate(M.sparse)], 2 * n)
+    # the identity block makes the rank n; M is regular iff its own
+    # columns hold all n pivots
+    reduced, _, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
         return None
-    return Matrix(f, [[reduced.entry(i, n + j) for j in range(n)]
-                      for i in range(n)], cols=n)
-
-
-def automorphism_check(U, M: Matrix) -> bool:
-    """Invertible degree-1 map with (M x M)(R) equal to R exactly."""
-    if M.rows != U.n or M.cols != U.n:
-        raise ValueError("matrix must be square of size n")
-    if solve_linear_inverse(M) is None:
-        return False
-    return push_subspace(kron(M, M), U.R) == U.R
+    return Matrix.from_rows(f, [{j - n: x for j, x in row.items() if j >= n}
+                                for row in reduced.sparse], n)
 
 
 def double_dual_check(U) -> DiagramCheck:

@@ -21,7 +21,8 @@ cleared of denominators and kept primitive (fraction-free), and every
 stored integer is bounded by a minor of the denominator-cleared input (see
 ``_echelon``).  ``sparse_rank`` and ``matrix_rank`` count its pivots;
 ``rref`` adds back-substitution and builds Fractions only for the final
-rows.
+rows.  Membership (``reduce_against``) and ``solve`` work on the same
+sparse rows; the dense ``Matrix.data`` view exists for display only.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ class Matrix:
     layer: it coerces every entry, checks the shape and drops zeros.
     ``Matrix.from_rows(field, rows, cols)`` takes rows that already keep the
     invariant as they are; nothing may mutate them afterwards, since
-    matrices share rows.  ``data`` is a read-only dense view, a tuple of
-    row tuples, built on each access.
+    matrices share rows.  ``data`` is a dense view for display only (a
+    tuple of row tuples, built on each access); computations read
+    ``sparse``.
     """
 
     __slots__ = ("field", "rows", "cols", "sparse")
@@ -181,19 +183,6 @@ class Matrix:
                     acc[j] = acc[j] + y if j in acc else y
             out.append({j: x for j, v in acc.items() if (x := coerce(v))})
         return Matrix.from_rows(f, out, other.cols)
-
-    def apply(self, vec):
-        """Matrix times a coordinate vector (returned as a tuple)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.sparse:
-            acc = f.zero
-            for j, x in row.items():
-                acc = f.add(acc, f.mul(x, vec[j]))
-            out.append(acc)
-        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -405,17 +394,6 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     return Subspace(A.ambient_dim, stacked)
 
 
-def intersect(A: Subspace, B: Subspace) -> Subspace:
-    _check_compatible(A, B)
-    result = annihilator(subspace_sum(annihilator(A), annihilator(B)))
-    total = subspace_sum(A, B).dim
-    if A.dim + B.dim != total + result.dim:
-        raise ArithmeticError(
-            f"modular law fails: dim A {A.dim} + dim B {B.dim} != "
-            f"dim sum {total} + dim intersection {result.dim}")
-    return result
-
-
 def annihilator(S: Subspace) -> Subspace:
     """Vectors of the dual coordinate space killing S (dual-basis pairing)."""
     if S.dim == 0:
@@ -437,49 +415,50 @@ def quotient_data(ambient_dim: int, S: Subspace):
     return proj, Matrix.from_rows(f, section_rows, len(free))
 
 
-def contains(A: Subspace, B: Subspace) -> bool:
-    """True iff B is a subspace of A."""
-    _check_compatible(A, B)
-    return reduce_against(A, B.basis.data) is None
+def reduce_against(A: Subspace, rows):
+    """Reduce ``{column: scalar}`` rows against A's basis; return the first
+    nonzero residual as a dense tuple.
 
-
-def reduce_against(A: Subspace, vectors):
-    """Reduce vectors against A's basis; return the first nonzero residual.
-
-    Returns None when every vector lies in A.
+    Returns None when every row lies in A.  Each step clears the leftmost
+    entry c with the basis row that leads at c and stops when c is no
+    pivot; A's basis is in RREF, so that row touches no column left of c.
     """
     f = A.field
-    basis = A.basis.data
-    pivot_of = {pc: r for r, pc in enumerate(A.pivots)}
-    for vec in vectors:
-        v = list(vec)
-        for c in range(A.ambient_dim):
-            if f.is_zero(v[c]):
-                continue
-            r = pivot_of.get(c)
-            if r is None:
-                return tuple(v)
+    basis = dict(zip(A.pivots, A.basis.sparse))
+    for row in rows:
+        v = dict(row)
+        while v:
+            c = min(v)
+            brow = basis.get(c)
+            if brow is None:
+                out = [f.zero] * A.ambient_dim
+                for j, x in v.items():
+                    out[j] = x
+                return tuple(out)
             coef = v[c]
-            brow = basis[r]
-            v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, brow)]
+            for j, y in brow.items():
+                if x := f.sub(v.get(j, f.zero), f.mul(coef, y)):
+                    v[j] = x
+                else:
+                    del v[j]
     return None
 
 
-def member(A: Subspace, vec) -> bool:
-    return reduce_against(A, [vec]) is None
-
-
 def solve(M: Matrix, rhs):
-    """One solution x of M x = rhs, or None if inconsistent."""
-    f = M.field
-    aug = Matrix(f, [list(row) + [b] for row, b in zip(M.data, rhs)],
-                 cols=M.cols + 1)
-    reduced, rank, pivots = rref(aug)
-    if M.cols in pivots:
+    """One solution x of M x = rhs (a tuple), or None if inconsistent."""
+    f, n = M.field, M.cols
+    if len(rhs) != M.rows:
+        raise ValueError("right-hand side length != row count")
+    aug = []
+    for row, b in zip(M.sparse, rhs):
+        b = f.coerce(b)
+        aug.append({**row, n: b} if b else row)
+    reduced, _, pivots = rref(Matrix.from_rows(f, aug, n + 1))
+    if n in pivots:
         return None
-    x = [f.zero] * M.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.entry(r, M.cols)
+    x = [f.zero] * n
+    for row, pc in zip(reduced.sparse, pivots):
+        x[pc] = row.get(n, f.zero)
     return tuple(x)
 
 

@@ -176,15 +176,10 @@ def is_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
     if src.R.dim == 0 or dst.R.dim == dst.n * dst.n:
         return True, MorphismCertificate(True)
     image = src.R.basis @ kron(M, M).transpose()
-    residual = reduce_against(dst.R, image.data)
+    residual = reduce_against(dst.R, image.sparse)
     if residual is None:
         return True, MorphismCertificate(True)
     return False, MorphismCertificate(False, residual)
-
-
-def dual_morphism(h: AlgebraMorphism) -> AlgebraMorphism:
-    """The transpose matrix, from dual(dst) to dual(src)."""
-    return AlgebraMorphism(dual(h.dst), dual(h.src), h.M.transpose())
 
 
 def canonical_column(A: QuadraticPresentation) -> Matrix:

@@ -11,25 +11,6 @@ from .fields import check_same_field
 from .linalg import Matrix, Subspace
 
 
-def word_to_index(letters, n: int) -> int:
-    idx = 0
-    for a in letters:
-        if not 0 <= a < n:
-            raise ValueError(f"letter {a} out of range for alphabet {n}")
-        idx = idx * n + a
-    return idx
-
-
-def index_to_word(idx: int, length: int, n: int):
-    if not 0 <= idx < n ** length:
-        raise ValueError("index out of range")
-    letters = []
-    for _ in range(length):
-        letters.append(idx % n)
-        idx //= n
-    return tuple(reversed(letters))
-
-
 def mixed_index(letters, dims) -> int:
     """Row-major index for a word over factors of distinct dimensions."""
     idx = 0
@@ -38,14 +19,6 @@ def mixed_index(letters, dims) -> int:
             raise ValueError(f"letter {a} out of range for factor dim {d}")
         idx = idx * d + a
     return idx
-
-
-def mixed_word(idx: int, dims):
-    letters = []
-    for d in reversed(dims):
-        letters.append(idx % d)
-        idx //= d
-    return tuple(reversed(letters))
 
 
 class PermutationMap:
@@ -62,30 +35,6 @@ class PermutationMap:
 
     def __setattr__(self, *args):
         raise AttributeError("PermutationMap is immutable")
-
-    @staticmethod
-    def identity(size: int) -> "PermutationMap":
-        return PermutationMap(range(size))
-
-    def inverse(self) -> "PermutationMap":
-        inv = [0] * self.size
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return PermutationMap(inv)
-
-    def compose(self, other: "PermutationMap") -> "PermutationMap":
-        """self after other (basis vector i goes to self.image[other.image[i]])."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return PermutationMap(self.image[j] for j in other.image)
-
-    def apply_vector(self, vec, field):
-        if len(vec) != self.size:
-            raise ValueError("vector length mismatch")
-        out = [field.zero] * self.size
-        for i, x in enumerate(vec):
-            out[self.image[i]] = x
-        return tuple(out)
 
     def matrix(self, field) -> Matrix:
         rows = [None] * self.size

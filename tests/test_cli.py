@@ -134,17 +134,21 @@ def test_missing_file_exit_code():
 
 
 def test_golden_under_python_O():
-    # runtime checks must not be asserts: -O strips them
+    # runtime checks must not be asserts: -O strips them.  laws_axioms_q
+    # validates every structure map through is_morphism and reduce_against.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
     code = ("import sys; from quadalg.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, "koszul", "--max", "6",
-         _f("sym3")], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "koszul_sym3.txt").read_text()
+    cases = {name: (argv, status) for name, argv, status in MANIFEST}
+    for name in ("koszul_sym3", "laws_axioms_q"):
+        argv, want_status = cases[name]
+        proc = subprocess.run([sys.executable, "-O", "-c", code, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == want_status, proc.stderr
+        assert proc.stdout == (GOLDEN / f"{name}.txt").read_text(), name
 
 
 def test_golden_without_numpy():

@@ -4,21 +4,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix
+from quadalg.linalg import Matrix, matrix_rank
 from quadalg.presentations import (
     AlgebraMorphism,
     black,
     dual,
     full_relations_presentation,
+    is_morphism,
     unit_black,
     white,
 )
 from quadalg.laws import (
     adjunction_roundtrip,
     adjunction_roundtrip_rev,
-    automorphism_check,
     check_axiom_diagrams,
     check_braiding,
     check_bullet_to_circle,
@@ -41,6 +42,7 @@ from quadalg.laws import (
 )
 
 from conftest import load
+from test_linalg import F5, F32003, int_scalars, mat, q_scalars
 
 F3 = PrimeField(3)
 
@@ -161,12 +163,43 @@ def test_solve_linear_inverse():
     assert solve_linear_inverse(Matrix(QQ, [[1, 1], [1, 1]], cols=2)) is None
 
 
+@st.composite
+def square_matrices(draw):
+    """n x n over Q, GF(5) or GF(32003), singular or not."""
+    f = draw(st.sampled_from([QQ, F5, F32003]))
+    scalars = q_scalars if f == QQ else int_scalars
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        a = draw(scalars)
+        rows[-1] = [x + a * y for x, y in zip(rows[0], rows[1])]
+    return mat(f, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_solve_linear_inverse_inverts_exactly_the_regular_matrices(M):
+    inv = solve_linear_inverse(M)
+    identity = Matrix.identity(M.field, M.rows)
+    assert (inv is not None) == (matrix_rank(M) == M.rows)
+    if inv is not None:
+        assert M @ inv == identity == inv @ M
+    assert solve_linear_inverse(mat(M.field, [[1] * (M.rows + 1)])) is None
+
+
 def test_automorphism_check_examples():
+    # an invertible M with (M x M)(R) inside R maps R onto R, since the
+    # dimensions agree: an automorphism
+    def automorphism(U, M):
+        return (solve_linear_inverse(M) is not None
+                and is_morphism(U, U, M)[0])
+
     sym2 = load("sym2")
     swap = Matrix(QQ, [[0, 1], [1, 0]], cols=2)
     shear = Matrix(QQ, [[1, 1], [0, 1]], cols=2)
-    assert automorphism_check(sym2, swap)
-    assert automorphism_check(sym2, shear)
+    assert automorphism(sym2, swap)
+    assert automorphism(sym2, shear)
+    assert not automorphism(sym2, Matrix(QQ, [[1, 1], [1, 1]], cols=2))
     # R = span{x(x)x}: the map x -> x + y moves x(x)x off the line, and the
     # swap does too, but scaling x alone preserves it.
     from quadalg.linalg import Subspace
@@ -175,10 +208,10 @@ def test_automorphism_check_examples():
     A = QuadraticPresentation(QQ, ("x", "y"),
                               Subspace.span(QQ, [[1, 0, 0, 0]], 4))
     lower_shear = Matrix(QQ, [[1, 0], [1, 1]], cols=2)
-    assert not automorphism_check(A, lower_shear)
-    assert not automorphism_check(A, swap)
+    assert not automorphism(A, lower_shear)
+    assert not automorphism(A, swap)
     scale = Matrix(QQ, [[3, 0], [0, 1]], cols=2)
-    assert automorphism_check(A, scale)
+    assert automorphism(A, scale)
 
 
 def test_double_dual_and_unit_duality():

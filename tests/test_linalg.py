@@ -5,12 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import (Matrix, Subspace, annihilator, contains,
-                            intersect, kernel, matrix_rank, member,
-                            quotient_data, reduce_against, rref, solve,
-                            sparse_rank, subspace_sum)
+from quadalg.linalg import (Matrix, Subspace, annihilator, kernel,
+                            matrix_rank, quotient_data, reduce_against, rref,
+                            solve, sparse_rank, subspace_sum)
 from quadalg.tensorindex import kron
 
 F5 = PrimeField(5)
@@ -86,6 +84,29 @@ def reference_sparse_rank(field, rows):
                 else:
                     work[k] = new
     return len(pivots)
+
+
+def reference_reduce_against(A, vectors):
+    """Dense column-by-column reduction against A's RREF basis (the oracle):
+    the first nonzero residual as a tuple, or None."""
+    f = A.field
+    basis = A.basis.data
+    pivot_of = {pc: r for r, pc in enumerate(A.pivots)}
+    for vec in vectors:
+        v = list(vec)
+        for c in range(A.ambient_dim):
+            if f.is_zero(v[c]):
+                continue
+            r = pivot_of.get(c)
+            if r is None:
+                return tuple(v)
+            coef = v[c]
+            v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, basis[r])]
+    return None
+
+
+def column(field, vec):
+    return Matrix(field, [[x] for x in vec], cols=1)
 
 
 def row_dicts(M):
@@ -260,8 +281,7 @@ def test_kernel_rank_nullity(M):
     K = kernel(M)
     _, rank, _ = rref(M)
     assert K.dim == M.cols - rank
-    for row in K.basis.data:
-        assert all(x == 0 for x in M.apply(row))
+    assert (M @ K.basis.transpose()).is_zero()
 
 
 @settings(max_examples=60)
@@ -305,10 +325,13 @@ def test_sum_intersection_dimension_formula(Ma, Mb):
     A = Subspace(n, Ma)
     B = Subspace(n, Mb)
     total = subspace_sum(A, B)
-    meet = intersect(A, B)
+    meet = annihilator(subspace_sum(annihilator(A), annihilator(B)))
     assert total.dim + meet.dim == A.dim + B.dim
-    assert contains(A, meet) and contains(B, meet)
-    assert contains(total, A) and contains(total, B)
+    # X contains Y exactly when adding Y leaves X unchanged
+    assert subspace_sum(A, meet) == A and subspace_sum(B, meet) == B
+    assert subspace_sum(total, A) == total == subspace_sum(total, B)
+    assert reduce_against(A, meet.basis.sparse) is None
+    assert reduce_against(B, meet.basis.sparse) is None
 
 
 def test_quotient_data_projection_section():
@@ -316,32 +339,93 @@ def test_quotient_data_projection_section():
     proj, section = quotient_data(3, S)
     assert proj.rows == 2
     # proj kills S, and proj . section = identity on the quotient
-    assert all(x == 0 for x in proj.apply([1, -1, 0]))
+    assert (proj @ column(QQ, [1, -1, 0])).is_zero()
     assert proj @ section == Matrix.identity(QQ, 2)
 
 
 def test_reduce_against_and_member():
     S = Subspace.span(QQ, [[1, 0, 0], [0, 1, 0]], 3)
-    assert member(S, [2, 3, 0])
-    assert not member(S, [0, 0, 1])
-    residual = reduce_against(S, [[1, 1, 1]])
-    assert residual is not None and residual[2] == 1
+    assert reduce_against(S, [{0: QQ.coerce(2), 1: QQ.coerce(3)}]) is None
+    assert reduce_against(S, [{}]) is None
+    assert reduce_against(S, [{2: QQ.one}]) == (0, 0, 1)
+    # the first row lies in S, so the residual is the second row's
+    residual = reduce_against(S, [{1: QQ.one}, {0: QQ.one, 1: QQ.one,
+                                                2: QQ.one}])
+    assert residual == (0, 0, 1)
+
+
+@st.composite
+def reduction_cases(draw):
+    """A subspace A and vectors inside it, outside it, or zero."""
+    M = draw(field_matrices())
+    A = Subspace(M.cols, M)
+    f = M.field
+    scalars = q_scalars if f == QQ else int_scalars
+    free = [c for c in range(M.cols) if c not in A.pivots]
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(["in", "out", "zero"]),
+                              min_size=1, max_size=4)):
+        vec = [0] * M.cols
+        if kind != "zero":
+            for row in M.data:
+                a = draw(scalars)
+                vec = [x + a * y for x, y in zip(vec, row)]
+        if kind == "out" and free:
+            s = draw(scalars)
+            vec[draw(st.sampled_from(free))] += s if f.coerce(s) else 1
+        elif kind == "out":
+            kind = "in"
+        vectors.append((kind, mat(f, [vec])))
+    return A, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_reduce_against_matches_dense_reference(case):
+    A, vectors = case
+    rows = [V.sparse[0] for _, V in vectors]
+    dense = [V.data[0] for _, V in vectors]
+    residual = reduce_against(A, rows)
+    expected = reference_reduce_against(A, dense)
+    assert residual == expected and repr(residual) == repr(expected)
+    for (kind, V), row, vec in zip(vectors, rows, dense):
+        residual = reduce_against(A, [row])
+        assert residual == reference_reduce_against(A, [vec])
+        assert (residual is None) == (kind != "out")
+        if residual is not None:
+            # the residual differs from the vector by an element of A
+            diff = mat(A.field, [residual]) - V
+            assert reduce_against(A, diff.sparse) is None
 
 
 def test_solve_consistent_and_inconsistent():
     M = mat(QQ, [[1, 1], [0, 1]])
     x = solve(M, [QQ.coerce(3), QQ.coerce(1)])
-    assert list(M.apply(x)) == [3, 1]
+    assert M @ column(QQ, x) == column(QQ, [3, 1])
     M2 = mat(QQ, [[1, 0], [1, 0]])
     assert solve(M2, [QQ.one, QQ.zero]) is None
+    with pytest.raises(ValueError):
+        solve(M2, [QQ.one])
 
 
-@settings(max_examples=40)
-@given(gf5_matrices())
-def test_matmul_matches_apply(M):
-    v = [F5.coerce(i + 1) for i in range(M.cols)]
-    col = Matrix(F5, [[x] for x in v], cols=1)
-    assert list((M @ col).transpose().data[0]) == list(M.apply(v))
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_matches_consistency(data):
+    M = data.draw(field_matrices())
+    f = M.field
+    scalars = q_scalars if f == QQ else int_scalars
+    x0 = [data.draw(scalars) for _ in range(M.cols)]
+    rhs = list((M @ column(f, x0)).transpose().data[0])
+    if data.draw(st.booleans()):
+        rhs[data.draw(st.integers(0, M.rows - 1))] += f.coerce(
+            data.draw(scalars))
+        rhs = [f.coerce(b) for b in rhs]
+    aug = mat(f, [list(row) + [b] for row, b in zip(M.data, rhs)])
+    consistent = matrix_rank(aug) == matrix_rank(M)
+    x = solve(M, rhs)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert M @ column(f, x) == column(f, rhs)
 
 
 def test_sparse_rank_agrees_with_rref():
@@ -485,14 +569,6 @@ def test_matmul_above_numpy_limit_does_not_overflow():
     A = mat(FBIG, [[p - 1, p - 2], [3, p - 4]])
     B = mat(FBIG, [[p - 5, 6], [7, p - 8]])
     assert (A @ B) == mat(FBIG, [[4294967302, 10], [4294967268, 50]])
-
-
-def test_intersect_modular_law_guard(monkeypatch):
-    full = Subspace.full(QQ, 2)
-    monkeypatch.setattr(linalg, "annihilator",
-                        lambda S: Subspace.zero(QQ, S.ambient_dim))
-    with pytest.raises(ArithmeticError, match="modular law"):
-        intersect(full, full)
 
 
 def test_matrix_shape_errors():

@@ -42,3 +42,5 @@ def test_tracer_reports_every_per_layer_metric(capsys):
     assert 0 < metrics["linalg.matmul.nnz_ratio"] < 1
     assert 0 < metrics["koszul.differential.nnz_ratio"] < 1
     assert metrics["linalg.rref.calls"] > 0
+    # one ext job: its table also answers the diagonal test
+    assert metrics["koszul.bar_homology.calls_per_ext_job"] == 1
