@@ -4,11 +4,16 @@ Text output is stable and golden-file friendly; ``--output structured``
 switches to line-delimited ``key=value`` records (keys documented in the
 README).  Exit status is 0 only when parsing succeeded and every check
 passed; 1 on any FAIL; 2 on usage or parse errors.
+
+``main(argv)`` may be called repeatedly in one process: the argparse
+parser is built once, on the first call (not at import), and reused.
+Presentations are emitted from the sparse rows of their relation basis.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import koszul, laws
@@ -36,10 +41,13 @@ def _emit_presentation(out, name, A, structured: bool, summary: bool = False):
         field = "Q" if not hasattr(A.field, "p") else f"GF{A.field.p}"
         out.append(f"record=presentation name={name} field={field} "
                    f"gens={','.join(A.labels)} dim_V={A.n} dim_R={A.R.dim}")
-        for r in range(A.R.dim):
-            row = ",".join(str(A.R.basis.entry(r, j))
-                           for j in range(A.n * A.n))
-            out.append(f"record=relation index={r} coords={row}")
+        zero = str(A.field.zero)
+        for r, row in enumerate(A.R.basis.sparse):
+            coords = [zero] * (A.n * A.n)
+            for j in row:
+                coords[j] = str(row[j])
+            out.append(f"record=relation index={r} "
+                       f"coords={','.join(coords)}")
         return
     out.append(unparse(name, A).rstrip("\n"))
     if summary:
@@ -194,7 +202,13 @@ def _add_output_flag(p):
                    help="output mode (default: text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call.
+
+    Parsing keeps no state in the parser: each ``parse_args`` fills a new
+    namespace, so ``main`` may run any number of times in one process.
+    """
     ap = argparse.ArgumentParser(
         prog="quadalg",
         description="exact computations with finitely presented "

@@ -26,8 +26,6 @@ class GradedStructure:
         self._step_proj = {1: Matrix.identity(f, n)}
         self._step_section = {1: Matrix.identity(f, n)}
         self._full_proj = {0: Matrix.identity(f, 1), 1: Matrix.identity(f, n)}
-        self._section_words = {0: Matrix.identity(f, 1),
-                               1: Matrix.identity(f, n)}
         self._mult = {}
 
     def dim(self, m: int) -> int:
@@ -70,28 +68,27 @@ class GradedStructure:
                 self._full_proj[k - 1], Matrix.identity(f, n))
         return self._full_proj[m]
 
-    def section_words(self, m: int) -> Matrix:
-        """A right inverse of Pi_m, landing in the word space."""
-        self._ensure(m)
-        f, n = self.A.field, self.A.n
-        while max(self._section_words) < m:
-            k = max(self._section_words) + 1
-            self._section_words[k] = kron(
-                self._section_words[k - 1],
-                Matrix.identity(f, n)) @ self.step_section(k)
-        return self._section_words[m]
-
     def mult(self, i: int, j: int) -> Matrix:
-        """The product map A_i (x) A_j -> A_{i+j} in quotient coordinates."""
+        """The product map A_i (x) A_j -> A_{i+j} in quotient coordinates.
+
+        By recursion on j: ``step_section(j)`` writes a basis vector of A_j
+        as an element of A_{j-1} (x) V, so by associativity
+        a * b = (a * b') * v for b = b' (x) v, and ``step_proj(i+j)``
+        multiplies by the last generator.  No map leaves the quotients.
+        """
         key = (i, j)
         if key not in self._mult:
+            f = self.A.field
             if i == 0:
-                self._mult[key] = Matrix.identity(self.A.field, self.dim(j))
+                self._mult[key] = Matrix.identity(f, self.dim(j))
             elif j == 0:
-                self._mult[key] = Matrix.identity(self.A.field, self.dim(i))
+                self._mult[key] = Matrix.identity(f, self.dim(i))
             else:
-                self._mult[key] = self.full_projection(i + j) @ kron(
-                    self.section_words(i), self.section_words(j))
+                prev = kron(self.mult(i, j - 1),
+                            Matrix.identity(f, self.A.n))
+                lift = kron(Matrix.identity(f, self.dim(i)),
+                            self.step_section(j))
+                self._mult[key] = self.step_proj(i + j) @ prev @ lift
         return self._mult[key]
 
     def right_mult_by_generator(self, m: int, a: int) -> Matrix:

@@ -11,7 +11,9 @@ Operations that keep the invariant build their results from rows they
 already hold, without coercing them again.  A canonical sum is zero exactly
 when it is falsy, so the code tests ``if x`` rather than ``x == zero``
 (``Fraction.__bool__`` reads only the numerator, while ``Fraction.__eq__``
-goes through an isinstance chain).
+goes through an isinstance chain).  Likewise a canonical entry is one
+exactly when ``x.numerator == x.denominator``: a Fraction is in lowest
+terms, and an int residue is its own numerator over 1.
 
 One elimination kernel, ``_echelon``, serves both field families and every
 caller: forward elimination on sparse ``{column: int}`` row dicts.  Over
@@ -47,7 +49,7 @@ class Matrix:
     ``sparse``.
     """
 
-    __slots__ = ("field", "rows", "cols", "sparse")
+    __slots__ = ("field", "rows", "cols", "sparse", "_hash")
 
     def __init__(self, field, data, cols=None):
         coerce = field.coerce
@@ -152,8 +154,8 @@ class Matrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        one = self.field.one
-        return all(len(row) == 1 and row.get(i) == one
+        return all(len(row) == 1
+                   and (x := row.get(i, 0)).numerator == x.denominator
                    for i, row in enumerate(self.sparse))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -170,14 +172,14 @@ class Matrix:
         # accumulate the rows of `other`, scaled by the entries of each row
         # of `self`; over GF(p) the sums stay unreduced until the one
         # coerce per output entry
-        coerce, one = f.coerce, f.one
+        coerce = f.coerce
         orows = other.sparse
         out = []
         for row in self.sparse:
             acc = {}
             for k, a in row.items():
                 terms = orows[k].items()
-                if a != one:
+                if a.numerator != a.denominator:
                     terms = [(j, a * y) for j, y in terms]
                 for j, y in terms:
                     acc[j] = acc[j] + y if j in acc else y
@@ -190,8 +192,13 @@ class Matrix:
                 and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols,
-                     tuple(frozenset(row.items()) for row in self.sparse)))
+        # computed on first use: products, duals and graded structures are
+        # cached by presentation, so every cache lookup hashes the relations
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.field, self.rows, self.cols,
+                 tuple(frozenset(row.items()) for row in self.sparse))))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -200,7 +207,7 @@ class Matrix:
 
 def _fill(M: Matrix, field, cols: int, sparse: tuple):
     for name, value in (("field", field), ("rows", len(sparse)),
-                        ("cols", cols), ("sparse", sparse)):
+                        ("cols", cols), ("sparse", sparse), ("_hash", None)):
         object.__setattr__(M, name, value)
 
 
@@ -378,20 +385,6 @@ class Subspace:
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of {self.ambient_dim} "
                 f"over {self.field})")
-
-
-def _check_compatible(A: Subspace, B: Subspace):
-    check_same_field(A.field, B.field)
-    if A.ambient_dim != B.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
-
-
-def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    _check_compatible(A, B)
-    stacked = Matrix.from_rows(A.field, A.basis.sparse + B.basis.sparse,
-                               A.ambient_dim)
-    return Subspace(A.ambient_dim, stacked)
 
 
 def annihilator(S: Subspace) -> Subspace:

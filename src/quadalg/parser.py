@@ -9,7 +9,9 @@
 Blank lines and lines starting with ``#`` are ignored.  A term is an
 optional coefficient (integer or ``a/b``) followed by exactly two
 generators, all joined by ``*``.  ``unparse`` emits the canonical relation
-basis, so ``parse(unparse(A))`` reproduces A exactly.
+basis, so ``parse(unparse(A))`` reproduces A exactly; it reads the nonzero
+entries of each sparse basis row in ascending column order, never the
+zeros of the n^2 word columns.
 """
 
 from __future__ import annotations
@@ -161,21 +163,16 @@ def unparse(name: str, A: QuadraticPresentation) -> str:
         lines.append(f"field GF {A.field.p}")
     lines.append(f"algebra {name}")
     lines.append("gens " + " ".join(A.labels))
-    n = A.n
-    for r in range(A.R.dim):
-        terms = []
-        for pos in range(n * n):
-            c = A.R.basis.entry(r, pos)
-            if A.field.is_zero(c):
-                continue
-            word = f"{A.labels[pos // n]}*{A.labels[pos % n]}"
-            terms.append((c, word))
+    n, signed = A.n, not isinstance(A.field, PrimeField)
+    for row in A.R.basis.sparse:
         parts = []
-        for k, (c, word) in enumerate(terms):
-            negative = (not isinstance(A.field, PrimeField)) and c < 0
+        for pos in sorted(row):
+            c = row[pos]
+            word = f"{A.labels[pos // n]}*{A.labels[pos % n]}"
+            negative = signed and c < 0
             mag = -c if negative else c
             body = word if mag == 1 else f"{mag}*{word}"
-            if k == 0:
+            if not parts:
                 # a leading negative rides along as a signed coefficient
                 parts.append(f"{c}*{word}" if negative else body)
             else:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, reduce_against, subspace_sum
+from .linalg import Matrix, Subspace, reduce_against
 from .tensorindex import kron, push_subspace, t23, tensor_subspace
 
 
@@ -110,11 +110,15 @@ def black(A: QuadraticPresentation, B: QuadraticPresentation):
 def white(A: QuadraticPresentation, B: QuadraticPresentation):
     """Manin's circle product: relations t23(V_A^2 ⊗ R_B + R_A ⊗ V_B^2)."""
     check_same_field(A.field, B.field)
-    full_a = Subspace.full(A.field, A.n * A.n)
-    full_b = Subspace.full(B.field, B.n * B.n)
-    mixed = subspace_sum(tensor_subspace(full_a, B.R),
-                         tensor_subspace(A.R, full_b))
-    R = push_subspace(t23(A.n, B.n), mixed)
+    f, na2, nb2 = A.field, A.n * A.n, B.n * B.n
+    # the spanning rows of both summands, shuffled by t23 and reduced once:
+    # the RREF of a span is unique, whatever rows it is reduced from
+    image = t23(A.n, B.n).image
+    rows = [{image[j]: x for j, x in row.items()}
+            for half in (kron(Matrix.identity(f, na2), B.R.basis),
+                         kron(A.R.basis, Matrix.identity(f, nb2)))
+            for row in half.sparse]
+    R = Subspace(na2 * nb2, Matrix.from_rows(f, rows, na2 * nb2))
     return QuadraticPresentation(A.field, _product_labels(A, B), R)
 
 

@@ -85,14 +85,14 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     f = A.field
     if A.is_identity() and B.is_identity():
         return Matrix.identity(f, A.rows * B.rows)
-    one, width = f.one, B.cols
+    width = B.cols
     rows = []
     for arow in A.sparse:
         for brow in B.sparse:
             out = {}
             for j, a in arow.items():
                 base = j * width
-                if a == one:
+                if a.numerator == a.denominator:
                     for l, b in brow.items():
                         out[base + l] = b
                 else:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from quadalg.cli import main
+from quadalg.cli import build_parser, main
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -113,6 +113,27 @@ def test_golden(name, argv, want_status):
     golden = (GOLDEN / f"{name}.txt").read_text()
     assert text == golden, f"output drifted for {name}"
     assert status == want_status
+
+
+def test_repeated_main_calls_share_one_parser():
+    # one parser serves every call in the process; neither a usage error
+    # nor a structured call may leave state behind for the next call
+    cases = {name: (argv, status) for name, argv, status in MANIFEST}
+    build_parser.cache_clear()
+    for name in ("hilbert4_sym3", None, "dual_structured_sym2", "dual_sym2",
+                 "product_white_sym2_ext2", "hilbert4_sym3"):
+        if name is None:
+            with contextlib.redirect_stderr(io.StringIO()), \
+                    pytest.raises(SystemExit) as exc:
+                main(["koszul", "--max", "0", _f("sym3")])
+            assert exc.value.code == 2
+            continue
+        argv, want_status = cases[name]
+        status, text = _run(argv)
+        assert text == (GOLDEN / f"{name}.txt").read_text(), name
+        assert status == want_status, name
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_parse_error_exit_code(tmp_path):

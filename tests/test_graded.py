@@ -2,17 +2,47 @@
 
 import math
 
-from quadalg.fields import QQ
-from quadalg.linalg import matrix_rank
+import pytest
+
+from quadalg.fields import QQ, PrimeField
+from quadalg.linalg import Matrix, Subspace, matrix_rank
 from quadalg.graded import (
+    GradedStructure,
     graded_dim,
     graded_dim_by_oracle,
     graded_structure,
     hilbert,
 )
-from quadalg.presentations import dual, unit_black, unit_white
+from quadalg.presentations import (QuadraticPresentation, dual, unit_black,
+                                   unit_white)
+from quadalg.tensorindex import kron
 
-from conftest import load
+from conftest import CORPUS_NAMES, load
+
+
+def section_words(G, m):
+    """A right inverse of ``G.full_projection(m)``, landing in the word
+    space: lift A_m to A_{m-1} (x) V step by step."""
+    f, n = G.A.field, G.A.n
+    S = Matrix.identity(f, 1)
+    for k in range(1, m + 1):
+        S = kron(S, Matrix.identity(f, n)) @ G.step_section(k)
+    return S
+
+
+def mult_through_words(G, i, j):
+    """The product map A_i (x) A_j -> A_{i+j} through the n^(i+j) word
+    space: the independent oracle for the recursion of ``G.mult``."""
+    return G.full_projection(i + j) @ kron(section_words(G, i),
+                                           section_words(G, j))
+
+
+def _over(field, A):
+    """The corpus relations, their integer or rational entries read over
+    ``field``."""
+    rows = [[field.coerce(x) for x in row] for row in A.R.basis.data]
+    return QuadraticPresentation(field, A.labels,
+                                 Subspace.span(field, rows, A.n * A.n))
 
 
 def test_hilbert_closed_forms():
@@ -58,9 +88,6 @@ def test_mult_map_shapes_and_surjectivity():
 def test_mult_associativity_on_basis():
     A = load("sym2")
     G = graded_structure(A)
-    from quadalg.tensorindex import kron
-    from quadalg.linalg import Matrix
-
     # (a*b)*c == a*(b*c) as maps A_1 x A_1 x A_1 -> A_3.
     left = G.mult(2, 1) @ kron(G.mult(1, 1), Matrix.identity(QQ, G.dim(1)))
     right = G.mult(1, 2) @ kron(Matrix.identity(QQ, G.dim(1)), G.mult(1, 1))
@@ -72,11 +99,22 @@ def test_projection_section_identity():
     G = graded_structure(A)
     for m in range(1, 4):
         proj = G.full_projection(m)
-        sec = G.section_words(m)
+        sec = section_words(G, m)
         if G.dim(m):
-            from quadalg.linalg import Matrix
-
             assert proj @ sec == Matrix.identity(QQ, G.dim(m))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(32003)],
+                         ids=str)
+def test_mult_recursion_matches_word_space(field):
+    for name in CORPUS_NAMES:
+        A = _over(field, load(name))
+        for B in (A, dual(A)):
+            G = GradedStructure(B)
+            for i in range(7):
+                for j in range(7 - i):
+                    assert G.mult(i, j) == mult_through_words(G, i, j), \
+                        (name, B.labels, i, j)
 
 
 def test_dual_hilbert_of_sym_is_ext():

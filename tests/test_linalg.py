@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, annihilator, kernel,
                             matrix_rank, quotient_data, reduce_against, rref,
-                            solve, sparse_rank, subspace_sum)
+                            solve, sparse_rank)
 from quadalg.tensorindex import kron
+
+from conftest import subspace_sum
 
 F5 = PrimeField(5)
 F32003 = PrimeField(32003)
@@ -612,9 +614,14 @@ def test_operations_keep_sparse_rows_canonical(data):
 def test_dense_round_trip_and_hash_ignore_dict_order(data):
     A = data.draw(field_matrices())
     B = data.draw(partners(A))
-    for M in (A, A + B, B - A, A.transpose(), rref(A)[0], kron(A, B)):
+    # from_rows takes A's rows as given, in reversed column order
+    flipped = Matrix.from_rows(
+        A.field, [dict(reversed(row.items())) for row in A.sparse], A.cols)
+    for M in (A, flipped, A + B, B - A, A.transpose(), rref(A)[0],
+              kron(A, B)):
         again = Matrix(M.field, M.data, cols=M.cols)
-        assert again == M and hash(again) == hash(M)
+        # the hash is kept after its first use; both orders must agree
+        assert again == M and hash(again) == hash(M) == hash(M)
     assert A + B == B + A and hash(A + B) == hash(B + A)
 
 

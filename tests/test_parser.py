@@ -1,6 +1,7 @@
 """.qa text format: grammar acceptance, rejection with positions, round-trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,3 +122,54 @@ def test_round_trip_random_presentations(n, seed, rational):
     A = QuadraticPresentation(field, labels, Subspace.span(field, rows, n * n))
     _, B = parse(unparse("rand", A))
     assert B.R == A.R and B.labels == A.labels and B.field == A.field
+
+
+def dense_unparse(name, A):
+    """Canonical text form read entry by entry over all n^2 word columns
+    (the reference for the sparse ``unparse``)."""
+    lines = ["field Q" if A.field == QQ else f"field GF {A.field.p}",
+             f"algebra {name}", "gens " + " ".join(A.labels)]
+    n = A.n
+    for r in range(A.R.dim):
+        terms = []
+        for pos in range(n * n):
+            c = A.R.basis.entry(r, pos)
+            if A.field.is_zero(c):
+                continue
+            terms.append((c, f"{A.labels[pos // n]}*{A.labels[pos % n]}"))
+        parts = []
+        for k, (c, word) in enumerate(terms):
+            negative = (not isinstance(A.field, PrimeField)) and c < 0
+            mag = -c if negative else c
+            body = word if mag == 1 else f"{mag}*{word}"
+            if k == 0:
+                parts.append(f"{c}*{word}" if negative else body)
+            else:
+                parts.append("- " + body if negative else "+ " + body)
+        lines.append("rel " + " ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def presentations(draw):
+    """2-4 generators over Q or GF(p); entries with signs and denominators."""
+    field = draw(st.sampled_from(
+        [QQ, PrimeField(2), PrimeField(5), PrimeField(32003)]))
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+    if field != QQ:
+        entry = st.integers(-40000, 40000)
+    rows = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n),
+                         max_size=n * n))
+    rows = [[field.coerce(x) for x in row] for row in rows]
+    labels = tuple(f"g{i}" for i in range(n))
+    return QuadraticPresentation(field, labels,
+                                 Subspace.span(field, rows, n * n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations())
+def test_sparse_unparse_matches_dense_reference(A):
+    text = unparse("rand", A)
+    assert text == dense_unparse("rand", A)
+    assert parse(text)[1] == A

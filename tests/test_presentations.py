@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace
+from quadalg.tensorindex import push_subspace, t23, tensor_subspace
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -22,7 +23,7 @@ from quadalg.presentations import (
     white,
 )
 
-from conftest import load
+from conftest import load, subspace_sum
 
 F5 = PrimeField(5)
 
@@ -77,6 +78,35 @@ def test_manin_dimension_formulas(n1, n2, seed):
     c1, c2 = A.R.dim, B.R.dim
     assert black(A, B).R.dim == c1 * c2
     assert white(A, B).R.dim == n1 * n1 * c2 + c1 * n2 * n2 - c1 * c2
+
+
+def white_by_sum(A, B):
+    """t23(V_A^2 (x) R_B + R_A (x) V_B^2) as the RREF of the sum, pushed
+    through t23 and reduced again (the reference for ``white``)."""
+    full_a = Subspace.full(A.field, A.n * A.n)
+    full_b = Subspace.full(B.field, B.n * B.n)
+    mixed = subspace_sum(tensor_subspace(full_a, B.R),
+                         tensor_subspace(A.R, full_b))
+    return push_subspace(t23(A.n, B.n), mixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, F5]), st.integers(1, 3), st.integers(1, 2),
+       st.integers(0, 2**32 - 1))
+def test_white_matches_sum_then_push_reference(field, n1, step, seed):
+    rng = random.Random(seed)
+    n2 = (n1 + step - 1) % 3 + 1  # 1..3 and never n1
+    presentations = []
+    for n in (n1, n2):
+        k = rng.randrange(n * n + 1)
+        rows = [[field.coerce(rng.randrange(-3, 4)) for _ in range(n * n)]
+                for _ in range(k)]
+        labels = tuple(f"g{i}" for i in range(n))
+        presentations.append(QuadraticPresentation(
+            field, labels, Subspace.span(field, rows, n * n)))
+    A, B = presentations
+    assert white(A, B).R == white_by_sum(A, B)
+    assert white(B, A).R == white_by_sum(B, A)
 
 
 def test_unit_objects():

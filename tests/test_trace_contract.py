@@ -20,6 +20,8 @@ CALLS = [
     ["koszul", "--max", "3", "corpus/sym3.qa"],
     ["ext", "--max", "3", "corpus/gf7_seed1.qa"],
     ["hom", "corpus/sym3.qa", "corpus/sym3.qa"],
+    ["product", "--kind", "white", "corpus/ext2.qa", "corpus/sym3.qa"],
+    ["dual", "--output", "structured", "corpus/gf7_seed1.qa"],
     ["laws", "--suite", "duality", "--trials", "2", "corpus/sym3.qa"],
 ]
 
@@ -28,6 +30,9 @@ def test_tracer_reports_every_per_layer_metric(capsys):
     tracer = tracing.Tracer()
     caches = tracing.install(tracer, quadalg)
     try:
+        # earlier tests may have cached these products; compute them here
+        for c in caches.values():
+            c.cache_clear()
         cache_before = {n: c.cache_info() for n, c in caches.items()}
         for argv in CALLS:
             argv = [str(ROOT / a) if a.startswith("corpus/") else a
@@ -42,5 +47,10 @@ def test_tracer_reports_every_per_layer_metric(capsys):
     assert 0 < metrics["linalg.matmul.nnz_ratio"] < 1
     assert 0 < metrics["koszul.differential.nnz_ratio"] < 1
     assert metrics["linalg.rref.calls"] > 0
+    # the products and the presentation emission still run under the hooks
+    for name in ("presentations.products.miss_self_s",
+                 "tensorindex.tensor_subspace.self_s",
+                 "tensorindex.push_subspace.self_s", "parser.unparse.self_s"):
+        assert metrics[name] > 0, name
     # one ext job: its table also answers the diagonal test
     assert metrics["koszul.bar_homology.calls_per_ext_job"] == 1
