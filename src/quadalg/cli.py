@@ -141,6 +141,20 @@ def _cmd_ext(args, out):
     return 0 if agree else 1
 
 
+def _emit_checks(out, suite, checks, structured: bool) -> bool:
+    """One PASS/FAIL line (or check record) per check; True if any failed."""
+    failed = False
+    for c in checks:
+        objs = ",".join(c.objects)
+        if structured:
+            out.append(f"record=check suite={suite} name={c.name} "
+                       f"objects={objs} passed={str(c.passed).lower()}")
+        else:
+            out.append(f"{'PASS' if c.passed else 'FAIL'} {c.name} {objs}")
+        failed = failed or not c.passed
+    return failed
+
+
 def _cmd_laws(args, out):
     pool = []
     for path in args.files:
@@ -151,16 +165,7 @@ def _cmd_laws(args, out):
     for suite in suites:
         checks, reports = laws.run_suite(suite, pool, trials=args.trials,
                                          seed=args.seed)
-        for c in checks:
-            objs = ",".join(c.objects)
-            if args.structured:
-                out.append(f"record=check suite={suite} name={c.name} "
-                           f"objects={objs} "
-                           f"passed={str(c.passed).lower()}")
-            else:
-                out.append(f"{'PASS' if c.passed else 'FAIL'} "
-                           f"{c.name} {objs}")
-            failed = failed or not c.passed
+        failed |= _emit_checks(out, suite, checks, args.structured)
         for line in reports:
             if args.structured:
                 out.append("record=note text=" + line.replace(" ", "_"))
@@ -170,25 +175,14 @@ def _cmd_laws(args, out):
 
 
 def _cmd_selfdual(args, out):
-    name, A = _load(args.file)
+    _, A = _load(args.file)
     partner = A
-    pname = name
     if args.partner:
-        pname, partner = _load(args.partner)
-    field = A.field
+        _, partner = _load(args.partner)
     checks = [laws.double_dual_check(A)]
-    checks.extend(laws.unit_duality_checks(field))
+    checks.extend(laws.unit_duality_checks(A.field))
     checks.append(laws.check_dual_antimultiplicative(A, partner))
-    failed = False
-    for c in checks:
-        objs = ",".join(c.objects)
-        if args.structured:
-            out.append(f"record=check suite=selfdual name={c.name} "
-                       f"objects={objs} passed={str(c.passed).lower()}")
-        else:
-            out.append(f"{'PASS' if c.passed else 'FAIL'} {c.name} {objs}")
-        failed = failed or not c.passed
-    return 1 if failed else 0
+    return 1 if _emit_checks(out, "selfdual", checks, args.structured) else 0
 
 
 class _OutputMode(argparse.Action):
@@ -267,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "max", 1) is not None and getattr(args, "max", 1) < 1:
+    if getattr(args, "max", 1) < 1:
         ap.error("--max must be at least 1")
+    if getattr(args, "trials", 1) < 1:
+        ap.error("--trials must be at least 1")
     out: list[str] = []
     try:
         status = args.fn(args, out)

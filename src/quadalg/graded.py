@@ -59,7 +59,7 @@ class GradedStructure:
             self._step_section[k] = section
 
     def full_projection(self, m: int) -> Matrix:
-        """Pi_m: word space of degree m onto A_m (dense; keep m modest)."""
+        """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest)."""
         self._ensure(m)
         f, n = self.A.field, self.A.n
         while max(self._full_proj) < m:

@@ -2,12 +2,15 @@
 
 Koszulity up to degree N is decided on the finite internal-degree slices of
 the dualized complex with terms A_{m-i} (x) (A^!_i)^*; the first complex
-and the bar complex are built independently for cross-checks.
+and the bar complex are built independently for cross-checks.  Every
+differential is assembled by ``_assemble`` from signed Kronecker blocks of
+the graded multiplication maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .linalg import matrix_rank, Matrix
 from .presentations import (QuadraticPresentation, dual, is_morphism)
@@ -38,14 +41,11 @@ def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
 class ComplexSlice:
     """A finite run of spaces and matrices with vanishing composites.
 
-    ``differentials[t]`` maps position t to position t+1 in list order;
-    ``convention`` records whether list order follows the cochain or chain
-    arrow of the construction.
+    ``differentials[t]`` maps position t to position t+1 in list order.
     """
     position_dims: tuple
     differentials: tuple
     internal_degree: int
-    convention: str = "cochain"
 
     def __post_init__(self):
         dims = self.position_dims
@@ -87,6 +87,30 @@ class HomologyReport:
     exact: bool
 
 
+def _assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
+    """The dst_dim x src_dim sum of signed blocks, on canonical rows.
+
+    Each block ``(row offset, column offset, negate, M)`` adds M, or -M
+    when ``negate``, with its top-left entry at the two offsets.  Entries
+    that cancel are dropped.
+    """
+    rows = [{} for _ in range(dst_dim)]
+    for r0, c0, negate, M in blocks:
+        for out, row in zip(rows[r0:r0 + M.rows], M.sparse):
+            for j, x in row.items():
+                if negate:
+                    x = f.neg(x)
+                j += c0
+                y = out.get(j)
+                if y is None:
+                    out[j] = x
+                elif s := f.add(y, x):
+                    out[j] = s
+                else:
+                    del out[j]
+    return Matrix.from_rows(f, rows, src_dim)
+
+
 def first_complex_slice(A: QuadraticPresentation, i_max: int,
                         weight: int = 0) -> ComplexSlice:
     """The cochain run A_{w+i} (x) (A^!)_i with left multiplication by alpha."""
@@ -98,18 +122,15 @@ def first_complex_slice(A: QuadraticPresentation, i_max: int,
     dims = [gs.dim(weight + i) * gd.dim(i) for i in range(i_max + 1)]
     maps = []
     for i in range(i_max):
-        src = dims[i]
-        dst = dims[i + 1]
-        if src == 0 or dst == 0:
-            maps.append(Matrix.zero(f, dst, src))
-            continue
-        total = Matrix.zero(f, dst, src)
-        for j in range(n):
-            lj_a = gs.left_mult_by_generator(weight + i, j)
-            lj_d = gd.left_mult_by_generator(i, j)
-            total = total + kron(lj_a, lj_d)
-        maps.append(total)
-    return ComplexSlice(tuple(dims), tuple(maps), weight, "cochain")
+        src, dst = dims[i], dims[i + 1]
+        blocks = []
+        if src and dst:
+            blocks = [(0, 0, False,
+                       kron(gs.left_mult_by_generator(weight + i, j),
+                            gd.left_mult_by_generator(i, j)))
+                      for j in range(n)]
+        maps.append(_assemble(f, dst, src, blocks))
+    return ComplexSlice(tuple(dims), tuple(maps), weight)
 
 
 def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
@@ -128,16 +149,14 @@ def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
     maps = []
     for t, i in enumerate(range(m, 0, -1)):
         src, dst = dims[t], dims[t + 1]
-        if src == 0 or dst == 0:
-            maps.append(Matrix.zero(f, dst, src))
-            continue
-        total = Matrix.zero(f, dst, src)
-        for j in range(n):
-            rj = gs.right_mult_by_generator(m - i, j)
-            lj_dual_t = gd.left_mult_by_generator(i - 1, j).transpose()
-            total = total + kron(rj, lj_dual_t)
-        maps.append(total)
-    return ComplexSlice(tuple(dims), tuple(maps), m, "chain")
+        blocks = []
+        if src and dst:
+            blocks = [(0, 0, False,
+                       kron(gs.right_mult_by_generator(m - i, j),
+                            gd.left_mult_by_generator(i - 1, j).transpose()))
+                      for j in range(n)]
+        maps.append(_assemble(f, dst, src, blocks))
+    return ComplexSlice(tuple(dims), tuple(maps), m)
 
 
 def homology_report(A: QuadraticPresentation, m: int) -> HomologyReport:
@@ -200,69 +219,39 @@ def _bar_spaces(gs, m: int, p: int):
     offset = 0
     for comp in _compositions(m, p):
         dims = tuple(gs.dim(d) for d in comp)
-        size = 1
-        for d in dims:
-            size *= d
         comps.append((comp, dims, offset))
-        offset += size
+        offset += prod(dims)
     return comps, offset
 
 
 def bar_complex_in_degree(A: QuadraticPresentation, m: int) -> ComplexSlice:
-    """Reduced bar complex in internal degree m, positions p = m..1 (and 0)."""
+    """Reduced bar complex in internal degree m, positions p = m..1 (and 0).
+
+    The differential is sum_{i=1}^{p-1} (-1)^i merge_i, where merge_i
+    multiplies letters i and i+1.  On the component with letter degrees c
+    it is I (x) gs.mult(c_i, c_{i+1}) (x) I, so the bar complex reads only
+    the multiplication of A, never its dual.
+    """
     f = A.field
     gs = graded_structure(A)
     layout = {p: _bar_spaces(gs, m, p) for p in range(m + 1)}
     dims = [layout[p][1] for p in range(m, -1, -1)]
     maps = []
-    for t, p in enumerate(range(m, 0, -1)):
+    for p in range(m, 0, -1):
         src_comps, src_dim = layout[p]
         dst_comps, dst_dim = layout[p - 1]
-        dst_offset = {comp: (off, d) for comp, d, off in dst_comps}
-        rows = [{} for _ in range(dst_dim)]
+        dst_offset = {comp: off for comp, _, off in dst_comps}
+        blocks = []
         for comp, letter_dims, off in src_comps:
-            strides = [1] * p
-            for k in range(p - 2, -1, -1):
-                strides[k] = strides[k + 1] * letter_dims[k + 1]
-            size = strides[0] * letter_dims[0] if p else 1
             for i in range(p - 1):
                 merged = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2:]
-                toff, _ = dst_offset[merged]
-                mult = gs.mult(comp[i], comp[i + 1])
-                minus = i % 2 == 0
-                # sign convention d = sum_{i=1}^{p-1} (-1)^i merge_i; our
-                # loop index is i-1, so even loop index carries the minus
-                m_dims = tuple(gs.dim(d) for d in merged)
-                m_strides = [1] * (p - 1)
-                for k in range(p - 3, -1, -1):
-                    m_strides[k] = m_strides[k + 1] * m_dims[k + 1]
-                for col in range(size):
-                    rem = col
-                    letters = []
-                    for k in range(p):
-                        letters.append(rem // strides[k])
-                        rem %= strides[k]
-                    pair_col = letters[i] * letter_dims[i + 1] + letters[i + 1]
-                    merged_letters = (letters[:i]
-                                      + [None] + letters[i + 2:])
-                    for r, mrow in enumerate(mult.sparse):
-                        c = mrow.get(pair_col)
-                        if c is None:
-                            continue
-                        merged_letters[i] = r
-                        ridx = toff
-                        for k, lt in enumerate(merged_letters):
-                            ridx += lt * m_strides[k]
-                        row, key = rows[ridx], off + col
-                        x = f.neg(c) if minus else c
-                        if key in row:
-                            x = f.add(row[key], x)
-                        if x:
-                            row[key] = x
-                        else:
-                            del row[key]
-        maps.append(Matrix.from_rows(f, rows, src_dim))
-    return ComplexSlice(tuple(dims), tuple(maps), m, "chain")
+                block = kron(kron(Matrix.identity(f, prod(letter_dims[:i])),
+                                  gs.mult(comp[i], comp[i + 1])),
+                             Matrix.identity(f, prod(letter_dims[i + 2:])))
+                # 0-based i merges letters i+1 and i+2: sign (-1)^(i+1)
+                blocks.append((dst_offset[merged], off, i % 2 == 0, block))
+        maps.append(_assemble(f, dst_dim, src_dim, blocks))
+    return ComplexSlice(tuple(dims), tuple(maps), m)
 
 
 def bar_homology(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
@@ -274,13 +263,9 @@ def bar_homology(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
         sl = bar_complex_in_degree(A, m)
         h = sl.homology_dims()
         # list order runs p = m..0
-        for t, p in _positions(m):
+        for t, p in enumerate(range(m, -1, -1)):
             entries[(p, m)] = h[t]
     return BidegreeTable(m_max, entries)
-
-
-def _positions(m: int):
-    return list(enumerate(range(m, -1, -1)))
 
 
 def ext_diagonal_check(A: QuadraticPresentation, m_max: int) -> bool:

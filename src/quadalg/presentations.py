@@ -136,7 +136,7 @@ class MorphismCertificate:
 class AlgebraMorphism:
     """A degree-1 matrix whose tensor square maps relations into relations."""
 
-    __slots__ = ("src", "dst", "M", "certificate")
+    __slots__ = ("src", "dst", "M")
 
     def __init__(self, src, dst, M: Matrix):
         ok, cert = is_morphism(src, dst, M)
@@ -146,16 +146,9 @@ class AlgebraMorphism:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "certificate", cert)
 
     def __setattr__(self, *args):
         raise AttributeError("AlgebraMorphism is immutable")
-
-    def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
-        """self after other."""
-        if other.dst is not self.src and not other.dst.same_relations(self.src):
-            raise ValueError("composition target/source mismatch")
-        return AlgebraMorphism(other.src, self.dst, self.M @ other.M)
 
     @staticmethod
     def identity(A: QuadraticPresentation) -> "AlgebraMorphism":

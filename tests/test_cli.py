@@ -154,6 +154,20 @@ def test_missing_file_exit_code():
     assert status == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["axioms", "braiding"])
+def test_nonpositive_trials_is_a_usage_error(suite, trials):
+    # no trials would print no check and exit 0: a vacuous PASS
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(["laws", "--suite", suite, "--trials", trials,
+              _f("sym2"), _f("ext2")])
+    assert exc.value.code == 2
+    assert "--trials must be at least 1" in err.getvalue()
+
+
 def test_golden_under_python_O():
     # runtime checks must not be asserts: -O strips them.  laws_axioms_q
     # validates every structure map through is_morphism and reduce_against.
