@@ -36,6 +36,17 @@ def _load(path: str):
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0)
 
 
+def _load_all(*paths):
+    """(name, presentation) per path; inputs over different fields are a
+    usage error, reported like an unreadable file."""
+    loaded = [_load(path) for path in paths]
+    for path, (_, A) in zip(paths, loaded):
+        if A.field != loaded[0][1].field:
+            raise ParseError(f"{path} is over {A.field}, but {paths[0]} is "
+                             f"over {loaded[0][1].field}", 0)
+    return loaded
+
+
 def _emit_presentation(out, name, A, structured: bool, summary: bool = False):
     if structured:
         field = "Q" if not hasattr(A.field, "p") else f"GF{A.field.p}"
@@ -61,8 +72,7 @@ def _cmd_dual(args, out):
 
 
 def _cmd_product(args, out):
-    na, A = _load(args.a)
-    nb, B = _load(args.b)
+    (na, A), (nb, B) = _load_all(args.a, args.b)
     op = black if args.kind == "black" else white
     P = op(A, B)
     _emit_presentation(out, f"{na}.{args.kind}.{nb}", P, args.structured,
@@ -71,8 +81,7 @@ def _cmd_product(args, out):
 
 
 def _cmd_hom(args, out):
-    nu, U = _load(args.u)
-    nv, V = _load(args.v)
+    (nu, U), (nv, V) = _load_all(args.u, args.v)
     H = internal_hom(U, V)
     _emit_presentation(out, f"hom.{nu}.{nv}", H, args.structured,
                        summary=True)
@@ -156,10 +165,7 @@ def _emit_checks(out, suite, checks, structured: bool) -> bool:
 
 
 def _cmd_laws(args, out):
-    pool = []
-    for path in args.files:
-        _, A = _load(path)
-        pool.append(A)
+    pool = [A for _, A in _load_all(*args.files)]
     suites = list(laws.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for suite in suites:
@@ -175,10 +181,8 @@ def _cmd_laws(args, out):
 
 
 def _cmd_selfdual(args, out):
-    _, A = _load(args.file)
-    partner = A
-    if args.partner:
-        _, partner = _load(args.partner)
+    loaded = _load_all(*(p for p in (args.file, args.partner) if p))
+    A, partner = loaded[0][1], loaded[-1][1]
     checks = [laws.double_dual_check(A)]
     checks.extend(laws.unit_duality_checks(A.field))
     checks.append(laws.check_dual_antimultiplicative(A, partner))

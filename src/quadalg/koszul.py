@@ -3,8 +3,8 @@
 Koszulity up to degree N is decided on the finite internal-degree slices of
 the dualized complex with terms A_{m-i} (x) (A^!_i)^*; the first complex
 and the bar complex are built independently for cross-checks.  Every
-differential is assembled by ``_assemble`` from signed Kronecker blocks of
-the graded multiplication maps.
+differential is assembled by ``linalg.assemble`` from signed Kronecker
+blocks of the graded multiplication maps.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .linalg import matrix_rank, Matrix
+from .linalg import assemble, matrix_rank, Matrix
 from .presentations import (QuadraticPresentation, dual, is_morphism)
 from .graded import graded_structure
 from .tensorindex import kron
@@ -87,30 +87,6 @@ class HomologyReport:
     exact: bool
 
 
-def _assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
-    """The dst_dim x src_dim sum of signed blocks, on canonical rows.
-
-    Each block ``(row offset, column offset, negate, M)`` adds M, or -M
-    when ``negate``, with its top-left entry at the two offsets.  Entries
-    that cancel are dropped.
-    """
-    rows = [{} for _ in range(dst_dim)]
-    for r0, c0, negate, M in blocks:
-        for out, row in zip(rows[r0:r0 + M.rows], M.sparse):
-            for j, x in row.items():
-                if negate:
-                    x = f.neg(x)
-                j += c0
-                y = out.get(j)
-                if y is None:
-                    out[j] = x
-                elif s := f.add(y, x):
-                    out[j] = s
-                else:
-                    del out[j]
-    return Matrix.from_rows(f, rows, src_dim)
-
-
 def first_complex_slice(A: QuadraticPresentation, i_max: int,
                         weight: int = 0) -> ComplexSlice:
     """The cochain run A_{w+i} (x) (A^!)_i with left multiplication by alpha."""
@@ -129,7 +105,7 @@ def first_complex_slice(A: QuadraticPresentation, i_max: int,
                        kron(gs.left_mult_by_generator(weight + i, j),
                             gd.left_mult_by_generator(i, j)))
                       for j in range(n)]
-        maps.append(_assemble(f, dst, src, blocks))
+        maps.append(assemble(f, dst, src, blocks))
     return ComplexSlice(tuple(dims), tuple(maps), weight)
 
 
@@ -155,7 +131,7 @@ def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
                        kron(gs.right_mult_by_generator(m - i, j),
                             gd.left_mult_by_generator(i - 1, j).transpose()))
                       for j in range(n)]
-        maps.append(_assemble(f, dst, src, blocks))
+        maps.append(assemble(f, dst, src, blocks))
     return ComplexSlice(tuple(dims), tuple(maps), m)
 
 
@@ -250,7 +226,7 @@ def bar_complex_in_degree(A: QuadraticPresentation, m: int) -> ComplexSlice:
                              Matrix.identity(f, prod(letter_dims[i + 2:])))
                 # 0-based i merges letters i+1 and i+2: sign (-1)^(i+1)
                 blocks.append((dst_offset[merged], off, i % 2 == 0, block))
-        maps.append(_assemble(f, dst_dim, src_dim, blocks))
+        maps.append(assemble(f, dst_dim, src_dim, blocks))
     return ComplexSlice(tuple(dims), tuple(maps), m)
 
 

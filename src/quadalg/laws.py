@@ -1,14 +1,17 @@
 """Mechanical verification of the quadratic-category structure.
 
-Each check composes verified degree-1 matrices along the two legs of a
-diagram and compares them exactly.  Every arrow used in a path is first
-validated as an algebra morphism; a containment failure there is an engine
-bug and raises instead of reporting a FAIL.
+Each check composes degree-1 matrices of the structure morphisms (f, h,
+c_U, d_U, the flips c' and their tensor products) along the two legs of a
+diagram and compares them exactly; the zig-zags (2.3) and (2.4) are the
+Theorem 2.2 transposes of c_U and d_U, checked against the identity.  Every
+arrow is first validated as an algebra morphism; a containment failure
+there is an engine bug and raises instead of reporting a FAIL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from random import Random
 
 from .fields import QQ, check_same_field
@@ -17,7 +20,7 @@ from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             evaluation_matrix, free_presentation,
                             full_relations_presentation, internal_hom,
                             is_morphism, unit_black, unit_white, white)
-from .tensorindex import flip, kron, push_subspace
+from .tensorindex import PermutationMap, flip, kron, push_subspace
 
 
 def _name(U) -> str:
@@ -48,20 +51,25 @@ def _morphism(src, dst, M, what: str) -> AlgebraMorphism:
             f"structure map {what} failed morphism validation: {exc}") from exc
 
 
+def _reshape(src, dst, what: str) -> AlgebraMorphism:
+    """The identity matrix on the generators, as a morphism src -> dst."""
+    return _morphism(src, dst, Matrix.identity(src.field, src.n), what)
+
+
 def structure_map_f(U1, U2, U3) -> AlgebraMorphism:
     """(U1 o U2) . U3  ->  U1 o (U2 . U3): the identity reshape."""
-    src = black(white(U1, U2), U3)
-    dst = white(U1, black(U2, U3))
-    I = Matrix.identity(U1.field, U1.n * U2.n * U3.n)
-    return _morphism(src, dst, I, "f")
+    return _reshape(black(white(U1, U2), U3), white(U1, black(U2, U3)), "f")
 
 
 def structure_map_h(U1, U2, U3) -> AlgebraMorphism:
     """U1 . (U2 o U3)  ->  (U1 . U2) o U3: the identity reshape."""
-    src = black(U1, white(U2, U3))
-    dst = white(black(U1, U2), U3)
-    I = Matrix.identity(U1.field, U1.n * U2.n * U3.n)
-    return _morphism(src, dst, I, "h")
+    return _reshape(black(U1, white(U2, U3)), white(black(U1, U2), U3), "h")
+
+
+def flip_map(op, A, B) -> AlgebraMorphism:
+    """c': op(A, B) -> op(B, A), the factor swap; op is black or white."""
+    return _morphism(op(A, B), op(B, A), flip(A.n, B.n).matrix(A.field),
+                     "c'")
 
 
 def unit_map(U) -> AlgebraMorphism:
@@ -76,10 +84,10 @@ def counit_map(U) -> AlgebraMorphism:
                      evaluation_matrix(U), "d_U")
 
 
-def tensor_morphisms(kind: str, u: AlgebraMorphism, v: AlgebraMorphism):
-    op = black if kind == "black" else white
+def tensor_morphisms(op, u: AlgebraMorphism, v: AlgebraMorphism):
+    """u (x) v: op(u.src, v.src) -> op(u.dst, v.dst); op is black or white."""
     return _morphism(op(u.src, v.src), op(u.dst, v.dst), kron(u.M, v.M),
-                     f"{kind} tensor of morphisms")
+                     "tensor of morphisms")
 
 
 def check_axiom_diagrams(U1, U2, U3, U4=None, u1=None, u2=None, u3=None):
@@ -87,33 +95,31 @@ def check_axiom_diagrams(U1, U2, U3, U4=None, u1=None, u2=None, u3=None):
 
     U4 defaults to U1; u1..u3 default to identities.
     """
-    if U4 is None:
-        U4 = U1
+    U4 = U1 if U4 is None else U4
     u1 = u1 if u1 is not None else AlgebraMorphism.identity(U1)
     u2 = u2 if u2 is not None else AlgebraMorphism.identity(U2)
     u3 = u3 if u3 is not None else AlgebraMorphism.identity(U3)
-    f = U1.field
     names = tuple(_name(U) for U in (U1, U2, U3, U4))
     checks = []
 
     # (2.1): two routes (U1.(U2 o U3)).U4 -> (U1.U2) o (U3.U4)
     h123 = structure_map_h(U1, U2, U3)
-    top1 = tensor_morphisms("black", AlgebraMorphism.identity(U1),
+    top1 = tensor_morphisms(black, AlgebraMorphism.identity(U1),
                             structure_map_f(U2, U3, U4))
     h1_234 = structure_map_h(U1, U2, black(U3, U4))
     left = h1_234.M @ top1.M  # associator c_bullet is the identity reshape
-    bot1 = tensor_morphisms("black", h123, AlgebraMorphism.identity(U4))
+    bot1 = tensor_morphisms(black, h123, AlgebraMorphism.identity(U4))
     f12_34 = structure_map_f(black(U1, U2), U3, U4)
     right = f12_34.M @ bot1.M
     checks.append(DiagramCheck.compare("2.1", names, left, right))
 
     # (2.2): two routes (U1 o U2).(U3 o U4) -> U1 o ((U2.U3) o U4)
     f1 = structure_map_f(U1, U2, white(U3, U4))
-    top2 = tensor_morphisms("white", AlgebraMorphism.identity(U1),
+    top2 = tensor_morphisms(white, AlgebraMorphism.identity(U1),
                             structure_map_h(U2, U3, U4))
     left2 = top2.M @ f1.M
     h2 = structure_map_h(white(U1, U2), U3, U4)
-    bot2 = tensor_morphisms("white", structure_map_f(U1, U2, U3),
+    bot2 = tensor_morphisms(white, structure_map_f(U1, U2, U3),
                             AlgebraMorphism.identity(U4))
     right2 = bot2.M @ h2.M  # c_o identity reshape closes the square
     checks.append(DiagramCheck.compare("2.2", names, left2, right2))
@@ -124,79 +130,54 @@ def check_axiom_diagrams(U1, U2, U3, U4=None, u1=None, u2=None, u3=None):
     checks.append(triangle_right(U1))
 
     # (2.5): naturality of h in all three arguments
-    lhs_map = tensor_morphisms("black", u1,
-                               tensor_morphisms("white", u2, u3))
+    lhs_map = tensor_morphisms(black, u1, tensor_morphisms(white, u2, u3))
     h_src = structure_map_h(u1.src, u2.src, u3.src)
     h_dst = structure_map_h(u1.dst, u2.dst, u3.dst)
-    rhs_map = tensor_morphisms("white", tensor_morphisms("black", u1, u2), u3)
+    rhs_map = tensor_morphisms(white, tensor_morphisms(black, u1, u2), u3)
     checks.append(DiagramCheck.compare(
         "2.5", names, h_dst.M @ lhs_map.M, rhs_map.M @ h_src.M))
 
     # (2.6): naturality of f
-    lhs6 = tensor_morphisms("black", tensor_morphisms("white", u1, u2), u3)
+    lhs6 = tensor_morphisms(black, tensor_morphisms(white, u1, u2), u3)
     f_src = structure_map_f(u1.src, u2.src, u3.src)
     f_dst = structure_map_f(u1.dst, u2.dst, u3.dst)
-    rhs6 = tensor_morphisms("white", u1, tensor_morphisms("black", u2, u3))
+    rhs6 = tensor_morphisms(white, u1, tensor_morphisms(black, u2, u3))
     checks.append(DiagramCheck.compare(
         "2.6", names, f_dst.M @ lhs6.M, rhs6.M @ f_src.M))
     return checks
 
 
 def triangle_left(U) -> DiagramCheck:
-    """I_bullet . U -> U o I_o collapses to the identity of U (diagram 2.3)."""
-    f = U.field
-    n = U.n
-    c = unit_map(U)
-    Ud = dual(U)
-    step1 = _morphism(black(unit_black(f), U), black(white(U, Ud), U),
-                      kron(c.M, Matrix.identity(f, n)), "c_U . Id")
-    step2 = structure_map_f(U, Ud, U)
-    step3 = _morphism(white(U, black(Ud, U)), white(U, unit_white(f)),
-                      kron(Matrix.identity(f, n), evaluation_matrix(U)),
-                      "Id o d_U")
-    path = step3.M @ step2.M @ step1.M
-    return DiagramCheck.compare("2.3", (_name(U),), path,
-                                Matrix.identity(f, n))
+    """I_bullet . U -> U o I_o collapses to the identity of U (diagram 2.3):
+    the transpose of c_U is the identity."""
+    path = hom_untranspose(unit_map(U), unit_black(U.field), U, U)
+    return DiagramCheck.compare("2.3", (_name(U),), path.M,
+                                Matrix.identity(U.field, U.n))
 
 
 def triangle_right(U) -> DiagramCheck:
-    """dual(U) . I_bullet -> I_o o dual(U) collapses to the identity (2.4)."""
-    f = U.field
-    n = U.n
-    c = unit_map(U)
+    """dual(U) . I_bullet -> I_o o dual(U) collapses to the identity (2.4):
+    the transpose of d_U is the identity."""
     Ud = dual(U)
-    step1 = _morphism(black(Ud, unit_black(f)), black(Ud, white(U, Ud)),
-                      kron(Matrix.identity(f, n), c.M), "Id . c_U")
-    step2 = structure_map_h(Ud, U, Ud)
-    step3 = _morphism(white(black(Ud, U), Ud), white(unit_white(f), Ud),
-                      kron(evaluation_matrix(U), Matrix.identity(f, n)),
-                      "d_U o Id")
-    path = step3.M @ step2.M @ step1.M
-    return DiagramCheck.compare("2.4", (_name(Ud),), path,
-                                Matrix.identity(f, n))
+    path = hom_transpose(counit_map(U), Ud, U, unit_white(U.field))
+    return DiagramCheck.compare("2.4", (_name(Ud),), path.M,
+                                Matrix.identity(U.field, U.n))
 
 
 def hom_transpose(u: AlgebraMorphism, U, L, N) -> AlgebraMorphism:
     """Send u: U.L -> N to u': U -> N o dual(L) (the adjunction composite)."""
-    f = U.field
-    step1 = _morphism(black(U, unit_black(f)),
-                      black(U, white(L, dual(L))),
-                      kron(Matrix.identity(f, U.n), unit_map(L).M),
-                      "Id_U . c_L")
+    step1 = tensor_morphisms(black, AlgebraMorphism.identity(U), unit_map(L))
     step2 = structure_map_h(U, L, dual(L))
-    step3 = tensor_morphisms("white", u, AlgebraMorphism.identity(dual(L)))
+    step3 = tensor_morphisms(white, u, AlgebraMorphism.identity(dual(L)))
     M = step3.M @ step2.M @ step1.M
     return _morphism(U, white(N, dual(L)), M, "u'")
 
 
 def hom_untranspose(v: AlgebraMorphism, U, L, N) -> AlgebraMorphism:
     """Send v: U -> N o dual(L) to v'': U.L -> N (the inverse composite)."""
-    f = U.field
-    step1 = tensor_morphisms("black", v, AlgebraMorphism.identity(L))
+    step1 = tensor_morphisms(black, v, AlgebraMorphism.identity(L))
     step2 = structure_map_f(N, dual(L), L)
-    step3 = _morphism(white(N, black(dual(L), L)), white(N, unit_white(f)),
-                      kron(Matrix.identity(f, N.n), evaluation_matrix(L)),
-                      "Id_N o d_L")
+    step3 = tensor_morphisms(white, AlgebraMorphism.identity(N), counit_map(L))
     M = step3.M @ step2.M @ step1.M
     return _morphism(black(U, L), N, M, "v''")
 
@@ -230,8 +211,9 @@ def check_dual_antimultiplicative(U, V) -> DiagramCheck:
     """dual(U . V) agrees with dual(V) o dual(U) under the flip-transpose."""
     lhs = dual(black(U, V))
     rhs = white(dual(V), dual(U))
-    P = flip(U.n, V.n).matrix(U.field)
-    transported = push_subspace(kron(P, P), lhs.R)
+    p, m = flip(U.n, V.n).image, U.n * V.n  # flip (x) flip on words of U.V
+    P = PermutationMap([a * m + b for a in p for b in p])
+    transported = push_subspace(P, lhs.R)
     return flag_check("dual-antimult", (_name(U), _name(V)),
                       transported == rhs.R, U.field)
 
@@ -275,27 +257,18 @@ def check_hom_algebra(U):
 
 def check_braiding(U1, U2, U3) -> DiagramCheck:
     """The mixed hexagon relating the two flips with f and h."""
-    f = U1.field
-    n1, n2, n3 = U1.n, U2.n, U3.n
     names = (_name(U1), _name(U2), _name(U3))
     # leg A: flip out U1, flip U2/U3, then f
-    w23 = white(U2, U3)
-    a1 = _morphism(black(U1, w23), black(w23, U1),
-                   flip(n1, n2 * n3).matrix(f), "c'_bullet")
-    a2 = tensor_morphisms("black",
-                          _morphism(w23, white(U3, U2),
-                                    flip(n2, n3).matrix(f), "c'_o"),
+    a1 = flip_map(black, U1, white(U2, U3))
+    a2 = tensor_morphisms(black, flip_map(white, U2, U3),
                           AlgebraMorphism.identity(U1))
     a3 = structure_map_f(U3, U2, U1)
     left = a3.M @ a2.M @ a1.M
     # leg B: h, flip out U3, flip U1/U2
     b1 = structure_map_h(U1, U2, U3)
-    b12 = black(U1, U2)
-    b2 = _morphism(white(b12, U3), white(U3, b12),
-                   flip(n1 * n2, n3).matrix(f), "c'_o")
-    b3 = tensor_morphisms("white", AlgebraMorphism.identity(U3),
-                          _morphism(b12, black(U2, U1),
-                                    flip(n1, n2).matrix(f), "c'_bullet"))
+    b2 = flip_map(white, black(U1, U2), U3)
+    b3 = tensor_morphisms(white, AlgebraMorphism.identity(U3),
+                          flip_map(black, U1, U2))
     right = b3.M @ b2.M @ b1.M
     return DiagramCheck.compare("braiding-hexagon", names, left, right)
 
@@ -307,13 +280,12 @@ def check_bullet_to_circle(U, V) -> DiagramCheck:
     Io = unit_white(f)
     Ib = unit_black(f)
     # U.V = U.(V o I_o) --flip--> (V o I_o).U --f--> V o (I_o.U)
-    s1 = _morphism(black(U, white(V, Io)), black(white(V, Io), U),
-                   flip(nu, nv).matrix(f), "c'_bullet")
+    s1 = flip_map(black, U, white(V, Io))
     s2 = structure_map_f(V, Io, U)
     # c_{I_o}: I_o -> I_bullet is the 1x1 identity at degree 1
-    c_io = _morphism(Io, Ib, Matrix.identity(f, 1), "c_{I_o}")
-    s3 = tensor_morphisms("white", AlgebraMorphism.identity(V),
-                          tensor_morphisms("black", c_io,
+    c_io = _reshape(Io, Ib, "c_{I_o}")
+    s3 = tensor_morphisms(white, AlgebraMorphism.identity(V),
+                          tensor_morphisms(black, c_io,
                                            AlgebraMorphism.identity(U)))
     s4 = _morphism(white(V, black(Ib, U)), white(U, V),
                    flip(nv, nu).matrix(f), "c'_o")
@@ -353,7 +325,6 @@ def rank_of(U):
 def contragredient_check(h: AlgebraMorphism, hp: AlgebraMorphism):
     """The two zig-zag equations for a contragredient pair, as DiagramChecks."""
     U, V = h.src, h.dst
-    f = U.field
     lhs1 = kron(h.M, hp.M) @ canonical_column(U)
     rhs1 = canonical_column(V)
     eq1 = DiagramCheck.compare("contragredient-c",
@@ -403,12 +374,9 @@ def contragredient_invertibility(h: AlgebraMorphism, hp: AlgebraMorphism):
     checks = contragredient_check(h, hp)
     if not all(c.passed for c in checks):
         return False, "contragredient equations do not hold"
-    Mh = h.M
-    if Mh.rows != Mh.cols:
-        return False, "non-square degree-1 matrix"
-    inv_t = solve_linear_inverse(Mh)
+    inv_t = solve_linear_inverse(h.M)
     if inv_t is None:
-        return False, "degree-1 matrix is singular"
+        return False, "degree-1 matrix is not invertible"
     ok, cert = is_morphism(h.dst, h.src, inv_t)
     if not ok:
         return False, f"inverse is not a morphism; residual {cert.residual}"
@@ -457,10 +425,7 @@ def _pick_sizes(pool, rng, k: int, max_total: int):
     """k pool objects whose generator counts multiply to at most max_total."""
     for _ in range(200):
         chosen = [pool[rng.randrange(len(pool))] for _ in range(k)]
-        total = 1
-        for U in chosen:
-            total *= U.n
-        if total <= max_total:
+        if prod(U.n for U in chosen) <= max_total:
             return chosen
     field = pool[0].field
     return [unit_black(field)] * k
@@ -559,8 +524,8 @@ def suite_rigid(pool, trials: int, seed: int):
         checks.append(flag_check("trace-matches-matrix-trace",
                                  (_name(U),), agree, field))
         # contragredient pair: an invertible h with inverse-transpose partner
-        hmat = Matrix(field, [[field.one if j == (i + 1) % n else field.zero
-                               for j in range(n)] for i in range(n)], cols=n)
+        # the cyclic shift: row i holds a 1 in column i + 1 (mod n)
+        hmat = PermutationMap([(j - 1) % n for j in range(n)]).matrix(field)
         h = AlgebraMorphism(U, U, hmat)
         hp = AlgebraMorphism(dual(U), dual(U),
                              solve_linear_inverse(hmat).transpose())
@@ -569,9 +534,8 @@ def suite_rigid(pool, trials: int, seed: int):
         checks.append(flag_check("contragredient-invertible",
                                  (_name(U),), okinv, field))
         if n >= 2:
-            sing = Matrix(field, [[field.one if i == j == 0 else field.zero
-                                   for j in range(n)] for i in range(n)],
-                          cols=n)
+            sing = Matrix.from_rows(field, [{0: field.one}] + [
+                {} for _ in range(n - 1)], n)
             hs = AlgebraMorphism(U, U, sing)
             checks.append(flag_check("contragredient-nonexistence",
                                      (_name(U),),

@@ -114,27 +114,12 @@ class Matrix:
         return Matrix.from_rows(self.field, out, self.rows)
 
     def _merge(self, other: "Matrix", negate: bool, what: str) -> "Matrix":
-        """self + other, or self - other when ``negate``; zero sums are
-        dropped."""
+        """self + other, or self - other when ``negate``."""
         check_same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in matrix {what}")
-        f = self.field
-        out = []
-        for r1, r2 in zip(self.sparse, other.sparse):
-            row = dict(r1)
-            for j, y in r2.items():
-                if negate:
-                    y = f.neg(y)
-                x = row.get(j)
-                if x is None:
-                    row[j] = y
-                elif s := f.add(x, y):
-                    row[j] = s
-                else:
-                    del row[j]
-            out.append(row)
-        return Matrix.from_rows(f, out, self.cols)
+        return assemble(self.field, self.rows, self.cols,
+                        ((0, 0, False, self), (0, 0, negate, other)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._merge(other, False, "addition")
@@ -209,6 +194,30 @@ def _fill(M: Matrix, field, cols: int, sparse: tuple):
     for name, value in (("field", field), ("rows", len(sparse)),
                         ("cols", cols), ("sparse", sparse), ("_hash", None)):
         object.__setattr__(M, name, value)
+
+
+def assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
+    """The dst_dim x src_dim sum of signed blocks, on canonical rows.
+
+    Each block ``(row offset, column offset, negate, M)`` adds M, or -M
+    when ``negate``, with its top-left entry at the two offsets.  Entries
+    that cancel are dropped.
+    """
+    rows = [{} for _ in range(dst_dim)]
+    for r0, c0, negate, M in blocks:
+        for out, row in zip(rows[r0:r0 + M.rows], M.sparse):
+            for j, x in row.items():
+                if negate:
+                    x = f.neg(x)
+                j += c0
+                y = out.get(j)
+                if y is None:
+                    out[j] = x
+                elif s := f.add(y, x):
+                    out[j] = s
+                else:
+                    del out[j]
+    return Matrix.from_rows(f, rows, src_dim)
 
 
 def _reduce(work, prow, j, p):

@@ -7,11 +7,11 @@
     rel 2*x*x + 1/3*y*y
 
 Blank lines and lines starting with ``#`` are ignored.  A term is an
-optional coefficient (integer or ``a/b``) followed by exactly two
-generators, all joined by ``*``.  ``unparse`` emits the canonical relation
-basis, so ``parse(unparse(A))`` reproduces A exactly; it reads the nonzero
-entries of each sparse basis row in ascending column order, never the
-zeros of the n^2 word columns.
+optional coefficient (integer or ``a/b``, b nonzero in the field) followed
+by exactly two generators, all joined by ``*``.  ``unparse`` emits the
+canonical relation basis, so ``parse(unparse(A))`` reproduces A exactly;
+it reads the nonzero entries of each sparse basis row in ascending column
+order, never the zeros of the n^2 word columns.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def parse(text: str):
                 raise ParseError("duplicate field line", lineno)
             field = _parse_field(parts[1:], lineno, raw)
         elif keyword == "algebra":
+            if name is not None:
+                raise ParseError("duplicate algebra line", lineno)
             if len(parts) != 2:
                 raise ParseError("expected: algebra <name>", lineno)
             name = parts[1]
@@ -114,22 +116,22 @@ def _parse_relation(tokens, field, labels, lineno, raw):
         if not expect_term:
             raise ParseError("missing + or - between terms", lineno,
                              _column_of(raw, tok))
-        coeff, a, b = _parse_term(tok, index, lineno, raw)
+        coeff, a, b = _parse_term(tok, field, index, lineno, raw)
         if sign < 0:
-            coeff = -coeff
+            coeff = field.neg(coeff)
         pos = a * n + b
-        row[pos] = field.add(row[pos], field.coerce(coeff))
+        row[pos] = field.add(row[pos], coeff)
         expect_term = False
     if expect_term:
         raise ParseError("empty or dangling relation", lineno)
     return row
 
 
-def _parse_term(tok, index, lineno, raw):
+def _parse_term(tok, field, index, lineno, raw):
     pieces = tok.split("*")
-    coeff = Fraction(1)
+    coeff = field.one
     if pieces and _is_coefficient(pieces[0]):
-        coeff = _as_fraction(pieces[0], lineno, raw)
+        coeff = _as_scalar(pieces[0], field, lineno, raw)
         pieces = pieces[1:]
     if len(pieces) != 2:
         raise ParseError(f"term {tok!r} is not a quadratic word", lineno,
@@ -146,12 +148,16 @@ def _is_coefficient(piece: str) -> bool:
     return bool(head) and all(ch.isdigit() or ch == "/" for ch in head)
 
 
-def _as_fraction(piece, lineno, raw):
+def _as_scalar(piece, field, lineno, raw):
+    """The coefficient as a field scalar; a denominator that vanishes in
+    the field (1/0, or 1/5 over GF(5)) is a parse error."""
     try:
-        return Fraction(piece)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad coefficient {piece!r}", lineno,
-                         _column_of(raw, piece)) from None
+        return field.coerce(Fraction(piece))
+    except ValueError:
+        why = "bad coefficient"
+    except ZeroDivisionError:
+        why = f"zero denominator over {field} in coefficient"
+    raise ParseError(f"{why} {piece!r}", lineno, _column_of(raw, piece))
 
 
 def unparse(name: str, A: QuadraticPresentation) -> str:

@@ -1,8 +1,9 @@
 """Row-major word indexing and the tensor-shuffle permutations.
 
 Basis vectors of V^(tensor m) are words over 0..n-1 read big-endian:
-index = sum letters[j] * n^(m-1-j).  Every module goes through these
-helpers; ad-hoc index arithmetic elsewhere is a bug.
+index = sum letters[j] * n^(m-1-j), so word (a, b) of V (x) W is
+a * dim W + b.  ``mixed_index`` checks this rule letter by letter; ``kron``
+and the graded, parser, laws and presentations modules apply it inline.
 """
 
 from __future__ import annotations
@@ -102,22 +103,14 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     return Matrix.from_rows(f, rows, A.cols * width)
 
 
-def push_subspace(P, S: Subspace) -> Subspace:
-    """Canonical image of S under a permutation or a matrix."""
-    if isinstance(P, PermutationMap):
-        if P.size != S.ambient_dim:
-            raise ValueError("permutation size != ambient dimension")
-        image = P.image
-        rows = [{image[j]: x for j, x in row.items()}
-                for row in S.basis.sparse]
-        return Subspace(S.ambient_dim,
-                        Matrix.from_rows(S.field, rows, S.ambient_dim))
-    if P.cols != S.ambient_dim:
-        raise ValueError("matrix width != ambient dimension")
-    if S.dim == 0:
-        return Subspace.zero(P.field, P.rows)
-    image = S.basis @ P.transpose()
-    return Subspace(P.rows, image)
+def push_subspace(P: PermutationMap, S: Subspace) -> Subspace:
+    """Canonical image of S under a permutation of the basis vectors."""
+    if P.size != S.ambient_dim:
+        raise ValueError("permutation size != ambient dimension")
+    image = P.image
+    rows = [{image[j]: x for j, x in row.items()} for row in S.basis.sparse]
+    return Subspace(S.ambient_dim,
+                    Matrix.from_rows(S.field, rows, S.ambient_dim))
 
 
 def tensor_subspace(A: Subspace, B: Subspace) -> Subspace:

@@ -5,6 +5,7 @@ Regenerate the goldens (after an intentional output change) with::
     python3 tests/test_cli.py --regenerate
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -166,6 +167,47 @@ def test_nonpositive_trials_is_a_usage_error(suite, trials):
               _f("sym2"), _f("ext2")])
     assert exc.value.code == 2
     assert "--trials must be at least 1" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--kind", "black", _f("sym2"), _f("gf7_seed1")],
+    ["hom", _f("sym2"), _f("gf7_seed1")],
+    ["laws", "--suite", "duality", "--trials", "1", _f("sym2"),
+     _f("gf7_seed1")],
+    ["selfdual-check", _f("sym2"), _f("gf7_seed1")],
+], ids=["product", "hom", "laws", "selfdual-check"])
+def test_inputs_over_different_fields_are_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert "GF(7)" in err.getvalue() and "over Q" in err.getvalue()
+    status, text = _run(argv + ["--output", "structured"])
+    assert status == 2
+    assert text.startswith("record=error line=0 column=1 message=")
+
+
+def test_vanishing_gf_denominator_exit_code(tmp_path):
+    bad = tmp_path / "bad.qa"
+    bad.write_text("field GF 5\nalgebra b\ngens x y\nrel x*x + 1/5*x*y\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        status = main(["dual", str(bad)])
+    assert status == 2
+    assert err.getvalue().startswith("error: line 4, column 11:")
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no runtime check may be one
+    found = []
+    for path in sorted((HERE.parent / "src" / "quadalg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_golden_under_python_O():

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix, matrix_rank
+from quadalg.linalg import Matrix, Subspace, matrix_rank
 from quadalg.presentations import (
     AlgebraMorphism,
+    QuadraticPresentation,
     black,
     dual,
+    evaluation_matrix,
     full_relations_presentation,
     is_morphism,
     unit_black,
+    unit_white,
     white,
 )
 from quadalg.laws import (
@@ -34,6 +37,8 @@ from quadalg.laws import (
     run_suite,
     solve_contragredient,
     solve_linear_inverse,
+    structure_map_f,
+    structure_map_h,
     trace,
     triangle_left,
     triangle_right,
@@ -41,7 +46,9 @@ from quadalg.laws import (
     unit_map,
 )
 
-from conftest import load
+from quadalg.tensorindex import kron
+
+from conftest import CORPUS_NAMES, load
 from test_linalg import F5, F32003, int_scalars, mat, q_scalars
 
 F3 = PrimeField(3)
@@ -69,6 +76,52 @@ def test_triangles_on_each_corpus_algebra():
         U = load(name)
         assert triangle_left(U).passed, name
         assert triangle_right(U).passed, name
+
+
+def reference_triangle_left(U):
+    """(2.3) as three hand-built steps: c_U . Id, then f, then Id o d_U."""
+    f, n, Ud = U.field, U.n, dual(U)
+    step1 = AlgebraMorphism(black(unit_black(f), U), black(white(U, Ud), U),
+                            kron(unit_map(U).M, Matrix.identity(f, n)))
+    step2 = structure_map_f(U, Ud, U)
+    step3 = AlgebraMorphism(white(U, black(Ud, U)), white(U, unit_white(f)),
+                            kron(Matrix.identity(f, n), evaluation_matrix(U)))
+    path = step3.M @ step2.M @ step1.M
+    return path, path == Matrix.identity(f, n)
+
+
+def reference_triangle_right(U):
+    """(2.4) as three hand-built steps: Id . c_U, then h, then d_U o Id."""
+    f, n, Ud = U.field, U.n, dual(U)
+    step1 = AlgebraMorphism(black(Ud, unit_black(f)), black(Ud, white(U, Ud)),
+                            kron(Matrix.identity(f, n), unit_map(U).M))
+    step2 = structure_map_h(Ud, U, Ud)
+    step3 = AlgebraMorphism(white(black(Ud, U), Ud), white(unit_white(f), Ud),
+                            kron(evaluation_matrix(U), Matrix.identity(f, n)))
+    path = step3.M @ step2.M @ step1.M
+    return path, path == Matrix.identity(f, n)
+
+
+def _corpus_over_q_and_gf5():
+    """Every corpus object, and each Q one read mod 5 where it can be."""
+    for name in CORPUS_NAMES:
+        A = load(name)
+        yield pytest.param(A, id=name)
+        rows = A.R.basis.data
+        if A.field == QQ and all(x.denominator % 5 for r in rows for x in r):
+            R = Subspace(A.n * A.n, Matrix(F5, rows, cols=A.n * A.n))
+            yield pytest.param(QuadraticPresentation(F5, A.labels, R),
+                               id=f"{name}-mod5")
+
+
+@pytest.mark.parametrize("U", _corpus_over_q_and_gf5())
+def test_triangles_match_the_hand_built_composites(U):
+    # the zig-zags as transposes of c_U and d_U give the same paths and
+    # verdicts as the three explicit steps of diagrams (2.3) and (2.4)
+    for new, reference in ((triangle_left(U), reference_triangle_left(U)),
+                           (triangle_right(U), reference_triangle_right(U))):
+        assert (new.left_path, new.passed) == reference
+        assert new.passed
 
 
 def test_unit_and_counit_are_morphisms():
@@ -202,9 +255,6 @@ def test_automorphism_check_examples():
     assert not automorphism(sym2, Matrix(QQ, [[1, 1], [1, 1]], cols=2))
     # R = span{x(x)x}: the map x -> x + y moves x(x)x off the line, and the
     # swap does too, but scaling x alone preserves it.
-    from quadalg.linalg import Subspace
-    from quadalg.presentations import QuadraticPresentation
-
     A = QuadraticPresentation(QQ, ("x", "y"),
                               Subspace.span(QQ, [[1, 0, 0, 0]], 4))
     lower_shear = Matrix(QQ, [[1, 0], [1, 1]], cols=2)

@@ -77,6 +77,30 @@ def test_reject_unknown_generator():
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("field, coeff", [("GF 5", "1/5"), ("GF 5", "-2/10"),
+                                          ("Q", "1/0")])
+def test_reject_coefficient_with_vanishing_denominator(field, coeff):
+    # 1/5 has no value in GF(5): a parse error at the coefficient
+    text = f"field {field}\nalgebra a\ngens x y\nrel x*x + {coeff}*x*y\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (4, 11)
+    assert "denominator" in str(exc.value)
+
+
+def test_gf_coefficient_with_invertible_denominator():
+    _, A = parse("field GF 5\nalgebra a\ngens x y\nrel x*x - 1/3*x*y\n")
+    # -1/3 = -2 = 3 mod 5
+    assert A.R.basis.sparse == ({0: 1, 1: 3},)
+
+
+def test_reject_duplicate_algebra_line():
+    with pytest.raises(ParseError) as exc:
+        parse("field Q\nalgebra a\nalgebra b\ngens x\n")
+    assert exc.value.line == 3
+    assert "duplicate algebra" in str(exc.value)
+
+
 def test_reject_missing_sections_and_duplicates():
     with pytest.raises(ParseError):
         parse("algebra a\ngens x\n")  # no field
