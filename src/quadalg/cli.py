@@ -3,7 +3,8 @@
 Text output is stable and golden-file friendly; ``--output structured``
 switches to line-delimited ``key=value`` records (keys documented in the
 README).  Exit status is 0 only when parsing succeeded and every check
-passed; 1 on any FAIL; 2 on usage or parse errors.
+passed; 1 on any FAIL, or when ``laws`` made no check; 2 on usage or parse
+errors.
 
 ``main(argv)`` may be called repeatedly in one process: the argparse
 parser is built once, on the first call (not at import), and reused.
@@ -167,17 +168,19 @@ def _emit_checks(out, suite, checks, structured: bool) -> bool:
 def _cmd_laws(args, out):
     pool = [A for _, A in _load_all(*args.files)]
     suites = list(laws.SUITES) if args.suite == "all" else [args.suite]
-    failed = False
+    failed, checked = False, False
     for suite in suites:
         checks, reports = laws.run_suite(suite, pool, trials=args.trials,
                                          seed=args.seed)
         failed |= _emit_checks(out, suite, checks, args.structured)
+        checked |= bool(checks)
         for line in reports:
             if args.structured:
                 out.append("record=note text=" + line.replace(" ", "_"))
             else:
                 out.append(f"note: {line}")
-    return 1 if failed else 0
+    # a run that checked nothing passed nothing
+    return 1 if failed or not checked else 0
 
 
 def _cmd_selfdual(args, out):

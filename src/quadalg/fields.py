@@ -51,8 +51,9 @@ class FieldMismatchError(ValueError):
 
 
 class Rationals:
-    """The field Q; scalars are Fractions in lowest terms."""
+    """The field Q; scalars are Fractions in lowest terms.  Immutable."""
 
+    __slots__ = ()
     _instance = None
 
     def __new__(cls):
@@ -62,6 +63,9 @@ class Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Rationals is immutable")
 
     @staticmethod
     def coerce(x) -> Fraction:
@@ -108,14 +112,19 @@ class Rationals:
 
 
 class PrimeField:
-    """GF(p) for a prime p; scalars are ints reduced mod p."""
+    """GF(p) for a prime p; scalars are ints reduced mod p.  Immutable."""
+
+    __slots__ = ("p",)
+    zero = 0
+    one = 1  # p >= 2
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PrimeField is immutable")
 
     def coerce(self, x) -> int:
         if type(x) is int:

@@ -2,17 +2,19 @@
 
 Koszulity up to degree N is decided on the finite internal-degree slices of
 the dualized complex with terms A_{m-i} (x) (A^!_i)^*; the first complex
-and the bar complex are built independently for cross-checks.  Every
-differential is assembled by ``linalg.assemble`` from signed Kronecker
-blocks of the graded multiplication maps.
+and the bar complex are built independently for cross-checks.  The
+second-complex differential is one product of two Kronecker factors of the
+graded multiplication maps; the first complex and the bar complex are
+assembled by ``linalg.assemble`` from signed Kronecker blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
-from .linalg import assemble, matrix_rank, Matrix
+from .linalg import assemble, matrix_rank, Matrix, Subspace
 from .presentations import (QuadraticPresentation, dual, is_morphism)
 from .graded import graded_structure
 from .tensorindex import kron
@@ -112,26 +114,29 @@ def first_complex_slice(A: QuadraticPresentation, i_max: int,
 def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
     """The internal-degree-m chain run A_{m-i} (x) (A^!_i)^*, i = m..0.
 
-    Positions are listed from i = m down to i = 0; the differential pairs
-    right multiplication on A with the transpose of left multiplication on
-    the dual algebra.
+    Positions are listed from i = m down to i = 0.  The differential is
+    sum_j (right multiplication by u_j on A) (x) (left multiplication by
+    u^j on A^!)^T, computed as one product: the transpose of
+    gd.mult(1, i-1) splits (A^!_i)^* into V (x) (A^!_{i-1})^*, and
+    gs.step_proj(m-i+1) multiplies A_{m-i} (x) V into A_{m-i+1}.  Both
+    factors index the middle V by the same row-major word.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    f, n = A.field, A.n
+    f = A.field
     gs = graded_structure(A)
     gd = graded_structure(dual(A))
     dims = [gs.dim(m - i) * gd.dim(i) for i in range(m, -1, -1)]
     maps = []
     for t, i in enumerate(range(m, 0, -1)):
-        src, dst = dims[t], dims[t + 1]
-        blocks = []
-        if src and dst:
-            blocks = [(0, 0, False,
-                       kron(gs.right_mult_by_generator(m - i, j),
-                            gd.left_mult_by_generator(i - 1, j).transpose()))
-                      for j in range(n)]
-        maps.append(assemble(f, dst, src, blocks))
+        if not (dims[t] and dims[t + 1]):
+            maps.append(Matrix.zero(f, dims[t + 1], dims[t]))
+            continue
+        multiply = kron(gs.step_proj(m - i + 1),
+                        Matrix.identity(f, gd.dim(i - 1)))
+        split = kron(Matrix.identity(f, gs.dim(m - i)),
+                     gd.mult(1, i - 1).transpose())
+        maps.append(multiply @ split)
     return ComplexSlice(tuple(dims), tuple(maps), m)
 
 
@@ -260,27 +265,14 @@ def search_non_koszul(field, n: int, max_degree: int = 6,
     presentation whose Euler-Hilbert identity fails by ``max_degree``, or
     None if the scan is exhausted.
     """
-    from itertools import combinations
-    from .linalg import Subspace as _Sub
-
-    nn = n * n
-    vectors = []
-    for i in range(nn):
-        v = [field.zero] * nn
-        v[i] = field.one
-        vectors.append(tuple(v))
-    for i, j in combinations(range(nn), 2):
-        v = [field.zero] * nn
-        v[i] = field.one
-        v[j] = field.one
-        vectors.append(tuple(v))
+    nn, one = n * n, field.one
+    vectors = [{i: one} for i in range(nn)]
+    vectors += [{i: one, j: one} for i, j in combinations(range(nn), 2)]
     labels = tuple(chr(ord("x") + k) for k in range(n))
-    count = 0
-    for triple in combinations(range(len(vectors)), 3):
-        count += 1
+    for count, triple in enumerate(combinations(vectors, 3), start=1):
         if limit is not None and count > limit:
             return None
-        S = _Sub.span(field, [vectors[k] for k in triple], nn)
+        S = Subspace(nn, Matrix.from_rows(field, triple, nn))
         if S.dim != 3:
             continue
         A = QuadraticPresentation(field, labels, S)

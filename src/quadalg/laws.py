@@ -221,20 +221,13 @@ def check_dual_antimultiplicative(U, V) -> DiagramCheck:
 def composition_map(U) -> AlgebraMorphism:
     """l_U: Hom(U,U) . Hom(U,U) -> Hom(U,U), contracting the middle pair.
 
-    Built directly as the middle-pair evaluation; this is the degree-1
-    matrix of the composite through f, h, and d_U.
+    The generator (a, i) (x) (k, j) of the black square is the word
+    (a, i, k, j), and l_U is the middle-pair evaluation id (x) d_U (x) id:
+    it sends the word to (a, j) when i = k and to zero otherwise.
     """
-    f = U.field
-    n = U.n
+    I = Matrix.identity(U.field, U.n)
     H = internal_hom(U, U)
-    nh = n * n
-    # the generator (a, i) (x) (i, j) goes to (a, j)
-    rows = [{} for _ in range(nh)]
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                rows[a * n + j][(a * n + i) * nh + i * n + j] = f.one
-    M = Matrix.from_rows(f, rows, nh * nh)
+    M = kron(kron(I, evaluation_matrix(U)), I)
     return _morphism(black(H, H), H, M, "l_U")
 
 
@@ -341,25 +334,17 @@ def solve_contragredient(h: AlgebraMorphism):
     U, V = h.src, h.dst
     f = U.field
     nu, nv = U.n, V.n
-    # unknown Y = (M_h')^T, an nu x nv matrix; equations M_h Y = I, Y M_h = I
-    rows = []
-    rhs = []
-    for a, mrow in enumerate(h.M.sparse):
-        for b in range(nv):
-            rows.append({k * nv + b: x for k, x in mrow.items()})
-            rhs.append(f.one if a == b else f.zero)
-    cols = h.M.transpose().sparse
-    for i in range(nu):
-        for j, mcol in enumerate(cols):
-            rows.append({i * nv + k: x for k, x in mcol.items()})
-            rhs.append(f.one if i == j else f.zero)
+    # unknown Y = (M_h')^T, an nu x nv matrix; equations M_h Y = I and
+    # Y M_h = I, on the row-major vec(Y): vec(A Y B) = (A (x) B^T) vec(Y)
+    rows = (kron(h.M, Matrix.identity(f, nv)).sparse
+            + kron(Matrix.identity(f, nu), h.M.transpose()).sparse)
+    rhs = [f.one if a == b else f.zero
+           for k in (nv, nu) for a in range(k) for b in range(k)]
     sol = solve(Matrix.from_rows(f, rows, nu * nv), rhs)
     if sol is None:
         return None
-    # M_h' = Y^T: row j holds the entries sol[i * nv + j]
-    Mp = Matrix.from_rows(f, [{i: x for i in range(nu)
-                               if (x := sol[i * nv + j])}
-                              for j in range(nv)], nu)
+    Mp = Matrix(f, [sol[i * nv:(i + 1) * nv] for i in range(nu)],
+                cols=nv).transpose()  # M_h' = Y^T
     ok, _ = is_morphism(dual(U), dual(V), Mp)
     if not ok:
         return None
@@ -417,10 +402,6 @@ def unit_duality_checks(field):
     ]
 
 
-def _sorted_checks(checks):
-    return sorted(checks, key=lambda c: (c.name, c.objects))
-
-
 def _pick_sizes(pool, rng, k: int, max_total: int):
     """k pool objects whose generator counts multiply to at most max_total."""
     for _ in range(200):
@@ -437,9 +418,8 @@ def _primed(U, tag: str):
         U.field, tuple(f"{s}'{tag}" for s in U.labels))
 
 
-def suite_axioms(pool, trials: int, seed: int):
+def suite_axioms(pool, trials: int, rng):
     from .sampling import random_matrix
-    rng = Random(seed)
     field = pool[0].field
     max_total = 6 if field == QQ else 8
     checks = []
@@ -466,69 +446,62 @@ def suite_axioms(pool, trials: int, seed: int):
         checks.append(check_bullet_to_circle(U1, U2))
         small = min((U1, U2, U3), key=lambda A: A.n)
         checks.extend(check_hom_algebra(small))
-    return _sorted_checks(checks), []
+    return checks, []
 
 
-def suite_duality(pool, trials: int, seed: int):
-    rng = Random(seed)
+def suite_duality(pool, trials: int, rng):
     field = pool[0].field
     checks = [double_dual_check(U) for U in pool]
     checks.extend(unit_duality_checks(field))
     for _ in range(trials):
         U, V = _pick_sizes(pool, rng, 2, 9)
         checks.append(check_dual_antimultiplicative(U, V))
-    return _sorted_checks(checks), []
+    return checks, []
 
 
-def suite_braiding(pool, trials: int, seed: int):
-    rng = Random(seed)
+def suite_braiding(pool, trials: int, rng):
     field = pool[0].field
     max_total = 8 if field == QQ else 27
     checks = []
     for _ in range(trials):
         U1, U2, U3 = _pick_sizes(pool, rng, 3, max_total)
         checks.append(check_braiding(U1, U2, U3))
-    return _sorted_checks(checks), []
+    return checks, []
 
 
-def suite_hom_algebra(pool, trials: int, seed: int):
-    checks = []
-    for U in pool:
-        if U.n <= 2:  # full morphism validation of l_U stays cheap
-            checks.extend(check_hom_algebra(U))
-    return _sorted_checks(checks), []
+def suite_hom_algebra(pool, trials: int, rng):
+    # full morphism validation of l_U stays cheap up to 2 generators
+    small = [U for U in pool if U.n <= 2]
+    if not small:
+        return [], ["hom-algebra: no object with at most 2 generators "
+                    "in the pool"]
+    return [c for U in small for c in check_hom_algebra(U)], []
 
 
-def suite_rigid(pool, trials: int, seed: int):
+def suite_rigid(pool, trials: int, rng):
     """Trace/rank and contragredient checks on the full-relations objects."""
-    from .sampling import random_matrix, sample_endomorphisms
-    rng = Random(seed)
+    from .sampling import sample_endomorphisms
     field = pool[0].field
     checks = []
     reports = []
     rigid = [U for U in pool if in_rigid_subcategory(U)]
     if not rigid:
-        rigid = [full_relations_presentation(field, ("e1", "e2"))]
+        return [], ["rigid: no full-relations object in the pool"]
     for U in rigid:
         n = U.n
-        matrix_rank = rank_of(U)
         checks.append(flag_check("rank", (_name(U),),
-                                 matrix_rank == field.coerce(n), field))
-        agree = True
-        for h in sample_endomorphisms(U, max(8, trials // len(rigid)), rng):
-            expect = field.zero
-            for i in range(n):
-                expect = field.add(expect, h.entry(i, i))
-            if trace(U, h) != expect:
-                agree = False
+                                 rank_of(U) == field.coerce(n), field))
+        sample = sample_endomorphisms(U, max(8, trials // len(rigid)), rng)
+        agree = all(
+            trace(U, h) == field.coerce(sum(h.entry(i, i) for i in range(n)))
+            for h in sample)
         checks.append(flag_check("trace-matches-matrix-trace",
                                  (_name(U),), agree, field))
         # contragredient pair: an invertible h with inverse-transpose partner
         # the cyclic shift: row i holds a 1 in column i + 1 (mod n)
         hmat = PermutationMap([(j - 1) % n for j in range(n)]).matrix(field)
         h = AlgebraMorphism(U, U, hmat)
-        hp = AlgebraMorphism(dual(U), dual(U),
-                             solve_linear_inverse(hmat).transpose())
+        hp = solve_contragredient(h)
         checks.extend(contragredient_check(h, hp))
         okinv, _ = contragredient_invertibility(h, hp)
         checks.append(flag_check("contragredient-invertible",
@@ -541,7 +514,7 @@ def suite_rigid(pool, trials: int, seed: int):
                                      (_name(U),),
                                      solve_contragredient(hs) is None, field))
         reports.append(trace_multiplicativity_report(U, rng))
-    return _sorted_checks(checks), reports
+    return checks, reports
 
 
 def trace_multiplicativity_report(U, rng) -> str:
@@ -561,7 +534,8 @@ def trace_multiplicativity_report(U, rng) -> str:
             f"in sample")
 
 
-# suite name -> suite(pool, trials, seed) -> (checks, report lines)
+# suite name -> suite(pool, trials, rng) -> (checks, report lines); a
+# suite that makes no check reports why
 _SUITES = {"axioms": suite_axioms, "duality": suite_duality,
            "braiding": suite_braiding, "hom-algebra": suite_hom_algebra,
            "rigid": suite_rigid}
@@ -569,7 +543,8 @@ SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, pool, trials: int = 100, seed: int = 0):
-    """Dispatch a named suite; returns (checks, report lines)."""
+    """Run a named suite on a fresh Random(seed); returns (checks sorted by
+    name and objects, report lines)."""
     if not pool:
         raise ValueError("empty object pool")
     f0 = pool[0].field
@@ -578,4 +553,5 @@ def run_suite(name: str, pool, trials: int = 100, seed: int = 0):
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-    return _SUITES[name](pool, trials, seed)
+    checks, reports = _SUITES[name](pool, trials, Random(seed))
+    return sorted(checks, key=lambda c: (c.name, c.objects)), reports

@@ -335,12 +335,6 @@ def _free_rows(basis: Matrix, pivots):
     return free, Matrix.from_rows(f, rows.values(), n)
 
 
-def kernel(M: Matrix) -> "Subspace":
-    """Right null space of M, as a canonical subspace of the column space."""
-    reduced, _, pivots = rref(M)
-    return Subspace(M.cols, _free_rows(reduced, pivots)[1])
-
-
 class Subspace:
     """A subspace of a coordinate space, held as a canonical RREF basis."""
 
@@ -397,10 +391,16 @@ class Subspace:
 
 
 def annihilator(S: Subspace) -> Subspace:
-    """Vectors of the dual coordinate space killing S (dual-basis pairing)."""
-    if S.dim == 0:
-        return Subspace.full(S.field, S.ambient_dim)
-    return kernel(S.basis)
+    """Vectors of the dual coordinate space killing S (dual-basis pairing).
+
+    S's basis is already in RREF, so its free rows span the annihilator.
+    """
+    return Subspace(S.ambient_dim, _free_rows(S.basis, S.pivots)[1])
+
+
+def kernel(M: Matrix) -> Subspace:
+    """Right null space of M, as a canonical subspace of the column space."""
+    return annihilator(Subspace(M.cols, M))
 
 
 def quotient_data(ambient_dim: int, S: Subspace):

@@ -8,7 +8,8 @@
 
 Blank lines and lines starting with ``#`` are ignored.  A term is an
 optional coefficient (integer or ``a/b``, b nonzero in the field) followed
-by exactly two generators, all joined by ``*``.  ``unparse`` emits the
+by exactly two generators, all joined by ``*``; a generator name holds no
+``*`` and is not a coefficient itself.  ``unparse`` emits the
 canonical relation basis, so ``parse(unparse(A))`` reproduces A exactly;
 it reads the nonzero entries of each sparse basis row in ascending column
 order, never the zeros of the n^2 word columns.
@@ -16,6 +17,7 @@ order, never the zeros of the n^2 word columns.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .fields import QQ, PrimeField
@@ -30,11 +32,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _column_of(raw: str, token: str) -> int:
-    pos = raw.find(token)
-    return pos + 1 if pos >= 0 else 1
-
-
 def parse(text: str):
     """Parse to (algebra name, QuadraticPresentation)."""
     field = None
@@ -42,15 +39,17 @@ def parse(text: str):
     labels = None
     rel_rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # each token with its 1-based column in the raw line
+        tokens = [(m.group(), m.start() + 1)
+                  for m in re.finditer(r"\S+", raw)]
+        if not tokens or tokens[0][0].startswith("#"):
             continue
-        parts = line.split()
-        keyword = parts[0]
+        parts = [tok for tok, _ in tokens]
+        keyword, column = tokens[0]
         if keyword == "field":
             if field is not None:
                 raise ParseError("duplicate field line", lineno)
-            field = _parse_field(parts[1:], lineno, raw)
+            field = _parse_field(tokens[1:], lineno)
         elif keyword == "algebra":
             if name is not None:
                 raise ParseError("duplicate algebra line", lineno)
@@ -65,14 +64,17 @@ def parse(text: str):
             labels = tuple(parts[1:])
             if len(set(labels)) != len(labels):
                 raise ParseError("repeated generator name", lineno)
+            for g, col in tokens[1:]:
+                # a name unparse could write as a coefficient or a product
+                if "*" in g or _is_coefficient(g):
+                    raise ParseError(f"bad generator name {g!r}", lineno, col)
         elif keyword == "rel":
             if field is None or labels is None:
                 raise ParseError("rel before field/gens", lineno)
-            rel_rows.append(_parse_relation(parts[1:], field, labels,
-                                            lineno, raw))
+            rel_rows.append(_parse_relation(tokens[1:], field, labels,
+                                            lineno))
         else:
-            raise ParseError(f"unknown keyword {keyword!r}", lineno,
-                             _column_of(raw, keyword))
+            raise ParseError(f"unknown keyword {keyword!r}", lineno, column)
     if field is None:
         raise ParseError("missing field line", 1)
     if labels is None:
@@ -82,41 +84,40 @@ def parse(text: str):
     return name or "unnamed", QuadraticPresentation(field, labels, R)
 
 
-def _parse_field(parts, lineno, raw):
+def _parse_field(tokens, lineno):
+    parts = [tok for tok, _ in tokens]
     if parts == ["Q"]:
         return QQ
     if len(parts) == 2 and parts[0] == "GF":
+        modulus, column = tokens[1]
         try:
-            p = int(parts[1])
+            p = int(modulus)
         except ValueError:
-            raise ParseError(f"bad modulus {parts[1]!r}", lineno,
-                             _column_of(raw, parts[1])) from None
+            raise ParseError(f"bad modulus {modulus!r}", lineno,
+                             column) from None
         try:
             return PrimeField(p)
         except ValueError as exc:
-            raise ParseError(str(exc), lineno,
-                             _column_of(raw, parts[1])) from None
+            raise ParseError(str(exc), lineno, column) from None
     raise ParseError("expected: field Q | field GF <p>", lineno)
 
 
-def _parse_relation(tokens, field, labels, lineno, raw):
+def _parse_relation(tokens, field, labels, lineno):
     n = len(labels)
     index = {s: i for i, s in enumerate(labels)}
     row = [field.zero] * (n * n)
     sign = 1
     expect_term = True
-    for tok in tokens:
+    for tok, column in tokens:
         if tok in ("+", "-"):
             if expect_term:
-                raise ParseError("two signs in a row", lineno,
-                                 _column_of(raw, tok))
+                raise ParseError("two signs in a row", lineno, column)
             sign = 1 if tok == "+" else -1
             expect_term = True
             continue
         if not expect_term:
-            raise ParseError("missing + or - between terms", lineno,
-                             _column_of(raw, tok))
-        coeff, a, b = _parse_term(tok, field, index, lineno, raw)
+            raise ParseError("missing + or - between terms", lineno, column)
+        coeff, a, b = _parse_term(tok, column, field, index, lineno)
         if sign < 0:
             coeff = field.neg(coeff)
         pos = a * n + b
@@ -127,20 +128,23 @@ def _parse_relation(tokens, field, labels, lineno, raw):
     return row
 
 
-def _parse_term(tok, field, index, lineno, raw):
-    pieces = tok.split("*")
+def _parse_term(tok, column, field, index, lineno):
+    # each piece with its column: a piece starts one past the previous '*'
+    pieces, col = [], column
+    for piece in tok.split("*"):
+        pieces.append((piece, col))
+        col += len(piece) + 1
     coeff = field.one
-    if pieces and _is_coefficient(pieces[0]):
-        coeff = _as_scalar(pieces[0], field, lineno, raw)
+    if _is_coefficient(pieces[0][0]):
+        coeff = _as_scalar(*pieces[0], field, lineno)
         pieces = pieces[1:]
     if len(pieces) != 2:
         raise ParseError(f"term {tok!r} is not a quadratic word", lineno,
-                         _column_of(raw, tok))
-    for g in pieces:
+                         column)
+    for g, col in pieces:
         if g not in index:
-            raise ParseError(f"unknown generator {g!r}", lineno,
-                             _column_of(raw, g))
-    return coeff, index[pieces[0]], index[pieces[1]]
+            raise ParseError(f"unknown generator {g!r}", lineno, col)
+    return coeff, index[pieces[0][0]], index[pieces[1][0]]
 
 
 def _is_coefficient(piece: str) -> bool:
@@ -148,7 +152,7 @@ def _is_coefficient(piece: str) -> bool:
     return bool(head) and all(ch.isdigit() or ch == "/" for ch in head)
 
 
-def _as_scalar(piece, field, lineno, raw):
+def _as_scalar(piece, column, field, lineno):
     """The coefficient as a field scalar; a denominator that vanishes in
     the field (1/0, or 1/5 over GF(5)) is a parse error."""
     try:
@@ -157,7 +161,7 @@ def _as_scalar(piece, field, lineno, raw):
         why = "bad coefficient"
     except ZeroDivisionError:
         why = f"zero denominator over {field} in coefficient"
-    raise ParseError(f"{why} {piece!r}", lineno, _column_of(raw, piece))
+    raise ParseError(f"{why} {piece!r}", lineno, column)
 
 
 def unparse(name: str, A: QuadraticPresentation) -> str:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, reduce_against
+from .linalg import Matrix, Subspace, annihilator, reduce_against
 from .tensorindex import kron, push_subspace, t23, tensor_subspace
 
 
@@ -89,7 +89,6 @@ def _product_labels(A, B):
 
 @lru_cache(maxsize=4096)
 def dual(A: QuadraticPresentation) -> QuadraticPresentation:
-    from .linalg import annihilator
     labels = tuple(_star(s) for s in A.labels)
     return QuadraticPresentation(A.field, labels, annihilator(A.R))
 
@@ -179,25 +178,18 @@ def is_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
     return False, MorphismCertificate(False, residual)
 
 
-def canonical_column(A: QuadraticPresentation) -> Matrix:
-    """c'_A as an (n^2 x 1) matrix out of the black unit's generator: the
-    identity tensor sum_i u_i (x) u^i in degree 1 of A white dual(A)."""
-    f = A.field
-    n = A.n
-    col = [[f.zero] for _ in range(n * n)]
-    for i in range(n):
-        col[i * n + i] = [f.one]
-    return Matrix(f, col, cols=1)
-
-
 def evaluation_matrix(A: QuadraticPresentation) -> Matrix:
     """The duality pairing as a row vector on dual(A) bullet A generators.
 
     Word (i*, j) pairs to 1 when i = j, else 0.
     """
-    f = A.field
     n = A.n
-    row = [f.zero] * (n * n)
-    for i in range(n):
-        row[i * n + i] = f.one
-    return Matrix(f, [row], cols=n * n)
+    return Matrix.from_rows(A.field, [{i * n + i: A.field.one
+                                       for i in range(n)}], n * n)
+
+
+def canonical_column(A: QuadraticPresentation) -> Matrix:
+    """c'_A as an (n^2 x 1) matrix out of the black unit's generator: the
+    identity tensor sum_i u_i (x) u^i in degree 1 of A white dual(A), the
+    transpose of the evaluation row."""
+    return evaluation_matrix(A).transpose()

@@ -169,6 +169,31 @@ def test_nonpositive_trials_is_a_usage_error(suite, trials):
     assert "--trials must be at least 1" in err.getvalue()
 
 
+@pytest.mark.parametrize("suite, stem, note", [
+    ("rigid", "sym2", "rigid: no full-relations object in the pool"),
+    ("hom-algebra", "sym3",
+     "hom-algebra: no object with at most 2 generators in the pool"),
+], ids=["rigid", "hom-algebra"])
+def test_laws_run_that_checks_nothing_exits_1_with_a_note(suite, stem, note):
+    # no PASS for an object the user never gave, and no exit 0 either
+    assert _run(["laws", "--suite", suite, _f(stem)]) == (1, f"note: {note}\n")
+    status, text = _run(["laws", "--suite", suite, "--output", "structured",
+                         _f(stem)])
+    assert status == 1
+    assert text == "record=note text=" + note.replace(" ", "_") + "\n"
+
+
+def test_laws_all_passes_when_another_suite_checked_something():
+    status, text = _run(["laws", "--suite", "all", "--trials", "1",
+                         _f("sym3")])
+    assert status == 0
+    lines = text.splitlines()
+    assert "PASS double-dual x·y·z" in lines
+    assert "note: rigid: no full-relations object in the pool" in lines
+    assert ("note: hom-algebra: no object with at most 2 generators in the "
+            "pool") in lines
+
+
 @pytest.mark.parametrize("argv", [
     ["product", "--kind", "black", _f("sym2"), _f("gf7_seed1")],
     ["hom", _f("sym2"), _f("gf7_seed1")],

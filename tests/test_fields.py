@@ -9,11 +9,25 @@ from hypothesis import strategies as st
 from quadalg.fields import (QQ, FieldMismatchError, PrimeField,
                             check_same_field)
 from quadalg.linalg import Matrix
+from quadalg.parser import parse
 
 
 def test_rationals_singleton():
     from quadalg.fields import Rationals
     assert Rationals() is QQ
+
+
+def test_field_objects_are_immutable():
+    # fields are hashed into every Matrix, presentation and cache key
+    _, A = parse("field GF 5\ngens x y\nrel x*y\n")
+    with pytest.raises(AttributeError):
+        A.field.p = 7
+    with pytest.raises(AttributeError):
+        QQ.zero = 5
+    with pytest.raises(AttributeError):
+        PrimeField(3).one = 2
+    assert A.field == PrimeField(5) and QQ.zero == 0
+    assert (PrimeField(2).zero, PrimeField(2).one) == (0, 1)
 
 
 def test_rational_arithmetic_is_exact():

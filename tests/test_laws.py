@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix, Subspace, matrix_rank
+from quadalg.linalg import Matrix, Subspace, matrix_rank, solve
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -28,6 +28,7 @@ from quadalg.laws import (
     check_bullet_to_circle,
     check_dual_antimultiplicative,
     check_hom_algebra,
+    composition_map,
     contragredient_check,
     contragredient_invertibility,
     counit_map,
@@ -46,7 +47,8 @@ from quadalg.laws import (
     unit_map,
 )
 
-from quadalg.tensorindex import kron
+from quadalg.sampling import random_matrix
+from quadalg.tensorindex import PermutationMap, kron
 
 from conftest import CORPUS_NAMES, load
 from test_linalg import F5, F32003, int_scalars, mat, q_scalars
@@ -209,6 +211,67 @@ def test_contragredient_inconsistent_for_singular_map():
     assert solve_contragredient(h) is None
 
 
+def reference_solve_contragredient(h):
+    """M_h' from the loop-built system M_h Y = I, Y M_h = I in the unknown
+    Y = (M_h')^T, or None when it is inconsistent or Y^T is no morphism."""
+    U, V = h.src, h.dst
+    f = U.field
+    nu, nv = U.n, V.n
+    rows = []
+    rhs = []
+    for a, mrow in enumerate(h.M.sparse):
+        for b in range(nv):
+            rows.append({k * nv + b: x for k, x in mrow.items()})
+            rhs.append(f.one if a == b else f.zero)
+    cols = h.M.transpose().sparse
+    for i in range(nu):
+        for j, mcol in enumerate(cols):
+            rows.append({i * nv + k: x for k, x in mcol.items()})
+            rhs.append(f.one if i == j else f.zero)
+    sol = solve(Matrix.from_rows(f, rows, nu * nv), rhs)
+    if sol is None:
+        return None
+    Mp = Matrix.from_rows(f, [{i: x for i in range(nu)
+                               if (x := sol[i * nv + j])}
+                              for j in range(nv)], nu)
+    return Mp if is_morphism(dual(U), dual(V), Mp)[0] else None
+
+
+def _contragredient_cases():
+    """Maps between full-relations objects: on the rigid corpus objects the
+    cyclic shift, a rank-1 map and random ones; between fresh objects over
+    Q and GF(5), random square and non-square maps."""
+    rng = random.Random(29)
+    for name in CORPUS_NAMES:
+        U = load(name)
+        if not in_rigid_subcategory(U):
+            continue
+        f, n = U.field, U.n
+        shift = PermutationMap([(j - 1) % n for j in range(n)]).matrix(f)
+        rank1 = Matrix.from_rows(f, [{0: f.one}] + [{} for _ in range(n - 1)],
+                                  n)
+        for M in (shift, rank1, random_matrix(f, n, n, rng)):
+            yield U, U, M
+    for f in (QQ, F5):
+        for nu, nv in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 2)):
+            U = full_relations_presentation(f, [f"u{i}" for i in range(nu)])
+            V = full_relations_presentation(f, [f"v{i}" for i in range(nv)])
+            for _ in range(4):
+                yield U, V, random_matrix(f, nv, nu, rng)
+
+
+def test_solve_contragredient_matches_the_loop_built_system():
+    outcomes = set()
+    for U, V, M in _contragredient_cases():
+        h = AlgebraMorphism(U, V, M)
+        hp, ref = solve_contragredient(h), reference_solve_contragredient(h)
+        assert (hp is None) == (ref is None), (U.labels, V.labels, M)
+        if hp is not None:
+            assert hp.M == ref
+        outcomes.add(hp is None)
+    assert outcomes == {True, False}  # both branches were reached
+
+
 def test_solve_linear_inverse():
     M = Matrix(QQ, [[2, 1], [1, 1]], cols=2)
     inv = solve_linear_inverse(M)
@@ -281,6 +344,36 @@ def test_run_suite_smoke():
         "rigid", [load("embed2"), load("embed3")], trials=2, seed=1)
     assert all(c.passed for c in checks)
     assert any("Trace" in r or "trace" in r for r in reports)
+
+
+def reference_composition_map(U):
+    """l_U as the triple loop: the generator (a, i) (x) (i, j) of the black
+    square of Hom(U, U) goes to (a, j)."""
+    f, n = U.field, U.n
+    nh = n * n
+    rows = [{} for _ in range(nh)]
+    for a in range(n):
+        for i in range(n):
+            for j in range(n):
+                rows[a * n + j][(a * n + i) * nh + i * n + j] = f.one
+    return Matrix.from_rows(f, rows, nh * nh)
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if load(n).n <= 3])
+def test_composition_map_matches_the_triple_loop(name):
+    U = load(name)
+    assert composition_map(U).M == reference_composition_map(U)
+
+
+@pytest.mark.parametrize("suite,pool,note", [
+    ("rigid", ["sym2"], "rigid: no full-relations object in the pool"),
+    ("hom-algebra", ["sym3"],
+     "hom-algebra: no object with at most 2 generators in the pool"),
+], ids=["rigid", "hom-algebra"])
+def test_suite_with_nothing_to_check_says_why(suite, pool, note):
+    # no substitute object is checked in place of the user's
+    checks, reports = run_suite(suite, [load(n) for n in pool], trials=3)
+    assert (checks, reports) == ([], [note])
 
 
 def test_run_suite_rejects_unknown_name():

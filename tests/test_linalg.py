@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import (Matrix, Subspace, annihilator, kernel,
-                            matrix_rank, quotient_data, reduce_against, rref,
-                            solve, sparse_rank)
+from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
+                            kernel, matrix_rank, quotient_data,
+                            reduce_against, rref, solve, sparse_rank)
 from quadalg.tensorindex import kron
 
 from conftest import subspace_sum
@@ -314,6 +314,29 @@ def test_annihilator_example():
 def test_annihilator_involution(M):
     S = Subspace(M.cols, M)
     assert annihilator(annihilator(S)) == S
+
+
+def reference_annihilator(S):
+    """The annihilator as the kernel of S's basis, row-reduced a second
+    time, and the full space when S is zero."""
+    if S.dim == 0:
+        return Subspace.full(S.field, S.ambient_dim)
+    reduced, _, pivots = rref(S.basis)
+    return Subspace(S.ambient_dim, _free_rows(reduced, pivots)[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(gf5_matrices(), field_matrices()))
+def test_annihilator_matches_the_two_rref_reference(M):
+    S = Subspace(M.cols, M)
+    assert annihilator(S) == reference_annihilator(S) == kernel(M)
+
+
+def test_annihilator_of_zero_is_the_full_space():
+    for f in (QQ, F5):
+        S = Subspace.zero(f, 3)
+        assert annihilator(S) == reference_annihilator(S) == \
+            Subspace.full(f, 3)
 
 
 @settings(max_examples=30)

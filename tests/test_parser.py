@@ -1,17 +1,26 @@
 """.qa text format: grammar acceptance, rejection with positions, round-trips."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Subspace
 from quadalg.parser import ParseError, parse, unparse
 from quadalg.presentations import QuadraticPresentation, black, dual, white
 
 from conftest import CORPUS, CORPUS_NAMES
+
+GOLDEN = CORPUS.parent / "tests" / "golden"
+# every presentation the CLI prints as text
+PRINTED = sorted(p for kind in ("dual", "product", "hom")
+                 for p in GOLDEN.glob(f"{kind}_*.txt")
+                 if not p.stem.startswith(f"{kind}_structured_"))
 
 
 def test_parse_minimal_rational_file():
@@ -114,6 +123,68 @@ def test_reject_missing_sections_and_duplicates():
         parse("field Q\nalgebra a\ngens x\nrel x*x + \n")
     with pytest.raises(ParseError):
         parse("field Q\nalgebra a\ngens x\nwobble\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    # the bad 'b' is the second one on the line, not the one inside 'ab'
+    ("field Q\ngens a ab\nrel ab*a + a*b\n", 3, 14),
+    ("field GF GF\n", 1, 10),
+    # the second of two signs, not the '-' of the first coefficient
+    ("field Q\ngens x y\nrel -3*x*y - - y*x\n", 3, 14),
+    ("field Q\ngens x y\nrel x*x  x*y\n", 3, 10),
+    ("field Q\ngens x y\nrel   y*x*y\n", 3, 7),
+    ("field Q\ngens xy x\nrel 2/0*xy*x\n", 3, 5),
+    ("field Q\n  gens x\n field2 x\n", 3, 2),
+], ids=["generator", "modulus", "sign", "missing-sign", "term",
+        "coefficient", "keyword"])
+def test_error_column_is_that_of_the_offending_token(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("name", ["1", "2/3", "-4", "/", "x*", "*y", "a*b"])
+def test_reject_generator_names_unparse_could_not_write_back(name):
+    # '1*1*x' parses, but unparse would write it as '1*x', and a name with
+    # '*' splits into pieces: neither could be read back
+    with pytest.raises(ParseError) as exc:
+        parse(f"field Q\ngens x {name}\n")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    assert "bad generator name" in str(exc.value)
+
+
+@pytest.mark.parametrize("names", [("x!", "y"), ("1x", "x1"), ("-", "+")])
+def test_unusual_generator_names_round_trip(names):
+    a, b = names
+    _, A = parse(f"field Q\ngens {a} {b}\nrel 2*{a}*{b} - {b}*{b}\n")
+    assert parse(unparse("u", A))[1] == A
+    assert parse(unparse("d", dual(A)))[1] == dual(A)
+
+
+def test_dual_of_a_starred_name_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.qa"
+    bad.write_text("field Q\ngens x* y\nrel y*y\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert main(["dual", str(bad)]) == 2
+    assert err.getvalue().startswith("error: line 2, column 6:")
+
+
+@pytest.mark.parametrize("path", PRINTED, ids=lambda p: p.stem)
+def test_printed_presentations_round_trip(path):
+    # parse . unparse reproduces every presentation the CLI prints, once
+    # the '#' summary lines are dropped
+    text = path.read_text()
+    body = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert unparse(*parse(text)) == body
+
+
+def test_golden_round_trip_covers_every_printed_kind():
+    assert len(PRINTED) >= 19
+    assert {p.stem.split("_")[0] for p in PRINTED} == {"dual", "product",
+                                                       "hom"}
 
 
 def test_round_trip_on_corpus_files():

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
@@ -184,6 +185,33 @@ def test_canonical_element_and_evaluation():
     # A white dual(A): pairing it against the evaluation gives dim V.
     ev = evaluation_matrix(A)
     assert (ev @ col).data[0][0] == A.n
+
+
+def reference_evaluation_matrix(A):
+    """The dense row loop: word (i*, j) pairs to 1 when i = j."""
+    f, n = A.field, A.n
+    row = [f.zero] * (n * n)
+    for i in range(n):
+        row[i * n + i] = f.one
+    return Matrix(f, [row], cols=n * n)
+
+
+def reference_canonical_column(A):
+    """The dense column loop: sum_i u_i (x) u^i as an n^2 x 1 column."""
+    f, n = A.field, A.n
+    col = [[f.zero] for _ in range(n * n)]
+    for i in range(n):
+        col[i * n + i] = [f.one]
+    return Matrix(f, col, cols=1)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairing_matrices_match_the_dense_loops(field, n):
+    A = free_presentation(field, tuple(f"g{i}" for i in range(n)))
+    assert evaluation_matrix(A) == reference_evaluation_matrix(A)
+    assert canonical_column(A) == reference_canonical_column(A)
+    assert canonical_column(A) == evaluation_matrix(A).transpose()
 
 
 def test_full_relations_presentation():
