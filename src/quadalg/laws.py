@@ -10,12 +10,11 @@ there is an engine bug and raises instead of reporting a FAIL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from random import Random
 
 from .fields import QQ, check_same_field
-from .linalg import Matrix, rref, solve
+from .linalg import Matrix, Record, rref, solve
 from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             evaluation_matrix, free_presentation,
                             full_relations_presentation, internal_hom,
@@ -27,14 +26,9 @@ def _name(U) -> str:
     return "\u00b7".join(U.labels)
 
 
-@dataclass(frozen=True)
-class DiagramCheck:
-    name: str
-    objects: tuple
-    left_path: Matrix
-    right_path: Matrix
-    passed: bool
-    residual: Matrix
+class DiagramCheck(Record):
+    __slots__ = ("name", "objects", "left_path", "right_path", "passed",
+                 "residual")
 
     @staticmethod
     def compare(name, objects, left: Matrix, right: Matrix) -> "DiagramCheck":

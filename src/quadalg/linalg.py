@@ -190,6 +190,38 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
 
+class Record:
+    """An immutable value: a subclass names its fields in ``__slots__``
+    and is built positionally, compared, hashed and printed field by field.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
 def _fill(M: Matrix, field, cols: int, sparse: tuple):
     for name, value in (("field", field), ("rows", len(sparse)),
                         ("cols", cols), ("sparse", sparse), ("_hash", None)):

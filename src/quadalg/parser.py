@@ -9,7 +9,9 @@
 Blank lines and lines starting with ``#`` are ignored.  A term is an
 optional coefficient (integer or ``a/b``, b nonzero in the field) followed
 by exactly two generators, all joined by ``*``; a generator name holds no
-``*`` and is not a coefficient itself.  ``unparse`` emits the
+``*`` and is not a coefficient itself, and the same holds for its dual
+label (``x`` <-> ``x!``), which must lead back to it: ``!``, ``1!`` and
+``x!!`` are rejected.  ``unparse`` emits the
 canonical relation basis, so ``parse(unparse(A))`` reproduces A exactly;
 it reads the nonzero entries of each sparse basis row in ascending column
 order, never the zeros of the n^2 word columns.
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .fields import QQ, PrimeField
 from .linalg import Subspace
-from .presentations import QuadraticPresentation
+from .presentations import QuadraticPresentation, dual_label
 
 
 class ParseError(ValueError):
@@ -66,8 +68,14 @@ def parse(text: str):
                 raise ParseError("repeated generator name", lineno)
             for g, col in tokens[1:]:
                 # a name unparse could write as a coefficient or a product
-                if "*" in g or _is_coefficient(g):
+                if not _writable(g):
                     raise ParseError(f"bad generator name {g!r}", lineno, col)
+                # dual() relabels x <-> x!: the label must be writable too,
+                # and name no other generator ("x" and "x!!" both give "x!")
+                star = dual_label(g)
+                if not _writable(star) or dual_label(star) != g:
+                    raise ParseError(f"bad generator name {g!r}: its dual "
+                                     f"label would be {star!r}", lineno, col)
         elif keyword == "rel":
             if field is None or labels is None:
                 raise ParseError("rel before field/gens", lineno)
@@ -145,6 +153,10 @@ def _parse_term(tok, column, field, index, lineno):
         if g not in index:
             raise ParseError(f"unknown generator {g!r}", lineno, col)
     return coeff, index[pieces[0][0]], index[pieces[1][0]]
+
+
+def _writable(name: str) -> bool:
+    return bool(name) and "*" not in name and not _is_coefficient(name)
 
 
 def _is_coefficient(piece: str) -> bool:

@@ -9,10 +9,9 @@ with the full complements, the dual the annihilator.
 from __future__ import annotations
 
 from functools import lru_cache
-from dataclasses import dataclass
 
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, annihilator, reduce_against
+from .linalg import Matrix, Record, Subspace, annihilator, reduce_against
 from .tensorindex import kron, push_subspace, t23, tensor_subspace
 
 
@@ -89,11 +88,13 @@ def _product_labels(A, B):
 
 @lru_cache(maxsize=4096)
 def dual(A: QuadraticPresentation) -> QuadraticPresentation:
-    labels = tuple(_star(s) for s in A.labels)
+    labels = tuple(dual_label(s) for s in A.labels)
     return QuadraticPresentation(A.field, labels, annihilator(A.R))
 
 
-def _star(label: str) -> str:
+def dual_label(label: str) -> str:
+    """The dual generator's label: x <-> x!.  It is an involution on the
+    labels the parser accepts (none ends in "!!" or is "!" alone)."""
     return label[:-1] if label.endswith("!") else label + "!"
 
 
@@ -126,10 +127,11 @@ def internal_hom(U: QuadraticPresentation, V: QuadraticPresentation):
     return white(V, dual(U))
 
 
-@dataclass(frozen=True)
-class MorphismCertificate:
-    ok: bool
-    residual: tuple | None = None
+class MorphismCertificate(Record):
+    __slots__ = ("ok", "residual")
+
+    def __init__(self, ok: bool, residual: tuple | None = None):
+        super().__init__(ok, residual)
 
 
 class AlgebraMorphism:

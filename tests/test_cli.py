@@ -282,6 +282,21 @@ def test_golden_without_numpy():
         assert text == (GOLDEN / f"{name}.txt").read_text(), name
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the value classes are slotted records: importing the CLI pulls in
+    # neither dataclasses nor the inspect/ast/dis modules it imports
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, quadalg.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}\n"
+            "             & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _regenerate():
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, want_status in MANIFEST:

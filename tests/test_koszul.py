@@ -1,18 +1,27 @@
 """Koszul differentials, complexes, homology, and the bar-side cross-check."""
 
+import contextlib
+import importlib.util
+import io
+import json
 import random
 
 import pytest
 
+from quadalg import koszul
+from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_dim, graded_structure
 from quadalg.koszul import (
+    BidegreeTable,
     ComplexSlice,
+    HomologyReport,
     _bar_spaces,
     bar_complex_in_degree,
     bar_homology,
     dh_square_is_zero,
     euler_hilbert_test,
+    ext_by_resolution,
     ext_diagonal_check,
     first_complex_slice,
     homology_report,
@@ -20,12 +29,12 @@ from quadalg.koszul import (
     search_non_koszul,
     second_complex_slice,
 )
-from quadalg.linalg import Matrix
+from quadalg.linalg import Matrix, Subspace, kernel
 from quadalg.presentations import dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
 
-from conftest import CORPUS_NAMES, load
+from conftest import CORPUS, CORPUS_NAMES, load
 
 F2 = PrimeField(2)
 
@@ -289,3 +298,138 @@ def test_koszul_blocks_cancel_to_canonical_rows():
         d = second_complex_slice(A, m).differentials[t]
         assert sum(len(row) for row in d.sparse) < len(support)
         assert_canonical(d)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_resolution_matches_bar_homology_on_corpus(name):
+    # the bar complex of gf7_seed3 takes about a second to degree 5 and
+    # half a minute to degree 6
+    top = 5 if name == "gf7_seed3" else 6
+    A = load(name)
+    assert ext_by_resolution(A, top) == bar_homology(A, top)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5),
+                                   PrimeField(32003)],
+                         ids=["Q", "GF2", "GF5", "GF32003"])
+def test_resolution_matches_bar_homology_on_random(field):
+    rng = random.Random(5)
+    off_diagonal = 0
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        A = random_presentation(field, n, rng)
+        top = 5 if n < 3 else 4
+        table = ext_by_resolution(A, top)
+        assert table == bar_homology(A, top)
+        off_diagonal += any(x for (p, m), x in table.entries.items()
+                            if p != m)
+    # the comparison reaches tables that are not concentrated on p = m
+    assert off_diagonal
+
+
+def test_resolution_table_shape():
+    assert ext_by_resolution(load("sym2"), 0) == BidegreeTable(0, {(0, 0): 1})
+    table = ext_by_resolution(load("nonkoszul_gf2"), 4)
+    assert set(table.entries) == {(p, m) for m in range(5)
+                                  for p in range(m + 1)}
+    # Ext^{3,4} = 1 lies off the diagonal: not Koszul
+    assert [table.entry(p, 4) for p in range(5)] == [0, 0, 0, 1, 2]
+    assert not table.on_diagonal(load("nonkoszul_gf2"))
+    with pytest.raises(ValueError):
+        ext_by_resolution(load("sym2"), -1)
+
+
+def test_ext_cli_on_sym3_to_degree_7():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ext", "--max", "7",
+                     str(CORPUS / "sym3.qa")]) == 0
+    lines = out.getvalue().splitlines()
+    diagonal = [1, 3, 3, 1, 0, 0, 0, 0]
+    for m in range(8):
+        row = [diagonal[m] if p == m else 0 for p in range(8)]
+        assert lines[m] == f"m={m}: " + ",".join(map(str, row))
+    assert lines[8:] == ["ext_diagonal_up_to_7: true",
+                         "bar_diagonal_vs_complex: agree"]
+
+
+def _kernel_replaced(monkeypatch, shape, replace):
+    """Make koszul.kernel return replace(M, true kernel) on a matrix of
+    the given shape, and the true kernel elsewhere."""
+    def fake(M):
+        K = kernel(M)
+        return replace(M, K) if (M.rows, M.cols) == shape else K
+    monkeypatch.setattr(koszul, "kernel", fake)
+
+
+def test_resolution_checks_the_kernel_dimension(monkeypatch):
+    # sym2, degree 2: ker d_1 is spanned by x (x) y - y (x) x
+    _kernel_replaced(monkeypatch, (3, 4),
+                     lambda M, K: Subspace.zero(M.field, M.cols))
+    with pytest.raises(ArithmeticError, match="exactness gives 1"):
+        ext_by_resolution(load("sym2"), 2)
+
+
+def test_resolution_checks_that_new_generators_are_cycles(monkeypatch):
+    # replace that kernel by x (x) x, which d_1 sends to x^2
+    _kernel_replaced(monkeypatch, (3, 4), lambda M, K: Subspace(
+        M.cols, Matrix.from_rows(M.field, [{0: M.field.one}], M.cols)))
+    with pytest.raises(ArithmeticError, match="nonzero on a new generator"):
+        ext_by_resolution(load("sym2"), 2)
+
+
+def test_resolution_checks_minimality(monkeypatch):
+    # nonkoszul_gf2, degree 4: d_3 has 7 columns, the last of them the
+    # degree-4 generator of P_3; give each kernel vector a component there
+    def shifted(M, K):
+        f, last = M.field, M.cols - 1
+        rows = []
+        for row in K.basis.sparse:
+            row = dict(row)
+            row[last] = f.add(row.get(last, f.zero), f.one)
+            rows.append({j: x for j, x in row.items() if x})
+        return Subspace(M.cols, Matrix.from_rows(f, rows, M.cols))
+    _kernel_replaced(monkeypatch, (18, 7), shifted)
+    with pytest.raises(ArithmeticError, match="not minimal"):
+        ext_by_resolution(load("nonkoszul_gf2"), 4)
+
+
+def test_resolution_checks_the_complement(monkeypatch):
+    # nonkoszul_gf2, degree 4, p = 3: ker d_2 has dim 5 and one new
+    # generator; a quotient that ignores the old image keeps all five
+    monkeypatch.setattr(koszul, "quotient_data", lambda n, S: (
+        Matrix.identity(S.field, n), None))
+    with pytest.raises(ArithmeticError, match="complement has dim 5"):
+        ext_by_resolution(load("nonkoszul_gf2"), 4)
+
+
+def test_value_classes_are_immutable_records():
+    table = ext_by_resolution(load("sym2"), 1)
+    with pytest.raises(AttributeError):
+        table.m_max = 2
+    rep = homology_report(load("sym2"), 2)
+    assert rep == HomologyReport(2, (1, 4, 3), (0, 0, 0), True)
+    assert repr(rep) == ("HomologyReport(internal_degree=2, "
+                         "position_dims=(1, 4, 3), homology_dims=(0, 0, 0), "
+                         "exact=True)")
+    with pytest.raises(AttributeError):
+        rep.exact = False
+    sl = second_complex_slice(load("sym2"), 2)
+    with pytest.raises(AttributeError):
+        sl.internal_degree = 3
+    with pytest.raises(TypeError):
+        HomologyReport(2, (1,), (0,))
+
+
+def test_bench_ext_tool_compares_the_engines(tmp_path):
+    path = CORPUS.parent / "tools" / "bench_ext.py"
+    spec = importlib.util.spec_from_file_location("bench_ext", path)
+    bench_ext = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ext)
+    out = tmp_path / "BENCH_ext.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bench_ext.main(["--degrees", "2", "3", "--repeat", "1",
+                               "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 * len(CORPUS_NAMES)
+    assert all(row["equal"] is True for row in rows)

@@ -161,6 +161,48 @@ def test_unusual_generator_names_round_trip(names):
     assert parse(unparse("d", dual(A)))[1] == dual(A)
 
 
+@pytest.mark.parametrize("gens, column", [
+    # "x" and "x!!" would both have the dual label "x!"
+    ("x x!!", 8),
+    # "!" would have the empty dual label
+    ("! y", 6),
+    # "1!" would have the dual label "1", a coefficient
+    ("1! y", 6),
+    ("y -4!", 8),
+], ids=["collision", "empty", "coefficient", "signed"])
+def test_dual_cli_rejects_names_without_a_dual_label(tmp_path, gens, column):
+    bad = tmp_path / "bad.qa"
+    bad.write_text(f"field Q\ngens {gens}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["dual", str(bad)]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: line 2, column {column}: "
+                                     f"bad generator name")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="x1!-/*", min_size=1, max_size=3),
+                min_size=1, max_size=3, unique=True))
+def test_every_accepted_name_set_has_a_dual_that_round_trips(names):
+    text = f"field Q\ngens {' '.join(names)}\n"
+    a, b = names[0], names[-1]
+    try:
+        _, A = parse(text)
+    except ParseError as exc:
+        # the error points at one of the names, and names it
+        starts = [len("gens ") + 1 + sum(len(s) + 1 for s in names[:k])
+                  for k in range(len(names))]
+        assert exc.line == 2 and exc.column in starts
+        bad = names[starts.index(exc.column)]
+        assert f"bad generator name {bad!r}" in str(exc)
+        return
+    _, A = parse(text + f"rel 2*{a}*{b} - {b}*{a}\n")
+    D = dual(A)
+    assert parse(unparse("d", D))[1] == D
+    assert dual(D) == A
+
+
 def test_dual_of_a_starred_name_is_a_usage_error(tmp_path):
     bad = tmp_path / "bad.qa"
     bad.write_text("field Q\ngens x* y\nrel y*y\n")
