@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .linalg import (assemble, kernel, matrix_rank, quotient_data, rref,
+from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
                      Matrix, Record, Subspace)
 from .presentations import (QuadraticPresentation, dual, is_morphism)
 from .graded import graded_structure
@@ -247,18 +247,18 @@ def _resolution_differential(gs, gens, target, m: int) -> Matrix:
     return assemble(f, target[1], col, blocks)
 
 
-def _new_generators(d_old, K: Subspace, count: int) -> Matrix:
-    """``count`` rows of K's basis independent modulo the column space of
-    ``d_old``, the image I of the old generators."""
-    n, new = K.ambient_dim, K.basis
-    if count != K.dim:
+def _new_generators(d_old, K: Matrix, count: int) -> Matrix:
+    """``count`` rows of K, a basis of the kernel, independent modulo the
+    column space of ``d_old``, the image I of the old generators."""
+    n, new = K.cols, K
+    if count != K.rows:
         # I is nonzero: keep the K rows whose classes modulo I are a basis
         proj, _ = quotient_data(n, Subspace(n, d_old.transpose()))
-        _, rank, picked = rref(proj @ K.basis.transpose())
+        _, rank, picked = rref(proj @ K.transpose())
         if rank != count:
             raise ArithmeticError(
                 f"complement has dim {rank}, expected {count}")
-        new = Matrix.from_rows(K.field, [K.basis.sparse[t] for t in picked],
+        new = Matrix.from_rows(K.field, [K.sparse[t] for t in picked],
                                n)
     return new
 
@@ -313,13 +313,10 @@ def ext_by_resolution(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
             entries[(p, m)] = count
             d_full = d_old
             if count:
-                # d_{p-1} is zero for p = 1, and often when A_2 = 0; its
-                # kernel is then everything, with no elimination
-                K = (Subspace.full(f, d_prev.cols) if d_prev.is_zero()
-                     else kernel(d_prev))
-                if K.dim != k_dim:
+                K = null_basis(d_prev)
+                if K.rows != k_dim:
                     raise ArithmeticError(
-                        f"ker d_{p - 1} in degree {m} has dim {K.dim}, but "
+                        f"ker d_{p - 1} in degree {m} has dim {K.rows}, but "
                         f"exactness gives {k_dim}")
                 new = _new_generators(d_old, K, count).transpose()
                 gens[p].append((m, count, _parts(gs, target, new, m)))

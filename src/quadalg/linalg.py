@@ -430,9 +430,16 @@ def annihilator(S: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, _free_rows(S.basis, S.pivots)[1])
 
 
+def null_basis(M: Matrix) -> Matrix:
+    """A basis of the right null space of M, one row per non-pivot column
+    of M's RREF, with a 1 there and 0 at the other non-pivot columns."""
+    R, _, pivots = rref(M)
+    return _free_rows(R, pivots)[1]
+
+
 def kernel(M: Matrix) -> Subspace:
     """Right null space of M, as a canonical subspace of the column space."""
-    return annihilator(Subspace(M.cols, M))
+    return Subspace(M.cols, null_basis(M))
 
 
 def quotient_data(ambient_dim: int, S: Subspace):

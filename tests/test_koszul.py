@@ -29,7 +29,7 @@ from quadalg.koszul import (
     search_non_koszul,
     second_complex_slice,
 )
-from quadalg.linalg import Matrix, Subspace, kernel
+from quadalg.linalg import Matrix, null_basis
 from quadalg.presentations import dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
@@ -354,26 +354,26 @@ def test_ext_cli_on_sym3_to_degree_7():
 
 
 def _kernel_replaced(monkeypatch, shape, replace):
-    """Make koszul.kernel return replace(M, true kernel) on a matrix of
-    the given shape, and the true kernel elsewhere."""
+    """Make koszul.null_basis return replace(M, true basis) on a matrix of
+    the given shape, and the true basis elsewhere."""
     def fake(M):
-        K = kernel(M)
+        K = null_basis(M)
         return replace(M, K) if (M.rows, M.cols) == shape else K
-    monkeypatch.setattr(koszul, "kernel", fake)
+    monkeypatch.setattr(koszul, "null_basis", fake)
 
 
 def test_resolution_checks_the_kernel_dimension(monkeypatch):
     # sym2, degree 2: ker d_1 is spanned by x (x) y - y (x) x
     _kernel_replaced(monkeypatch, (3, 4),
-                     lambda M, K: Subspace.zero(M.field, M.cols))
+                     lambda M, K: Matrix.zero(M.field, 0, M.cols))
     with pytest.raises(ArithmeticError, match="exactness gives 1"):
         ext_by_resolution(load("sym2"), 2)
 
 
 def test_resolution_checks_that_new_generators_are_cycles(monkeypatch):
     # replace that kernel by x (x) x, which d_1 sends to x^2
-    _kernel_replaced(monkeypatch, (3, 4), lambda M, K: Subspace(
-        M.cols, Matrix.from_rows(M.field, [{0: M.field.one}], M.cols)))
+    _kernel_replaced(monkeypatch, (3, 4), lambda M, K: Matrix.from_rows(
+        M.field, [{0: M.field.one}], M.cols))
     with pytest.raises(ArithmeticError, match="nonzero on a new generator"):
         ext_by_resolution(load("sym2"), 2)
 
@@ -384,11 +384,11 @@ def test_resolution_checks_minimality(monkeypatch):
     def shifted(M, K):
         f, last = M.field, M.cols - 1
         rows = []
-        for row in K.basis.sparse:
+        for row in K.sparse:
             row = dict(row)
             row[last] = f.add(row.get(last, f.zero), f.one)
             rows.append({j: x for j, x in row.items() if x})
-        return Subspace(M.cols, Matrix.from_rows(f, rows, M.cols))
+        return Matrix.from_rows(f, rows, M.cols)
     _kernel_replaced(monkeypatch, (18, 7), shifted)
     with pytest.raises(ArithmeticError, match="not minimal"):
         ext_by_resolution(load("nonkoszul_gf2"), 4)
@@ -428,7 +428,7 @@ def test_bench_ext_tool_compares_the_engines(tmp_path):
     spec.loader.exec_module(bench_ext)
     out = tmp_path / "BENCH_ext.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert bench_ext.main(["--degrees", "2", "3", "--repeat", "1",
+        assert bench_ext.main(["--degrees", "2", "3",
                                "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 2 * len(CORPUS_NAMES)

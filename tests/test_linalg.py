@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
-                            kernel, matrix_rank, quotient_data,
+                            kernel, matrix_rank, null_basis, quotient_data,
                             reduce_against, rref, solve, sparse_rank)
 from quadalg.tensorindex import kron
 
@@ -284,6 +284,21 @@ def test_kernel_rank_nullity(M):
     _, rank, _ = rref(M)
     assert K.dim == M.cols - rank
     assert (M @ K.basis.transpose()).is_zero()
+
+
+@settings(max_examples=60)
+@given(field_matrices())
+def test_null_basis_has_a_unit_at_each_free_column(M):
+    K = null_basis(M)
+    _, rank, pivots = rref(M)
+    free = [c for c in range(M.cols) if c not in pivots]
+    assert K.rows == len(free) == M.cols - rank
+    assert (M @ K.transpose()).is_zero()
+    f = M.field
+    for i, row in enumerate(K.sparse):
+        assert {c: row.get(c, f.zero) for c in free} == {
+            c: f.one if c == free[i] else f.zero for c in free}
+    assert Subspace(M.cols, K) == kernel(M)
 
 
 @settings(max_examples=60)
