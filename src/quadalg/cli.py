@@ -25,7 +25,8 @@ from .presentations import black, dual, internal_hom, white
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # decoded here, strictly, whatever the locale makes of stdin
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
@@ -35,6 +36,8 @@ def _load(path: str):
         return parse(_read(path))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0)
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text", 0)
 
 
 def _load_all(*paths):

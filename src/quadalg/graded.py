@@ -91,14 +91,6 @@ class GradedStructure:
                 self._mult[key] = self.step_proj(i + j) @ prev @ lift
         return self._mult[key]
 
-    def right_mult_by_generator(self, m: int, a: int) -> Matrix:
-        """Right multiplication by generator a: A_m -> A_{m+1}."""
-        n = self.A.n
-        step = self.step_proj(m + 1)
-        rows = [{j // n: x for j, x in row.items() if j % n == a}
-                for row in step.sparse]
-        return Matrix.from_rows(self.A.field, rows, self.dim(m))
-
     def left_mult_by_generator(self, m: int, a: int) -> Matrix:
         """Left multiplication by generator a: A_m -> A_{m+1}."""
         mult = self.mult(1, m)
@@ -113,9 +105,11 @@ _structures: dict[QuadraticPresentation, GradedStructure] = {}
 
 
 def graded_structure(A: QuadraticPresentation) -> GradedStructure:
-    if A not in _structures:
-        _structures[A] = GradedStructure(A)
-    return _structures[A]
+    # one lookup: a hit hashes A and compares it with the key once
+    gs = _structures.get(A)
+    if gs is None:
+        gs = _structures[A] = GradedStructure(A)
+    return gs
 
 
 def graded_dim(A: QuadraticPresentation, m: int) -> int:

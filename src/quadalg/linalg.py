@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .fields import PrimeField, check_same_field
 
@@ -191,11 +192,23 @@ class Matrix:
 
 
 class Record:
-    """An immutable value: a subclass names its fields in ``__slots__``
-    and is built positionally, compared, hashed and printed field by field.
+    """The one base for immutable values: a subclass names its fields in
+    ``__slots__`` and is built positionally, compared, hashed and printed
+    field by field.  A subclass that validates its input overrides only
+    ``__init__`` and ends it with ``super().__init__(...)``.
+
+    ``Matrix`` keeps its own rules: it caches its hash, and ``from_rows``
+    builds it without ``__init__``.  The field classes keep theirs because
+    ``fields`` sits below this module.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every field read in one C call, not a generator: presentations
+        # are cache keys, so __eq__ and __hash__ run on every cache lookup
+        cls._fields = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
@@ -207,14 +220,12 @@ class Record:
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        return type(other) is type(self) and other._values() == self._values()
+        return (type(other) is type(self)
+                and self._fields(other) == self._fields(self))
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -367,7 +378,7 @@ def _free_rows(basis: Matrix, pivots):
     return free, Matrix.from_rows(f, rows.values(), n)
 
 
-class Subspace:
+class Subspace(Record):
     """A subspace of a coordinate space, held as a canonical RREF basis."""
 
     __slots__ = ("ambient_dim", "basis", "pivots")
@@ -379,12 +390,7 @@ class Subspace:
             basis, _, pivots = rref(basis)
         else:
             pivots = [min(row) for row in basis.sparse]
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subspace is immutable")
+        super().__init__(ambient_dim, basis, tuple(pivots))
 
     @property
     def field(self):
@@ -409,14 +415,6 @@ class Subspace:
         return Subspace(ambient_dim,
                         Matrix(field, vectors, cols=ambient_dim))
 
-    def __eq__(self, other):
-        return (isinstance(other, Subspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of {self.ambient_dim} "
                 f"over {self.field})")
@@ -435,11 +433,6 @@ def null_basis(M: Matrix) -> Matrix:
     of M's RREF, with a 1 there and 0 at the other non-pivot columns."""
     R, _, pivots = rref(M)
     return _free_rows(R, pivots)[1]
-
-
-def kernel(M: Matrix) -> Subspace:
-    """Right null space of M, as a canonical subspace of the column space."""
-    return Subspace(M.cols, null_basis(M))
 
 
 def quotient_data(ambient_dim: int, S: Subspace):

@@ -15,7 +15,7 @@ from .linalg import Matrix, Record, Subspace, annihilator, reduce_against
 from .tensorindex import kron, push_subspace, t23, tensor_subspace
 
 
-class QuadraticPresentation:
+class QuadraticPresentation(Record):
     """Generators plus a canonical quadratic relation subspace."""
 
     __slots__ = ("field", "n", "labels", "R")
@@ -30,30 +30,12 @@ class QuadraticPresentation:
         if R.ambient_dim != n * n:
             raise ValueError("relation space must live in degree-2 words")
         check_same_field(field, R.field)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "R", R)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadraticPresentation is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticPresentation)
-                and self.field == other.field and self.labels == other.labels
-                and self.R == other.R)
-
-    def __hash__(self):
-        return hash((self.field, self.labels, self.R))
+        super().__init__(field, n, labels, R)
 
     def same_relations(self, other: "QuadraticPresentation") -> bool:
         """Equality ignoring generator labels."""
         return (self.field == other.field and self.n == other.n
                 and self.R == other.R)
-
-    def __repr__(self):
-        return (f"QuadraticPresentation({self.field}, gens={self.labels}, "
-                f"dim R={self.R.dim})")
 
 
 def free_presentation(field, labels) -> QuadraticPresentation:
@@ -130,11 +112,8 @@ def internal_hom(U: QuadraticPresentation, V: QuadraticPresentation):
 class MorphismCertificate(Record):
     __slots__ = ("ok", "residual")
 
-    def __init__(self, ok: bool, residual: tuple | None = None):
-        super().__init__(ok, residual)
 
-
-class AlgebraMorphism:
+class AlgebraMorphism(Record):
     """A degree-1 matrix whose tensor square maps relations into relations."""
 
     __slots__ = ("src", "dst", "M")
@@ -144,20 +123,11 @@ class AlgebraMorphism:
         if not ok:
             raise ValueError(
                 f"matrix does not define a morphism; residual {cert.residual}")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "M", M)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AlgebraMorphism is immutable")
+        super().__init__(src, dst, M)
 
     @staticmethod
     def identity(A: QuadraticPresentation) -> "AlgebraMorphism":
         return AlgebraMorphism(A, A, Matrix.identity(A.field, A.n))
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraMorphism) and self.src == other.src
-                and self.dst == other.dst and self.M == other.M)
 
     def __repr__(self):
         return f"AlgebraMorphism({self.src.labels} -> {self.dst.labels})"
@@ -172,11 +142,11 @@ def is_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
     check_same_field(src.field, M.field)
     check_same_field(dst.field, M.field)
     if src.R.dim == 0 or dst.R.dim == dst.n * dst.n:
-        return True, MorphismCertificate(True)
+        return True, MorphismCertificate(True, None)
     image = src.R.basis @ kron(M, M).transpose()
     residual = reduce_against(dst.R, image.sparse)
     if residual is None:
-        return True, MorphismCertificate(True)
+        return True, MorphismCertificate(True, None)
     return False, MorphismCertificate(False, residual)
 
 

@@ -41,11 +41,6 @@ def random_presentation(field, n: int, rng: Random,
                                  Subspace.span(field, vectors, n * n))
 
 
-def _relation_preserving(A: QuadraticPresentation, M: Matrix) -> bool:
-    ok, _ = is_morphism(A, A, M)
-    return ok
-
-
 def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random,
                          budget: int = 4000):
     """Yield `count` valid endomorphism matrices of A (repeats allowed only
@@ -69,7 +64,7 @@ def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random,
         for perm in itertools.permutations(range(n)):
             M = Matrix(f, [[f.one if j == perm[i] else f.zero
                             for j in range(n)] for i in range(n)], cols=n)
-            if M not in seen and _relation_preserving(A, M):
+            if M not in seen and is_morphism(A, A, M)[0]:
                 keep(M)
     free_or_full = A.R.dim in (0, n * n)
     tries = 0
@@ -78,7 +73,7 @@ def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random,
         M = random_matrix(f, n, n, rng)
         if M in seen:
             continue
-        if free_or_full or _relation_preserving(A, M):
+        if free_or_full or is_morphism(A, A, M)[0]:
             keep(M)
     while len(found) < count:
         # small valid family: repeat a previously found endomorphism

@@ -9,7 +9,7 @@ and the graded, parser, laws and presentations modules apply it inline.
 from __future__ import annotations
 
 from .fields import check_same_field
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Record, Subspace
 
 
 def mixed_index(letters, dims) -> int:
@@ -22,7 +22,7 @@ def mixed_index(letters, dims) -> int:
     return idx
 
 
-class PermutationMap:
+class PermutationMap(Record):
     """A permutation of basis vectors: vector i is sent to image[i]."""
 
     __slots__ = ("size", "image")
@@ -31,23 +31,13 @@ class PermutationMap:
         image = tuple(image)
         if sorted(image) != list(range(len(image))):
             raise ValueError("image is not a bijection")
-        object.__setattr__(self, "size", len(image))
-        object.__setattr__(self, "image", image)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PermutationMap is immutable")
+        super().__init__(len(image), image)
 
     def matrix(self, field) -> Matrix:
         rows = [None] * self.size
         for i, j in enumerate(self.image):
             rows[j] = {i: field.one}
         return Matrix.from_rows(field, rows, self.size)
-
-    def __eq__(self, other):
-        return isinstance(other, PermutationMap) and self.image == other.image
-
-    def __repr__(self):
-        return f"PermutationMap({list(self.image)})"
 
 
 def t23(n1: int, n2: int) -> PermutationMap:

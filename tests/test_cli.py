@@ -100,6 +100,19 @@ NUMPY_FREE = [
 MANIFEST = _manifest()
 
 
+# runs the CLI in a fresh interpreter: python -c MAIN_CODE ARGV...
+MAIN_CODE = ("import sys; from quadalg.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def _run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -225,28 +238,91 @@ def test_vanishing_gf_denominator_exit_code(tmp_path):
     assert err.getvalue().startswith("error: line 4, column 11:")
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips assert statements, so no runtime check may be one
-    found = []
+def _library_nodes():
+    """(file name, AST node) for every node of every library module."""
     for path in sorted((HERE.parent / "src" / "quadalg").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no runtime check may be one
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# the classes that keep their own immutability and value rules: Record is
+# the base every other value class uses, Matrix caches its hash and has a
+# second constructor, and the fields module sits below linalg
+OWN_VALUE_RULES = {"Record", "Matrix", "Rationals", "PrimeField"}
+VALUE_METHODS = {"__setattr__", "__eq__", "__hash__"}
+
+
+def test_value_classes_take_their_rules_from_record():
+    found = []
+    for name, node in _library_nodes():
+        if isinstance(node, ast.ClassDef) and node.name not in OWN_VALUE_RULES:
+            for item in node.body:
+                defined = ({item.name} if isinstance(item, ast.FunctionDef)
+                           else {t.id for t in getattr(item, "targets", ())
+                                 if isinstance(t, ast.Name)})
+                found += [f"{name}:{item.lineno} {node.name}.{method}"
+                          for method in defined & VALUE_METHODS]
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+                and name not in ("linalg.py", "fields.py")):
+            found.append(f"{name}:{node.lineno} object.__setattr__")
+    assert found == []
+
+
+@pytest.mark.parametrize("where", ["file", "stdin"])
+@pytest.mark.parametrize("structured", [False, True], ids=["text", "structured"])
+def test_non_utf8_input_is_a_read_error(tmp_path, where, structured):
+    bad = tmp_path / "bad.qa"
+    bad.write_bytes(b"field Q\nalgebra b\ngens x y\nrel x*y \xff\n")
+    path = str(bad) if where == "file" else "-"
+    argv = ["dual", path] + (["--output", "structured"] if structured else [])
+    proc = subprocess.run([sys.executable, "-c", MAIN_CODE, *argv],
+                          input=bad.read_bytes(), capture_output=True,
+                          env=_src_env(), timeout=60)
+    message = f"cannot read {path}: not UTF-8 text"
+    assert proc.returncode == 2
+    if structured:
+        assert proc.stderr == b""
+        assert proc.stdout.decode() == (
+            "record=error line=0 column=1 message=line_0,_column_1:_"
+            + message.replace(" ", "_") + "\n")
+    else:
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            f"error: line 0, column 1: {message}\n")
+
+
+def test_readme_quick_start_prints_its_commented_results():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("# ", 1)[1].split("  (")[0]
+            for line in block.splitlines() if line.startswith("print(")]
+    assert want == ["[1, 2, 3, 4, 5, 6, 7]", "3", "True", "13"]
+    proc = subprocess.run([sys.executable, "-c", block], cwd=HERE.parent,
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == want
 
 
 def test_golden_under_python_O():
     # runtime checks must not be asserts: -O strips them.  laws_axioms_q
     # validates every structure map through is_morphism and reduce_against.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys; from quadalg.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
+    env = _src_env()
     cases = {name: (argv, status) for name, argv, status in MANIFEST}
     for name in ("koszul_sym3", "laws_axioms_q"):
         argv, want_status = cases[name]
-        proc = subprocess.run([sys.executable, "-O", "-c", code, *argv],
+        proc = subprocess.run([sys.executable, "-O", "-c", MAIN_CODE, *argv],
                               capture_output=True, text=True, env=env,
                               timeout=300)
         assert proc.returncode == want_status, proc.stderr
@@ -256,9 +332,7 @@ def test_golden_under_python_O():
 def test_golden_without_numpy():
     # the library has no runtime dependency: importing numpy must not be
     # needed anywhere on the CLI path, over Q or over GF(p)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    env = _src_env()
     code = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
@@ -285,9 +359,7 @@ def test_golden_without_numpy():
 def test_cli_import_loads_no_dataclasses():
     # the value classes are slotted records: importing the CLI pulls in
     # neither dataclasses nor the inspect/ast/dis modules it imports
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    env = _src_env()
     code = ("import sys, quadalg.cli\n"
             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}\n"
             "             & set(sys.modules)))\n")

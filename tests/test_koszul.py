@@ -205,6 +205,15 @@ def reference_bar_complex(A, m):
     return tuple(maps)
 
 
+def right_mult_by_generator(gs, m, a):
+    """Right multiplication by generator a, A_m -> A_{m+1}, read off the
+    degree step's projection A_m (x) V -> A_{m+1}."""
+    n = gs.A.n
+    rows = [{j // n: x for j, x in row.items() if j % n == a}
+            for row in gs.step_proj(m + 1).sparse]
+    return Matrix.from_rows(gs.A.field, rows, gs.dim(m))
+
+
 def reference_second_complex(A, m):
     """The Koszul differentials as Matrix.zero plus one ``+ kron`` term per
     generator (a reference for the Kronecker-block assembly)."""
@@ -218,7 +227,7 @@ def reference_second_complex(A, m):
         if dims[t] and dims[t + 1]:
             for j in range(n):
                 total = total + kron(
-                    gs.right_mult_by_generator(m - i, j),
+                    right_mult_by_generator(gs, m - i, j),
                     gd.left_mult_by_generator(i - 1, j).transpose())
         maps.append(total)
     return tuple(maps)
@@ -291,7 +300,7 @@ def test_koszul_blocks_cancel_to_canonical_rows():
         i = m - t
         support = set()
         for j in range(A.n):
-            term = kron(gs.right_mult_by_generator(m - i, j),
+            term = kron(right_mult_by_generator(gs, m - i, j),
                         gd.left_mult_by_generator(i - 1, j).transpose())
             support.update((r, c) for r, row in enumerate(term.sparse)
                            for c in row)

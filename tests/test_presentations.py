@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
+from quadalg.graded import graded_structure
 from quadalg.linalg import Matrix, Subspace
-from quadalg.tensorindex import push_subspace, t23, tensor_subspace
+from quadalg.tensorindex import PermutationMap, push_subspace, t23, tensor_subspace
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -218,3 +219,39 @@ def test_full_relations_presentation():
     A = full_relations_presentation(F5, ("a", "b", "c"))
     assert A.R.dim == 9
     assert dual(A).R.dim == 0
+
+
+def _swap(name):
+    return AlgebraMorphism(load(name), load(name),
+                           Matrix(QQ, [[0, 1], [1, 0]], cols=2))
+
+
+# per value class: two builds from separately made, equal inputs, and a
+# build of a different value
+VALUES = {
+    "Subspace": (lambda: Subspace.span(QQ, [[1, 1], [0, 1]], 2),
+                 lambda: Subspace.span(QQ, [[1, 1]], 2)),
+    "QuadraticPresentation": (lambda: load("sym3"), lambda: load("ext3")),
+    "AlgebraMorphism": (lambda: _swap("sym2"), lambda: _swap("ext2")),
+    "PermutationMap": (lambda: t23(2, 3), lambda: PermutationMap([1, 0])),
+}
+
+
+@pytest.mark.parametrize("build, other", VALUES.values(), ids=VALUES.keys())
+def test_value_classes_are_immutable_and_compared_by_value(build, other):
+    a, b, c = build(), build(), other()
+    assert type(a).__name__ == type(c).__name__
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c
+    for name in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(c, name))
+    # a value built apart from the key finds the key's entry
+    assert {a: "found"}[b] == "found"
+
+
+def test_separately_parsed_presentations_share_cached_structures():
+    A1, A2 = load("sym3"), load("sym3")
+    assert A1 is not A2 and A1.R.basis is not A2.R.basis
+    assert dual(A1) is dual(A2)
+    assert graded_structure(A1) is graded_structure(A2)
