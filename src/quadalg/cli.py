@@ -18,7 +18,7 @@ import functools
 import sys
 
 from . import koszul, laws
-from .graded import graded_structure
+from .graded import hilbert
 from .parser import ParseError, parse, unparse
 from .presentations import black, dual, internal_hom, white
 
@@ -94,13 +94,11 @@ def _cmd_hom(args, out):
 
 def _cmd_hilbert(args, out):
     name, A = _load(args.file)
-    gs = graded_structure(A)
-    for m in range(args.max + 1):
+    for m, dim in enumerate(hilbert(A, args.max)):
         if args.structured:
-            out.append(f"record=hilbert name={name} degree={m} "
-                       f"dim={gs.dim(m)}")
+            out.append(f"record=hilbert name={name} degree={m} dim={dim}")
         else:
-            out.append(f"{m}: {gs.dim(m)}")
+            out.append(f"{m}: {dim}")
     return 0
 
 

@@ -5,10 +5,20 @@ piece of the relation ideal.  The engine builds quotients inductively,
 dividing A_{m-1} (x) V by the image of the relation space; the rank of the
 direct span sum_i V^i (x) R (x) V^j is kept as an independent oracle
 (`graded_dim_by_oracle`) for cross-checks at small degrees.
+
+Over Q, `hilbert` first tries `certified_hilbert`: the dimensions of the
+reduction mod the prime `CERT_P` are exact over Q wherever they meet the
+lower bound max(0, n d_{m-1} - r d_{m-2}) that holds for every algebra
+with n generators and r relations.  Generic algebras meet it (Anick 1982;
+Polishchuk and Positselski, *Quadratic Algebras*, ch. 6); elsewhere
+`hilbert` falls back to the exact structure over Q.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
+from .fields import PrimeField
 from .linalg import sparse_rank, Matrix, Subspace, quotient_data
 from .presentations import QuadraticPresentation
 from .tensorindex import kron
@@ -117,9 +127,57 @@ def graded_dim(A: QuadraticPresentation, m: int) -> int:
 
 
 def hilbert(A: QuadraticPresentation, N: int):
-    """Graded dimensions in degrees 0..N."""
+    """Graded dimensions in degrees 0..N.
+
+    Over Q the certificate answers when it can (`certified_hilbert`);
+    otherwise the exact structure does, and stays cached.
+    """
+    if not isinstance(A.field, PrimeField):
+        dims = certified_hilbert(A, N)
+        if dims is not None:
+            return dims
     gs = graded_structure(A)
     return [gs.dim(m) for m in range(N + 1)]
+
+
+# The certificate's prime: below 2^15, so that the product of two residues
+# fits in one 30-bit CPython digit.
+CERT_P = 32749
+_CERT_FIELD = PrimeField(CERT_P)
+
+
+def certified_hilbert(A: QuadraticPresentation, N: int):
+    """dim A_0..A_N of a Q presentation, proven from its reduction mod
+    CERT_P, or None where the proof does not go through.
+
+    Each relation row is cleared of denominators and reduced mod CERT_P.
+    The reduction spans the image of an integer spanning set of every
+    ideal component, and a rank mod p is at most the rank over Q, so
+    dim A'_m >= dim A_m.  A_m = (A_{m-1} (x) V)/K with K spanned by the
+    images of A_{m-2} (x) R, so dim A_m >= max(0, n d_{m-1} - r d_{m-2})
+    once d_{m-1} and d_{m-2} are proven.  Where dim A'_m equals that
+    bound, both bounds meet and d_m is proven; at the first degree where
+    it does not, the attempt stops.  An unlucky prime costs time, never an
+    answer.  The reduced structure is private: it neither enters the
+    cache of `graded_structure` nor serves a later GF(p) job.
+    """
+    n, r = A.n, A.R.dim
+    rows = []
+    for row in A.R.basis.sparse:
+        den = lcm(*(x.denominator for x in row.values()))
+        rows.append({j: y for j, x in row.items()
+                     if (y := x.numerator * (den // x.denominator) % CERT_P)})
+    reduced = QuadraticPresentation(
+        _CERT_FIELD, A.labels,
+        Subspace(n * n, Matrix.from_rows(_CERT_FIELD, rows, n * n)))
+    gs = GradedStructure(reduced)
+    dims = [1, n]
+    for m in range(2, N + 1):
+        bound = max(0, n * dims[m - 1] - r * dims[m - 2])
+        if gs.dim(m) != bound:
+            return None
+        dims.append(bound)
+    return dims[:N + 1]
 
 
 def graded_dim_by_oracle(A: QuadraticPresentation, m: int) -> int:

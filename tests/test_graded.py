@@ -1,18 +1,25 @@
 """Graded components: dimensions, multiplication maps, and the rank oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from quadalg import graded
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace, matrix_rank
 from quadalg.graded import (
+    CERT_P,
     GradedStructure,
+    certified_hilbert,
     graded_dim,
     graded_dim_by_oracle,
     graded_structure,
     hilbert,
 )
+from quadalg.parser import parse
 from quadalg.presentations import (QuadraticPresentation, dual, unit_black,
                                    unit_white)
 from quadalg.tensorindex import kron
@@ -119,3 +126,82 @@ def test_mult_recursion_matches_word_space(field):
 
 def test_dual_hilbert_of_sym_is_ext():
     assert hilbert(dual(load("sym3")), 5) == hilbert(load("ext3"), 5)
+
+
+def _exact_dims(A, N):
+    G = GradedStructure(A)
+    return [G.dim(m) for m in range(N + 1)]
+
+
+def _q(*rels, gens="x y"):
+    text = "field Q\nalgebra t\ngens " + gens + "\n"
+    return parse(text + "".join(f"rel {r}\n" for r in rels))[1]
+
+
+# the Q corpus algebras whose dimensions exceed the generic lower bound
+NON_GENERIC = {"sym3", "ext3"}
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES
+                                  if load(n).field == QQ])
+def test_certificate_on_the_q_corpus(name):
+    A = load(name)
+    exact = _exact_dims(A, 6)
+    assert certified_hilbert(A, 6) == (None if name in NON_GENERIC
+                                       else exact)
+    assert hilbert(A, 6) == exact
+
+
+@pytest.mark.parametrize("rels, dims", [
+    # generic over Q, but CERT_P sits in the denominators of the RREF
+    # basis, so the reduction is k<x,y>/(yx, yy) and misses the bound in
+    # degree 3
+    ((f"{CERT_P}*x*x + y*x + y*y", f"{CERT_P}*x*y + 2*y*x + 3*y*y"),
+     [1, 2, 2, 0, 0, 0]),
+    # the reduction mod CERT_P has one relation where Q has two
+    ((f"{CERT_P}*x*x + y*x", f"{CERT_P}*x*y + y*x"), [1, 2, 2, 1, 1, 1]),
+    # not generic; reducing only the numerators would give xx + yx,
+    # xy - yx + yy, which meets the bound in degree 3
+    (("x*x + y*x", "x*y - y*x + 1/2*y*y"), [1, 2, 2, 1, 0, 0]),
+])
+def test_certificate_falls_back_to_the_q_dimensions(rels, dims):
+    A = _q(*rels)
+    assert _exact_dims(A, 5) == dims
+    assert certified_hilbert(A, 5) is None
+    assert hilbert(A, 5) == dims
+
+
+def test_certificate_leaves_the_structure_cache_alone():
+    A = _q("u*v - 3*v*u", gens="u v")
+    before = dict(graded._structures)
+    assert hilbert(A, 6) == [1, 2, 3, 4, 5, 6, 7]
+    assert graded._structures == before
+
+
+COEFFS = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),
+                                    Fraction(-2, 3), Fraction(5, 4), CERT_P,
+                                    Fraction(1, CERT_P)])
+
+
+@st.composite
+def q_presentations(draw):
+    """2 to 4 generators, sparse relations with integer and a/b entries."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n * n - 1))
+    rows = draw(st.lists(st.lists(COEFFS, min_size=n * n, max_size=n * n),
+                         min_size=k, max_size=k))
+    return QuadraticPresentation(QQ, "xyzw"[:n],
+                                 Subspace.span(QQ, rows, n * n))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q_presentations())
+def test_hilbert_over_q_matches_the_exact_structure_and_the_oracle(A):
+    N = 8 - A.n
+    dims = hilbert(A, N)
+    # where hilbert fell back, this reads the structure it built
+    assert dims == [graded_dim(A, m) for m in range(N + 1)]
+    # the oracle over Q takes seconds on 4 generators in degree 4
+    for m in range(5 if A.n < 4 else 4):
+        assert dims[m] == graded_dim_by_oracle(A, m), m

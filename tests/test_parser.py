@@ -31,6 +31,14 @@ def test_parse_minimal_rational_file():
     assert A.R.dim == 1
 
 
+def test_readme_format_example_parses():
+    readme = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## The `.qa` presentation format", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    name, A = parse(block)
+    assert (name, A.field, A.labels, A.R.dim) == ("sym2", QQ, ("x", "y"), 2)
+
+
 def test_parse_prime_field_and_coefficients():
     text = """# comment line
 field GF 7
