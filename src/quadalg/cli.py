@@ -194,17 +194,6 @@ def _cmd_selfdual(args, out):
     return 1 if _emit_checks(out, "selfdual", checks, args.structured) else 0
 
 
-class _OutputMode(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values == "structured")
-
-
-def _add_output_flag(p):
-    p.add_argument("--output", dest="structured", action=_OutputMode,
-                   choices=("text", "structured"), default=False,
-                   help="output mode (default: text)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call.
@@ -264,13 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_selfdual)
 
     for p in sub.choices.values():
-        _add_output_flag(p)
+        p.add_argument("--output", choices=("text", "structured"),
+                       default="text", help="output mode (default: text)")
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.structured = args.output == "structured"
     if getattr(args, "max", 1) < 1:
         ap.error("--max must be at least 1")
     if getattr(args, "trials", 1) < 1:

@@ -21,7 +21,7 @@ from math import prod
 
 from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
                      Matrix, Record, Subspace)
-from .presentations import (QuadraticPresentation, dual, is_morphism)
+from .presentations import AlgebraMorphism, QuadraticPresentation, dual
 from .graded import graded_structure
 from .tensorindex import kron
 
@@ -30,11 +30,10 @@ def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
     """Left multiplication by alpha_h, squared, applied to the unit.
 
     The image lives in A_2 (x) (A^!)_2; returns (True, None) when it
-    vanishes, else (False, witness-coordinates).
+    vanishes, else (False, witness-coordinates).  Raises ValueError when h
+    is not an endomorphism of A.
     """
-    ok, cert = is_morphism(A, A, h)
-    if not ok:
-        raise ValueError(f"not an endomorphism; residual {cert.residual}")
+    AlgebraMorphism(A, A, h)
     gs = graded_structure(A)
     gd = graded_structure(dual(A))
     # alpha_h^2 = sum_{i,j} h(u_i) h(u_j) (x) u^i u^j; in word coordinates its

@@ -109,20 +109,16 @@ def internal_hom(U: QuadraticPresentation, V: QuadraticPresentation):
     return white(V, dual(U))
 
 
-class MorphismCertificate(Record):
-    __slots__ = ("ok", "residual")
-
-
 class AlgebraMorphism(Record):
     """A degree-1 matrix whose tensor square maps relations into relations."""
 
     __slots__ = ("src", "dst", "M")
 
     def __init__(self, src, dst, M: Matrix):
-        ok, cert = is_morphism(src, dst, M)
+        ok, residual = is_morphism(src, dst, M)
         if not ok:
             raise ValueError(
-                f"matrix does not define a morphism; residual {cert.residual}")
+                f"matrix does not define a morphism; residual {residual}")
         super().__init__(src, dst, M)
 
     @staticmethod
@@ -135,19 +131,18 @@ class AlgebraMorphism(Record):
 
 def is_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
                 M: Matrix):
-    """Check (M tensor M)(R_src) inside R_dst; failure carries a witness."""
+    """(True, None) when (M tensor M)(R_src) lies in R_dst, else (False,
+    residual) with the residual ``reduce_against`` leaves of the image."""
     if M.rows != dst.n or M.cols != src.n:
         raise ValueError(
             f"matrix must be {dst.n}x{src.n}, got {M.rows}x{M.cols}")
     check_same_field(src.field, M.field)
     check_same_field(dst.field, M.field)
     if src.R.dim == 0 or dst.R.dim == dst.n * dst.n:
-        return True, MorphismCertificate(True, None)
+        return True, None
     image = src.R.basis @ kron(M, M).transpose()
     residual = reduce_against(dst.R, image.sparse)
-    if residual is None:
-        return True, MorphismCertificate(True, None)
-    return False, MorphismCertificate(False, residual)
+    return residual is None, residual
 
 
 def evaluation_matrix(A: QuadraticPresentation) -> Matrix:

@@ -1,9 +1,9 @@
 """Seeded random presentations and morphisms.
 
-Morphism sampling mixes guaranteed families (scalars, relation-preserving
-permutations, anything into a full-relations target or out of a free source)
-with rejection sampling, since the morphism condition is quadratic in the
-matrix entries.
+Morphism sampling mixes guaranteed families (scalars and relation-preserving
+permutations) with rejection sampling by ``is_morphism``, since the morphism
+condition is quadratic in the matrix entries; into a full-relations target
+or out of a free source every draw is accepted.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .linalg import Matrix, Subspace
 from .presentations import QuadraticPresentation, is_morphism
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# random matrices drawn per sample_endomorphisms call before it pads the
+# sample with repeats
+_DRAWS = 4000
 
 
 def random_scalar(field, rng: Random):
@@ -41,40 +44,29 @@ def random_presentation(field, n: int, rng: Random,
                                  Subspace.span(field, vectors, n * n))
 
 
-def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random,
-                         budget: int = 4000):
-    """Yield `count` valid endomorphism matrices of A (repeats allowed only
+def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random):
+    """Return `count` valid endomorphism matrices of A (repeats allowed only
     if the valid family is small)."""
     f = A.field
     n = A.n
-    found = []
-    seen = set()
-
-    def keep(M):
-        found.append(M)
-        seen.add(M)
-
-    keep(Matrix.identity(f, n))
+    # the distinct samples in the order found; the values are unused
+    identity = Matrix.identity(f, n)
+    found = {identity: None}
     for _ in range(3):
-        c = random_scalar(f, rng)
-        M = Matrix.identity(f, n).scale(c)
-        if M not in seen:
-            keep(M)
+        found.setdefault(identity.scale(random_scalar(f, rng)))
     if n <= 4:
         for perm in itertools.permutations(range(n)):
             M = Matrix(f, [[f.one if j == perm[i] else f.zero
                             for j in range(n)] for i in range(n)], cols=n)
-            if M not in seen and is_morphism(A, A, M)[0]:
-                keep(M)
-    free_or_full = A.R.dim in (0, n * n)
-    tries = 0
-    while len(found) < count and tries < budget:
-        tries += 1
+            if M not in found and is_morphism(A, A, M)[0]:
+                found[M] = None
+    for _ in range(_DRAWS):
+        if len(found) >= count:
+            break
         M = random_matrix(f, n, n, rng)
-        if M in seen:
-            continue
-        if free_or_full or is_morphism(A, A, M)[0]:
-            keep(M)
+        if M not in found and is_morphism(A, A, M)[0]:
+            found[M] = None
+    found = list(found)
     while len(found) < count:
         # small valid family: repeat a previously found endomorphism
         found.append(found[rng.randrange(len(found))])

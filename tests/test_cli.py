@@ -1,8 +1,7 @@
 """CLI determinism: byte-exact golden files for every corpus invocation.
 
-Regenerate the goldens (after an intentional output change) with::
-
-    python3 tests/test_cli.py --regenerate
+The manifest lives in ``golden_manifest.py``, which also regenerates the
+goldens and checks them without pytest.
 """
 
 import ast
@@ -18,87 +17,12 @@ import pytest
 
 from quadalg.cli import build_parser, main
 
+# test_acceptance reads GOLDEN, MANIFEST and _run from this module
+import golden_manifest
+from golden_manifest import (GOLDEN, LOW_DEGREE_RUNS, MANIFEST,
+                             corpus_file as _f, run as _run)
+
 HERE = pathlib.Path(__file__).resolve().parent
-GOLDEN = HERE / "golden"
-CORPUS = HERE.parent / "corpus"
-
-CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.qa"))
-
-# Degree-6 Koszulity legitimately fails for these corpus members.
-NON_KOSZUL = {"nonkoszul_gf2", "gf7_seed3"}
-
-
-def _f(stem: str) -> str:
-    return str(CORPUS / f"{stem}.qa")
-
-
-def _manifest():
-    entries = []
-    for stem in CORPUS_NAMES:
-        entries.append((f"dual_{stem}", ["dual", _f(stem)], 0))
-        entries.append((f"hilbert_{stem}", ["hilbert", "--max", "6", _f(stem)], 0))
-        entries.append((f"koszul_{stem}", ["koszul", "--max", "6", _f(stem)],
-                        1 if stem in NON_KOSZUL else 0))
-        entries.append((f"ext_{stem}", ["ext", "--max", "4", _f(stem)], 0))
-        entries.append((f"selfdual_{stem}", ["selfdual-check", _f(stem)], 0))
-    entries += [
-        ("product_black_sym2_ext2",
-         ["product", "--kind", "black", _f("sym2"), _f("ext2")], 0),
-        ("product_white_sym2_ext2",
-         ["product", "--kind", "white", _f("sym2"), _f("ext2")], 0),
-        ("product_black_gf7_seed1_gf7_seed2",
-         ["product", "--kind", "black", _f("gf7_seed1"), _f("gf7_seed2")], 0),
-        ("product_white_free2_sym3",
-         ["product", "--kind", "white", _f("free2"), _f("sym3")], 0),
-        ("hom_sym2_sym2", ["hom", _f("sym2"), _f("sym2")], 0),
-        ("hom_ext2_sym2", ["hom", _f("ext2"), _f("sym2")], 0),
-        ("selfdual_pair_sym2_ext2",
-         ["selfdual-check", _f("sym2"), _f("ext2")], 0),
-        ("laws_axioms_q",
-         ["laws", "--suite", "axioms", "--trials", "3", "--seed", "0",
-          _f("free2"), _f("sym2"), _f("ext2")], 0),
-        ("laws_duality_q",
-         ["laws", "--suite", "duality", "--trials", "3", "--seed", "0",
-          _f("free2"), _f("sym2"), _f("ext2")], 0),
-        ("laws_braiding_q",
-         ["laws", "--suite", "braiding", "--trials", "3", "--seed", "0",
-          _f("free1"), _f("sym2"), _f("ext2")], 0),
-        ("laws_hom_algebra_q",
-         ["laws", "--suite", "hom-algebra", "--trials", "3", "--seed", "0",
-          _f("free1"), _f("sym2"), _f("ext2")], 0),
-        ("laws_rigid_q",
-         ["laws", "--suite", "rigid", "--trials", "3", "--seed", "0",
-          _f("embed2"), _f("embed3")], 0),
-        ("laws_axioms_gf7",
-         ["laws", "--suite", "axioms", "--trials", "5", "--seed", "7",
-          _f("gf7_seed1"), _f("gf7_seed2")], 0),
-        ("dual_structured_sym2", ["dual", "--output", "structured",
-                                  _f("sym2")], 0),
-        ("hilbert_structured_sym2",
-         ["hilbert", "--max", "6", "--output", "structured", _f("sym2")], 0),
-        ("koszul_structured_nonkoszul_gf2",
-         ["koszul", "--max", "6", "--output", "structured",
-          _f("nonkoszul_gf2")], 1),
-        ("ext_structured_free2",
-         ["ext", "--max", "4", "--output", "structured", _f("free2")], 0),
-        ("laws_structured_duality_q",
-         ["laws", "--suite", "duality", "--trials", "3", "--seed", "0",
-          "--output", "structured", _f("sym2"), _f("ext2")], 0),
-    ]
-    entries += NUMPY_FREE
-    return entries
-
-
-# One Q and one GF(p) corpus file at low degree; also run without numpy.
-NUMPY_FREE = [
-    (f"{cmd}{top}_{stem}", [cmd, "--max", str(top), _f(stem)], 0)
-    for stem in ("sym3", "gf7_seed1")
-    for cmd, top in (("hilbert", 4), ("koszul", 3))
-]
-
-
-MANIFEST = _manifest()
-
 
 # runs the CLI in a fresh interpreter: python -c MAIN_CODE ARGV...
 MAIN_CODE = ("import sys; from quadalg.cli import main; "
@@ -111,13 +35,6 @@ def _src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
     return env
-
-
-def _run(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        status = main(argv)
-    return status, buf.getvalue()
 
 
 @pytest.mark.parametrize("name,argv,want_status",
@@ -345,16 +262,37 @@ def test_golden_without_numpy():
         "        status = main(argv)\n"
         "    out.append([status, buf.getvalue()])\n"
         "print(json.dumps(out))\n")
-    argvs = [argv for _, argv, _ in NUMPY_FREE]
+    argvs = [argv for _, argv, _ in LOW_DEGREE_RUNS]
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert len(results) == len(NUMPY_FREE)
-    for (name, _, want_status), (status, text) in zip(NUMPY_FREE, results):
+    assert len(results) == len(LOW_DEGREE_RUNS)
+    for (name, _, want_status), (status, text) in zip(LOW_DEGREE_RUNS, results):
         assert status == want_status, name
         assert text == (GOLDEN / f"{name}.txt").read_text(), name
+
+
+def test_golden_manifest_check_runs_alone_and_reports_a_drift(tmp_path,
+                                                             monkeypatch):
+    # the script form: no pytest, and src/ found without PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "golden_manifest.py"), "--check"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(f"{len(MANIFEST)} of {len(MANIFEST)} ")
+    # one changed byte in one golden is a mismatch
+    for path in GOLDEN.glob("*.txt"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "dual_sym2.txt").write_bytes(
+        (GOLDEN / "dual_sym2.txt").read_bytes().replace(b"y!", b"y?", 1))
+    monkeypatch.setattr(golden_manifest, "GOLDEN", tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert golden_manifest.check() == 1
+    assert out.getvalue().startswith("MISMATCH dual_sym2: exit 0, expected 0;"
+                                     " output differs\n")
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -368,21 +306,3 @@ def test_cli_import_loads_no_dataclasses():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-
-
-def _regenerate():
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv, want_status in MANIFEST:
-        status, text = _run(argv)
-        if status != want_status:
-            raise SystemExit(
-                f"{name}: exit status {status}, expected {want_status}")
-        (GOLDEN / f"{name}.txt").write_text(text)
-        print(f"wrote {name}.txt ({len(text)} bytes, exit {status})")
-
-
-if __name__ == "__main__":
-    if "--regenerate" in sys.argv:
-        _regenerate()
-    else:
-        raise SystemExit(__doc__)

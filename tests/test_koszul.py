@@ -29,8 +29,8 @@ from quadalg.koszul import (
     search_non_koszul,
     second_complex_slice,
 )
-from quadalg.linalg import Matrix, null_basis
-from quadalg.presentations import dual
+from quadalg.linalg import Matrix, Subspace, null_basis
+from quadalg.presentations import QuadraticPresentation, dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
 
@@ -69,6 +69,15 @@ def test_dh_square_on_sampled_endomorphisms():
         A = load(name)
         for h in sample_endomorphisms(A, 10, rng):
             assert dh_square_is_zero(A, h), name
+
+
+def test_dh_square_rejects_a_non_endomorphism():
+    # x*x = 0 but y*y != 0, so swapping x and y breaks the relations
+    A = QuadraticPresentation(QQ, ("x", "y"),
+                              Subspace.span(QQ, [[1, 0, 0, 0]], 4))
+    swap = Matrix(QQ, [[0, 1], [1, 0]], cols=2)
+    with pytest.raises(ValueError, match="does not define a morphism"):
+        dh_square_is_zero(A, swap)
 
 
 def test_bar_homology_diagonal_sym2():

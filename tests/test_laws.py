@@ -191,6 +191,17 @@ def test_trace_rejects_non_rigid_objects():
         trace(load("sym2"), Matrix.identity(QQ, 2))
 
 
+@pytest.mark.parametrize("h", [Matrix.identity(QQ, 3),
+                               Matrix(QQ, [[1, 0, 2], [0, 1, 0]], cols=3),
+                               Matrix.identity(F3, 2)],
+                         ids=["3x3", "2x3", "GF3"])
+def test_trace_rejects_a_matrix_of_the_wrong_shape_or_field(h):
+    # a full-relations object takes any endomorphism, so only the matrix
+    # algebra of the trace itself can reject h
+    with pytest.raises(ValueError):
+        trace(full_relations_presentation(QQ, ("a", "b")), h)
+
+
 def test_contragredient_of_permutation():
     U = full_relations_presentation(F3, ("a", "b", "c"))
     P = Matrix(F3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], cols=3)

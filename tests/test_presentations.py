@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_structure
-from quadalg.linalg import Matrix, Subspace
-from quadalg.tensorindex import PermutationMap, push_subspace, t23, tensor_subspace
+from quadalg.linalg import Matrix, Subspace, reduce_against
+from quadalg.tensorindex import (PermutationMap, kron, push_subspace, t23,
+                                 tensor_subspace)
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -145,24 +146,26 @@ def test_is_morphism_accepts_and_gives_witness():
     sym2 = load("sym2")
     ext2 = load("ext2")
     swap = Matrix(QQ, [[0, 1], [1, 0]], cols=2)
-    ok, cert = is_morphism(sym2, sym2, swap)
-    assert ok and cert.ok
+    assert is_morphism(sym2, sym2, swap) == (True, None)
     # Identity is not a morphism sym2 -> ext2: x(x)y - y(x)x maps to itself,
-    # which is not in the exterior relations; the certificate carries the
-    # offending residual vector.
+    # which is not in the exterior relations; the verdict carries the
+    # residual that reduce_against leaves of the image rows.
     ident = Matrix.identity(QQ, 2)
-    ok, cert = is_morphism(sym2, ext2, ident)
-    assert not ok and not cert.ok
-    assert cert.residual == (0, 0, -2, 0)
-    assert repr(cert.residual) == repr(tuple(map(QQ.coerce, (0, 0, -2, 0))))
+    ok, residual = is_morphism(sym2, ext2, ident)
+    assert not ok
+    image = sym2.R.basis @ kron(ident, ident).transpose()
+    assert residual == reduce_against(ext2.R, image.sparse) == (0, 0, -2, 0)
+    assert repr(residual) == repr(tuple(map(QQ.coerce, (0, 0, -2, 0))))
+    with pytest.raises(ValueError, match=r"residual \(Fraction\(0, 1\)"):
+        AlgebraMorphism(sym2, ext2, ident)
 
 
 def test_free_source_and_full_target_are_always_morphisms():
     free2 = load("free2")
     embed2 = load("embed2")
     M = Matrix(QQ, [[7, -3], [2, 5]], cols=2)
-    assert is_morphism(free2, load("sym2"), M)[0]
-    assert is_morphism(load("sym2"), embed2, M)[0]
+    assert is_morphism(free2, load("sym2"), M) == (True, None)
+    assert is_morphism(load("sym2"), embed2, M) == (True, None)
 
 
 def test_dual_morphism_reverses_and_transposes():
