@@ -1,9 +1,13 @@
 """Exact scalar arithmetic over Q and GF(p).
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
-``int`` residues in ``0..p-1`` over a prime field.  A field object carries
-the arithmetic; values never float: ``coerce`` accepts only an int or a
-Fraction and raises TypeError on anything else.
+Scalars are plain Python values.  Over the rationals a scalar is an
+``int`` when it is integral and otherwise a ``fractions.Fraction`` whose
+denominator exceeds 1, so integral arithmetic never builds a Fraction;
+over a prime field it is an ``int`` residue in ``0..p-1``.  A field object
+carries the arithmetic and returns these canonical forms; values never
+float: ``coerce`` accepts only an int or a Fraction and raises TypeError
+on anything else.  ``Fraction(2, 1) == 2`` and both hash alike, so the two
+forms of an integral rational compare and hash as one value.
 """
 
 from __future__ import annotations
@@ -50,8 +54,14 @@ class FieldMismatchError(ValueError):
     """Raised when operands over different ground fields are combined."""
 
 
+def _canonical(x):
+    """The canonical Q form of an int or Fraction: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """The field Q; scalars are Fractions in lowest terms.  Immutable."""
+    """The field Q; scalars are ints when integral, else Fractions in
+    lowest terms.  Immutable."""
 
     __slots__ = ()
     _instance = None
@@ -61,31 +71,33 @@ class Rationals:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __setattr__(self, *args):
         raise AttributeError("Rationals is immutable")
 
     @staticmethod
-    def coerce(x) -> Fraction:
-        if type(x) is Fraction:
+    def coerce(x):
+        if type(x) is int:
             return x
+        if type(x) is Fraction:
+            return _canonical(x)
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return _canonical(Fraction(x))
         raise TypeError(f"not an exact scalar over Q: {x!r}")
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return _canonical(a + b)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        return _canonical(a - b)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        return _canonical(a * b)
 
     @staticmethod
     def neg(a):
@@ -95,7 +107,7 @@ class Rationals:
     def inv(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
     @staticmethod
     def is_zero(a) -> bool:

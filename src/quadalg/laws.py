@@ -10,6 +10,7 @@ there is an engine bug and raises instead of reporting a FAIL.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 from random import Random
 
@@ -18,7 +19,8 @@ from .linalg import Matrix, Record, rref, solve
 from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             evaluation_matrix, free_presentation,
                             full_relations_presentation, internal_hom,
-                            is_morphism, unit_black, unit_white, white)
+                            is_morphism, residual_text, unit_black,
+                            unit_white, white)
 from .tensorindex import PermutationMap, flip, kron, push_subspace
 
 
@@ -356,7 +358,8 @@ def contragredient_invertibility(h: AlgebraMorphism, hp: AlgebraMorphism):
         return False, "degree-1 matrix is not invertible"
     ok, residual = is_morphism(h.dst, h.src, inv_t)
     if not ok:
-        return False, f"inverse is not a morphism; residual {residual}"
+        return False, ("inverse is not a morphism; residual "
+                       + residual_text(residual))
     return True, AlgebraMorphism(h.dst, h.src, inv_t)
 
 
@@ -509,6 +512,12 @@ def suite_rigid(pool, trials: int, rng):
     return checks, reports
 
 
+def _entries(M: Matrix) -> str:
+    """M's dense entries as nested tuple reprs, Q entries as Fractions."""
+    scalar = Fraction if M.field == QQ else int
+    return repr(tuple(tuple(map(scalar, row)) for row in M.data))
+
+
 def trace_multiplicativity_report(U, rng) -> str:
     """Measure Trace(h h') against Trace(h)Trace(h'); report, never assert."""
     from .sampling import sample_endomorphisms
@@ -521,7 +530,7 @@ def trace_multiplicativity_report(U, rng) -> str:
             if lhs != rhs:
                 return (f"trace-multiplicativity on {_name(U)}: fails; "
                         f"Trace(hh')={lhs} vs Trace(h)Trace(h')={rhs} "
-                        f"for h={h.data} h'={hp.data}")
+                        f"for h={_entries(h)} h'={_entries(hp)}")
     return (f"trace-multiplicativity on {_name(U)}: no counterexample "
             f"in sample")
 

@@ -5,15 +5,13 @@ to row reduction here.  Subspaces are kept in reduced row-echelon form, so
 set equality is representation equality.
 
 A Matrix stores one ``{column: scalar}`` dict per row, holding only the
-nonzero entries, each canonical: a Fraction over Q and an int in 1..p-1
-over GF(p).  These are the rows the elimination kernel works on.
+nonzero entries, each canonical (see ``fields``): over Q an int when
+integral and otherwise a Fraction with denominator above 1, over GF(p) an
+int in 1..p-1.  These are the rows the elimination kernel works on.
 Operations that keep the invariant build their results from rows they
 already hold, without coercing them again.  A canonical sum is zero exactly
-when it is falsy, so the code tests ``if x`` rather than ``x == zero``
-(``Fraction.__bool__`` reads only the numerator, while ``Fraction.__eq__``
-goes through an isinstance chain).  Likewise a canonical entry is one
-exactly when ``x.numerator == x.denominator``: a Fraction is in lowest
-terms, and an int residue is its own numerator over 1.
+when it is falsy, so the code tests ``if x`` rather than ``x == zero``, and
+a canonical entry is one exactly when it is the int 1.
 
 One elimination kernel, ``_echelon``, serves both field families and every
 caller: forward elimination on sparse ``{column: int}`` row dicts.  Over
@@ -23,8 +21,11 @@ cleared of denominators and kept primitive (fraction-free), and every
 stored integer is bounded by a minor of the denominator-cleared input (see
 ``_echelon``).  ``sparse_rank`` and ``matrix_rank`` count its pivots;
 ``rref`` adds back-substitution and builds Fractions only for the final
-rows.  Membership (``reduce_against``) and ``solve`` work on the same
-sparse rows; the dense ``Matrix.data`` view exists for display only.
+entries that its integer rows do not divide exactly.  The matrix product
+accumulates ints as well: over Q each factor's rows are cleared to one
+denominator first (see ``Matrix.__matmul__``).  Membership
+(``reduce_against``) and ``solve`` work on the same sparse rows; the dense
+``Matrix.data`` view exists for display only.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ class Matrix:
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(len(row) == 1
-                   and (x := row.get(i, 0)).numerator == x.denominator
+        return all(len(row) == 1 and row.get(i) == 1
                    for i, row in enumerate(self.sparse))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -155,21 +155,42 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        # accumulate the rows of `other`, scaled by the entries of each row
-        # of `self`; over GF(p) the sums stay unreduced until the one
-        # coerce per output entry
-        coerce = f.coerce
+        p = f.p if isinstance(f, PrimeField) else None
         orows = other.sparse
+        if p is None:
+            # each row k of `other` that `self` reaches becomes the int row
+            # orows[k] over the denominator oden[k]
+            oden, orows = {}, {}
+            for k in set().union(*self.sparse):
+                row = other.sparse[k]
+                d = oden[k] = lcm(*(y.denominator for y in row.values()))
+                orows[k] = row if d == 1 else {
+                    j: y.numerator * (d // y.denominator)
+                    for j, y in row.items()}
+        # accumulate the int rows of `other`, scaled by the int entries of
+        # each row of `self`; the sums stay unreduced until one finish per
+        # output entry
         out = []
         for row in self.sparse:
+            if p is None:
+                # sum_k (a_k / oden[k]) orows[k], over one denominator
+                den = lcm(*(a.denominator * oden[k] for k, a in row.items()))
+                if den != 1:
+                    row = {k: a.numerator * (den // (a.denominator * oden[k]))
+                           for k, a in row.items()}
             acc = {}
             for k, a in row.items():
                 terms = orows[k].items()
-                if a.numerator != a.denominator:
+                if a != 1:
                     terms = [(j, a * y) for j, y in terms]
                 for j, y in terms:
                     acc[j] = acc[j] + y if j in acc else y
-            out.append({j: x for j, v in acc.items() if (x := coerce(v))})
+            if p is not None:
+                out.append({j: x for j, v in acc.items() if (x := v % p)})
+            elif den == 1:
+                out.append({j: v for j, v in acc.items() if v})
+            else:
+                out.append({j: _ratio(v, den) for j, v in acc.items() if v})
         return Matrix.from_rows(f, out, other.cols)
 
     def __eq__(self, other):
@@ -263,6 +284,12 @@ def assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
     return Matrix.from_rows(f, rows, src_dim)
 
 
+def _ratio(n: int, d: int):
+    """n / d as a canonical Q scalar: an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _reduce(work, prow, j, p):
     """Clear column j of the integer row dict ``work`` with the pivot row
     ``prow``, whose leading entry is at j; return the new row.
@@ -318,8 +345,9 @@ def _echelon(field, rows):
     for row in rows:
         if p is None:
             den = lcm(*(v.denominator for v in row.values()))
-            work = {j: v.numerator * (den // v.denominator)
-                    for j, v in row.items() if v}
+            work = ({j: v for j, v in row.items() if v} if den == 1 else
+                    {j: v.numerator * (den // v.denominator)
+                     for j, v in row.items() if v})
             g = gcd(*work.values())
             if g > 1:
                 work = {k: v // g for k, v in work.items()}
@@ -356,10 +384,12 @@ def rref(M: Matrix):
         for c in [k for k in work if k != lead and k in rows]:
             work = _reduce(work, rows[c], c, p)
         rows[lead] = work
-    # over GF(p) the pivot rows are canonical residue rows with a leading 1
+    # over GF(p) the pivot rows are canonical residue rows with a leading
+    # 1; over Q the primitive int rows are divided by their leading entry
     out = [rows[lead] for lead in pivots]
     if p is None:
-        out = [{k: Fraction(v, row[lead]) for k, v in row.items()}
+        out = [row if (d := row[lead]) == 1 else
+               {k: _ratio(v, d) for k, v in row.items()}
                for row, lead in zip(out, pivots)]
     return Matrix.from_rows(f, out, M.cols), len(pivots), pivots
 

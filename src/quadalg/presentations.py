@@ -118,7 +118,8 @@ class AlgebraMorphism(Record):
         ok, residual = is_morphism(src, dst, M)
         if not ok:
             raise ValueError(
-                f"matrix does not define a morphism; residual {residual}")
+                "matrix does not define a morphism; residual "
+                + residual_text(residual))
         super().__init__(src, dst, M)
 
     @staticmethod
@@ -143,6 +144,11 @@ def is_morphism(src: QuadraticPresentation, dst: QuadraticPresentation,
     image = src.R.basis @ kron(M, M).transpose()
     residual = reduce_against(dst.R, image.sparse)
     return residual is None, residual
+
+
+def residual_text(residual) -> str:
+    """A residual of ``is_morphism`` as the user reads it: (0, -1/3, 0)."""
+    return f"({', '.join(map(str, residual))})"
 
 
 def evaluation_matrix(A: QuadraticPresentation) -> Matrix:

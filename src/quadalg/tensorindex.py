@@ -83,7 +83,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
             out = {}
             for j, a in arow.items():
                 base = j * width
-                if a.numerator == a.denominator:
+                if a == 1:
                     for l, b in brow.items():
                         out[base + l] = b
                 else:

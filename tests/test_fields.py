@@ -102,10 +102,25 @@ def test_coerce_rejects_non_exact_scalars(field, x):
 
 def test_coerce_keeps_exact_scalars():
     F7 = PrimeField(7)
-    assert QQ.coerce(3) == Fraction(3) and type(QQ.coerce(3)) is Fraction
+    assert QQ.coerce(3) == 3 and type(QQ.coerce(3)) is int
+    assert QQ.coerce(Fraction(6, 2)) == 3
+    assert type(QQ.coerce(Fraction(6, 2))) is int
     assert QQ.coerce(Fraction(1, 10)) == Fraction(1, 10)
+    assert type(QQ.coerce(True)) is int
     assert F7.coerce(-1) == 6 and F7.coerce(Fraction(1, 2)) == 4
     assert QQ.coerce(True) == 1 and F7.coerce(True) == 1
+
+
+def test_q_arithmetic_returns_ints_when_integral():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [(QQ.zero, 0), (QQ.one, 1), (QQ.add(half, half), 1),
+             (QQ.sub(third, third), 0), (QQ.mul(Fraction(2, 3), 3), 2),
+             (QQ.inv(Fraction(-1, 4)), -4), (QQ.neg(QQ.coerce(5)), -5)]
+    for x, want in cases:
+        assert type(x) is int and x == want
+    for x, want in [(QQ.add(half, third), Fraction(5, 6)), (QQ.inv(3), third),
+                    (QQ.mul(half, 3), Fraction(3, 2)), (QQ.inv(-2), -half)]:
+        assert type(x) is Fraction and x == want
 
 
 def test_inverse_of_zero():

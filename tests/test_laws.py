@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from quadalg.presentations import (
     black,
     dual,
     evaluation_matrix,
+    free_presentation,
     full_relations_presentation,
     is_morphism,
     unit_black,
@@ -213,6 +215,21 @@ def test_contragredient_of_permutation():
     ok, inv = contragredient_invertibility(h, hp)
     assert ok
     assert inv.M @ P == Matrix.identity(F3, 3)
+
+
+def test_contragredient_invertibility_reports_a_readable_residual():
+    # diag(2, 3) is a morphism free2 -> sym2, and diag(1/2, 1/3) solves the
+    # contragredient equations, but the inverse sends x(x)y - y(x)x to
+    # (x(x)y - y(x)x)/6, which the zero relations of free2 do not hold
+    U = free_presentation(QQ, ("a", "b"))
+    V = QuadraticPresentation(QQ, ("a", "b"),
+                              Subspace.span(QQ, [[0, 1, -1, 0]], 4))
+    h = AlgebraMorphism(U, V, Matrix(QQ, [[2, 0], [0, 3]], cols=2))
+    hp = AlgebraMorphism(dual(V), dual(U), Matrix(
+        QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], cols=2))
+    assert all(check.passed for check in contragredient_check(h, hp))
+    assert contragredient_invertibility(h, hp) == (
+        False, "inverse is not a morphism; residual (0, 1/6, -1/6, 0)")
 
 
 def test_contragredient_inconsistent_for_singular_map():

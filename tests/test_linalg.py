@@ -171,13 +171,15 @@ def partners(draw, M):
 
 def assert_canonical(M):
     """M.sparse has one dict per row holding only nonzero canonical
-    entries: Fractions over Q, ints in 1..p-1 over GF(p)."""
+    entries: over Q an int when integral and otherwise a Fraction with
+    denominator above 1, over GF(p) an int in 1..p-1."""
     assert isinstance(M.sparse, tuple) and len(M.sparse) == M.rows
     for row in M.sparse:
         for j, x in row.items():
             assert 0 <= j < M.cols
             if M.field == QQ:
-                assert type(x) is Fraction and x
+                assert x and (type(x) is int or type(x) is Fraction
+                              and x.denominator > 1)
             else:
                 assert type(x) is int and 0 < x < M.field.p
 
@@ -645,6 +647,45 @@ def test_operations_keep_sparse_rows_canonical(data):
     assert A @ C == dense_product(A, C) and C @ A == dense_product(C, A)
     assert A.scale(c).data == tuple(tuple(f.mul(f.coerce(c), x) for x in r)
                                     for r in A.data)
+
+
+# denominators that share factors (2, 4, 6, 9) and that do not (5, 7)
+product_fractions = st.builds(Fraction, st.integers(-9, 9),
+                              st.sampled_from([2, 3, 4, 6, 9, 5, 7]))
+
+
+@st.composite
+def q_product_pairs(draw):
+    """(A, B) over Q with integral, fractional and zero rows, where some
+    entries of A @ B are forced to cancel to an integer, zero included."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def row(width):
+        kind = draw(st.sampled_from(["int", "frac", "zero"]))
+        scalars = st.integers(-4, 4) if kind == "int" else st.one_of(
+            st.integers(-4, 4), product_fractions)
+        return [0 if kind == "zero" else draw(scalars) for _ in range(width)]
+
+    A = [row(k) for _ in range(n)]
+    B = [row(m) for _ in range(k)]
+    for _ in range(draw(st.integers(0, 3))):
+        # solve for the last entry of column j of B so that entry (i, j)
+        # of the product is the integer t
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        t, a = draw(st.integers(-2, 2)), A[i]
+        if a[-1]:
+            B[-1][j] = (t - sum(Fraction(a[l]) * B[l][j]
+                                for l in range(k - 1))) / Fraction(a[-1])
+    return mat(QQ, A), mat(QQ, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_product_pairs())
+def test_q_product_matches_the_fraction_reference(pair):
+    A, B = pair
+    C = A @ B
+    assert_canonical(C)
+    assert C == dense_product(A, B)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Quadratic presentations: duality, Manin products, units, morphisms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,8 +157,13 @@ def test_is_morphism_accepts_and_gives_witness():
     image = sym2.R.basis @ kron(ident, ident).transpose()
     assert residual == reduce_against(ext2.R, image.sparse) == (0, 0, -2, 0)
     assert repr(residual) == repr(tuple(map(QQ.coerce, (0, 0, -2, 0))))
-    with pytest.raises(ValueError, match=r"residual \(Fraction\(0, 1\)"):
+    with pytest.raises(ValueError, match=r"residual \(0, 0, -2, 0\)$"):
         AlgebraMorphism(sym2, ext2, ident)
+    # (x/2)(x)(y/3) - (y/3)(x)(x/2) leaves -1/3 at y(x)x
+    scaled = Matrix(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], cols=2)
+    with pytest.raises(ValueError,
+                       match=r"residual \(0, 0, -1/3, 0\)$"):
+        AlgebraMorphism(sym2, ext2, scaled)
 
 
 def test_free_source_and_full_target_are_always_morphisms():
