@@ -7,20 +7,25 @@ direct span sum_i V^i (x) R (x) V^j is kept as an independent oracle
 (`graded_dim_by_oracle`) for cross-checks at small degrees.
 
 Over Q, `hilbert` first tries `certified_hilbert`: the dimensions of the
-reduction mod the prime `CERT_P` are exact over Q wherever they meet the
-lower bound max(0, n d_{m-1} - r d_{m-2}) that holds for every algebra
-with n generators and r relations.  Generic algebras meet it (Anick 1982;
+reduction mod the prime `CERT_P` (`reduce_mod_p`, the entrywise reduction
+of the RREF relation basis, or None when CERT_P divides a denominator)
+are exact over Q wherever they meet the lower bound
+max(0, n d_{m-1} - r d_{m-2}) that holds for every algebra with n
+generators and r relations.  Generic algebras meet it (Anick 1982;
 Polishchuk and Positselski, *Quadratic Algebras*, ch. 6); elsewhere
-`hilbert` falls back to the exact structure over Q.
+`hilbert` falls back to the exact structure over Q.  `certified_twin`
+proves the same for A and for A^! (with n^2 - r relations), which is what
+the Koszul and Ext certificates of `koszul` rest on.  The structures of
+the reductions are cached under their own GF(CERT_P) keys, so `hilbert`,
+`koszul` and `ext` share one A' and one A'^!; a hit on such a key is
+exact.  `graded_dim_by_oracle` never reduces mod p.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .fields import PrimeField
 from .linalg import sparse_rank, Matrix, Subspace, quotient_data
-from .presentations import QuadraticPresentation
+from .presentations import QuadraticPresentation, dual
 from .tensorindex import kron
 
 
@@ -146,38 +151,78 @@ CERT_P = 32749
 _CERT_FIELD = PrimeField(CERT_P)
 
 
+def reduce_mod_p(A: QuadraticPresentation):
+    """The reduction of a Q presentation mod CERT_P, or None when CERT_P
+    divides a denominator of the RREF basis of its relations.
+
+    Otherwise the RREF rows are a Z_(p)-basis of the saturated lattice
+    R cap Z_(p)^{n^2}, their entrywise reduction is again in RREF (a pivot
+    stays 1, a pivot column stays clear), and the annihilator of the
+    reduction is the reduction of the annihilator lattice.
+    """
+    coerce, rows = _CERT_FIELD.coerce, []
+    for row in A.R.basis.sparse:
+        if any(type(x) is not int and x.denominator % CERT_P == 0
+               for x in row.values()):
+            return None
+        rows.append({j: y for j, x in row.items() if (y := coerce(x))})
+    n2 = A.n * A.n
+    return QuadraticPresentation(
+        _CERT_FIELD, A.labels,
+        Subspace(n2, Matrix.from_rows(_CERT_FIELD, rows, n2),
+                 _canonical=True))
+
+
+def _generic_dims(B: QuadraticPresentation, r: int, N: int):
+    """dim B_0..B_N when each meets max(0, n d_{m-1} - r d_{m-2}), else
+    None; stops at the first degree that does not."""
+    gs = graded_structure(B)
+    dims = [1, B.n]
+    for m in range(2, N + 1):
+        bound = max(0, B.n * dims[m - 1] - r * dims[m - 2])
+        if gs.dim(m) != bound:
+            return None
+        dims.append(bound)
+    return dims[:N + 1]
+
+
 def certified_hilbert(A: QuadraticPresentation, N: int):
     """dim A_0..A_N of a Q presentation, proven from its reduction mod
     CERT_P, or None where the proof does not go through.
 
-    Each relation row is cleared of denominators and reduced mod CERT_P.
-    The reduction spans the image of an integer spanning set of every
-    ideal component, and a rank mod p is at most the rank over Q, so
+    The reduction A' (`reduce_mod_p`) reduces a Z_(p)-spanning set of
+    every ideal component, and a rank mod p is at most the rank over Q, so
     dim A'_m >= dim A_m.  A_m = (A_{m-1} (x) V)/K with K spanned by the
     images of A_{m-2} (x) R, so dim A_m >= max(0, n d_{m-1} - r d_{m-2})
     once d_{m-1} and d_{m-2} are proven.  Where dim A'_m equals that
     bound, both bounds meet and d_m is proven; at the first degree where
     it does not, the attempt stops.  An unlucky prime costs time, never an
-    answer.  The reduced structure is private: it neither enters the
-    cache of `graded_structure` nor serves a later GF(p) job.
+    answer.  The structure of A' enters the cache of `graded_structure`
+    under its own GF(CERT_P) key, where `certified_twin` and a later
+    GF(CERT_P) job on the same presentation find it: it is exact there.
     """
-    n, r = A.n, A.R.dim
-    rows = []
-    for row in A.R.basis.sparse:
-        den = lcm(*(x.denominator for x in row.values()))
-        rows.append({j: y for j, x in row.items()
-                     if (y := x.numerator * (den // x.denominator) % CERT_P)})
-    reduced = QuadraticPresentation(
-        _CERT_FIELD, A.labels,
-        Subspace(n * n, Matrix.from_rows(_CERT_FIELD, rows, n * n)))
-    gs = GradedStructure(reduced)
-    dims = [1, n]
-    for m in range(2, N + 1):
-        bound = max(0, n * dims[m - 1] - r * dims[m - 2])
-        if gs.dim(m) != bound:
-            return None
-        dims.append(bound)
-    return dims[:N + 1]
+    reduced = reduce_mod_p(A)
+    return None if reduced is None else _generic_dims(reduced, A.R.dim, N)
+
+
+def certified_twin(A: QuadraticPresentation, N: int):
+    """The reduction A' of a Q presentation mod CERT_P when dim A'_m and
+    dim A'^!_m meet the generic bound for every m <= N, else None (and
+    None over a prime field).
+
+    Then dim A_m = dim A'_m and dim A^!_m = dim A'^!_m are proven as in
+    `certified_hilbert`, dual(A') having n^2 - r relations.  Every A_m and
+    A^!_m is then a free Z_(p)-module, so each Koszul or bar complex of A
+    in internal degree at most N is the generic fibre of a complex of free
+    modules whose special fibre is the one of A' (see `koszul`).
+    """
+    if isinstance(A.field, PrimeField):
+        return None
+    reduced = reduce_mod_p(A)
+    if (reduced is None or _generic_dims(reduced, A.R.dim, N) is None
+            or _generic_dims(dual(reduced), A.n * A.n - A.R.dim, N) is None):
+        return None
+    return reduced
 
 
 def graded_dim_by_oracle(A: QuadraticPresentation, m: int) -> int:

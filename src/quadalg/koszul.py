@@ -12,6 +12,23 @@ of k (``ext_by_resolution``), which for a Koszul algebra has the size of
 the Koszul complex.  The reduced bar complex (``bar_homology``), whose size
 grows with the compositions of m, computes the same table and is kept as
 an independent oracle: both read only the multiplication of A.
+
+Over Q, `koszul_verdict` and `ext_by_resolution` first try a certificate
+on the reduction A' of A mod CERT_P.  When `certified_twin` proves dim A_m
+= dim A'_m and dim A^!_m = dim A'^!_m, every A_m and A^!_m is a free
+Z_(p)-module, so each Koszul and bar complex over Q is the generic fibre
+of a complex of free modules whose special fibre is that of A'.  A rank
+mod p is at most the rank over Q, so at each position the Q homology is at
+most the mod-p homology, and the Euler characteristic of each internal
+degree is the same over both fields.  A degree of the Koszul complex whose
+mod-p homology is zero or sits at one position therefore has the same
+homology over Q.  For Ext the diagonal ext^{m,m} = dim A^!_m is proven by
+the A^! dimensions, so one nonzero off-diagonal cell per degree is forced
+in the same way; without the A^! check the diagonal, and with it that
+cell, may differ (see the tests).  Everything else is computed exactly
+over Q.  `bar_homology`, `homology_report`, `second_complex_slice` and
+`graded.graded_dim_by_oracle` on a Q presentation never reduce mod p:
+they stay exact-only oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from math import prod
 from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
                      Matrix, Record, Subspace)
 from .presentations import AlgebraMorphism, QuadraticPresentation, dual
-from .graded import graded_structure
+from .graded import certified_twin, graded_structure, hilbert
 from .tensorindex import kron
 
 
@@ -152,10 +169,24 @@ def homology_report(A: QuadraticPresentation, m: int) -> HomologyReport:
 
 
 def koszul_verdict(A: QuadraticPresentation, N: int):
-    """Per-degree homology reports for m = 1..N, plus the overall verdict."""
+    """Per-degree homology reports for m = 1..N, plus the overall verdict.
+
+    Over Q a degree is read off the reduction mod CERT_P when
+    `certified_twin` proves the dimensions of A and A^! and the homology
+    mod p of that degree is zero or sits at one position: the Q homology
+    is at most the mod-p homology at every position, and both have the
+    same Euler characteristic, so that position's value is forced.  Any
+    other degree is computed exactly over Q.
+    """
     if N < 1:
         raise ValueError("N must be at least 1")
-    reports = [homology_report(A, m) for m in range(1, N + 1)]
+    twin = certified_twin(A, N)
+    reports = []
+    for m in range(1, N + 1):
+        report = None if twin is None else homology_report(twin, m)
+        if report is None or sum(map(bool, report.homology_dims)) > 1:
+            report = homology_report(A, m)
+        reports.append(report)
     return reports, all(r.exact for r in reports)
 
 
@@ -163,14 +194,10 @@ def euler_hilbert_test(A: QuadraticPresentation, N: int):
     """Alternating-sum identity per degree: a cheap necessary condition."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    gs = graded_structure(A)
-    gd = graded_structure(dual(A))
-    out = []
-    for m in range(1, N + 1):
-        total = sum((-1) ** i * gs.dim(m - i) * gd.dim(i)
-                    for i in range(m + 1))
-        out.append(total == 0)
-    return out
+    dims, dual_dims = hilbert(A, N), hilbert(dual(A), N)
+    return [sum((-1) ** i * dims[m - i] * dual_dims[i]
+                for i in range(m + 1)) == 0
+            for m in range(1, N + 1)]
 
 
 def _compositions(m: int, p: int):
@@ -194,8 +221,8 @@ class BidegreeTable(Record):
 
     def on_diagonal(self, A: QuadraticPresentation) -> bool:
         """Concentrated on p = m, with the dims of the dual algebra there."""
-        gd = graded_structure(dual(A))
-        return all(self.entry(p, m) == (gd.dim(p) if p == m else 0)
+        dual_dims = hilbert(dual(A), self.m_max)
+        return all(self.entry(p, m) == (dual_dims[p] if p == m else 0)
                    for m in range(self.m_max + 1) for p in range(m + 1))
 
 
@@ -280,8 +307,39 @@ def _parts(gs, target, columns: Matrix, m: int):
 
 
 def ext_by_resolution(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
-    """Ext^{p,m}_A(k, k) for 0 <= p <= m <= m_max, from a minimal graded
-    free resolution ... -> P_1 -> P_0 = A -> k of right A-modules.
+    """Ext^{p,m}_A(k, k) for 0 <= p <= m <= m_max: over Q from
+    `certified_ext` where it answers, else from the exact resolution
+    (`_resolve`)."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    table = certified_ext(A, m_max)
+    return _resolve(A, m_max) if table is None else table
+
+
+def certified_ext(A: QuadraticPresentation, m_max: int):
+    """The Ext table of a Q presentation, proven from its reduction mod
+    CERT_P, or None where the proof does not go through.
+
+    The table of the reduction is the answer when `certified_twin` proves
+    the dimensions of A and A^! and each degree m has at most one nonzero
+    off-diagonal cell (p < m) mod p.  The bar complex bounds each Q cell
+    by its mod-p cell, both have the same Euler characteristic in each
+    degree, and the diagonal ext^{m,m} = dim A^!_m is proven, so that
+    cell's value is forced.
+    """
+    twin = certified_twin(A, m_max)
+    if twin is None:
+        return None
+    table = _resolve(twin, m_max)
+    if all(sum(bool(table.entry(p, m)) for p in range(m)) <= 1
+           for m in range(m_max + 1)):
+        return table
+    return None
+
+
+def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
+    """The Ext table from a minimal graded free resolution
+    ... -> P_1 -> P_0 = A -> k of right A-modules.
 
     P_p = E_p (x) A is built degree by degree from ``gs.mult`` alone, and
     ext^{p,m} is the number of generators of P_p in degree m.  In degree m
@@ -292,8 +350,6 @@ def ext_by_resolution(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
     computed only when that count is positive.  d_p in degree m, with the
     new generators' columns appended, is the d_{p-1} of the next step.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
     f = A.field
     gs = graded_structure(A)
     # gens[p]: the generators of P_p, one batch (degree, count, parts) per

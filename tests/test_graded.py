@@ -18,6 +18,7 @@ from quadalg.graded import (
     graded_dim_by_oracle,
     graded_structure,
     hilbert,
+    reduce_mod_p,
 )
 from quadalg.parser import parse
 from quadalg.presentations import (QuadraticPresentation, dual, unit_black,
@@ -171,11 +172,20 @@ def test_certificate_falls_back_to_the_q_dimensions(rels, dims):
     assert hilbert(A, 5) == dims
 
 
-def test_certificate_leaves_the_structure_cache_alone():
+def test_certificate_caches_the_reduction_and_not_the_q_presentation():
+    # the reduced structure is cached under its GF(CERT_P) key, where the
+    # Koszul and Ext certificates and later GF(CERT_P) jobs share it
     A = _q("u*v - 3*v*u", gens="u v")
-    before = dict(graded._structures)
+    reduced = reduce_mod_p(A)
+    assert reduced.field == PrimeField(CERT_P)
+    assert reduced.R.basis == Matrix(reduced.field, [[0, 1, CERT_P - 3, 0]],
+                                     cols=4)
+    graded._structures.pop(reduced, None)
     assert hilbert(A, 6) == [1, 2, 3, 4, 5, 6, 7]
-    assert graded._structures == before
+    assert A not in graded._structures
+    cached = graded._structures[reduced]
+    assert graded_structure(reduced) is cached
+    assert [cached.dim(m) for m in range(7)] == [1, 2, 3, 4, 5, 6, 7]
 
 
 COEFFS = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),

@@ -6,12 +6,18 @@ import io
 import json
 import random
 
-import pytest
+from fractions import Fraction
 
-from quadalg import koszul
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quadalg import graded, koszul
 from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
-from quadalg.graded import graded_dim, graded_structure
+from quadalg.graded import (CERT_P, certified_hilbert, certified_twin,
+                            graded_dim, graded_structure, hilbert,
+                            reduce_mod_p)
 from quadalg.koszul import (
     BidegreeTable,
     ComplexSlice,
@@ -19,6 +25,7 @@ from quadalg.koszul import (
     _bar_spaces,
     bar_complex_in_degree,
     bar_homology,
+    certified_ext,
     dh_square_is_zero,
     euler_hilbert_test,
     ext_by_resolution,
@@ -30,6 +37,7 @@ from quadalg.koszul import (
     second_complex_slice,
 )
 from quadalg.linalg import Matrix, Subspace, null_basis
+from quadalg.parser import parse
 from quadalg.presentations import QuadraticPresentation, dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
@@ -446,8 +454,146 @@ def test_bench_ext_tool_compares_the_engines(tmp_path):
     spec.loader.exec_module(bench_ext)
     out = tmp_path / "BENCH_ext.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert bench_ext.main(["--degrees", "2", "3",
-                               "--out", str(out)]) == 0
+        assert bench_ext.main(["--degrees", "2", "3", "--generic-degrees",
+                               "3", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
-    assert len(rows) == 2 * len(CORPUS_NAMES)
+    assert len(rows) == 2 * len(CORPUS_NAMES) + 3
     assert all(row["equal"] is True for row in rows)
+    assert all(row["resolution_q1_s"] <= row["resolution_s"]
+               <= row["resolution_q3_s"] for row in rows)
+    # the generic rows are answered by the certificate
+    assert [row["certified"] for row in rows[-3:]] == [True] * 3
+
+
+# The certificate over Q: Koszul homology and Ext read off the reduction
+# mod CERT_P where the proof goes through, the exact engine elsewhere.
+
+def _q(*rels, gens="x y"):
+    text = "field Q\nalgebra t\ngens " + gens + "\n"
+    return parse(text + "".join(f"rel {r}\n" for r in rels))[1]
+
+
+def _assert_exact_answers(A, N):
+    """koszul_verdict and ext_by_resolution over Q equal the exact Q slices,
+    the exact resolution and the bar complex, which never reduce mod p."""
+    reports = [homology_report(A, m) for m in range(1, N + 1)]
+    assert koszul_verdict(A, N) == (reports, all(r.exact for r in reports))
+    table = ext_by_resolution(A, N)
+    assert table == koszul._resolve(A, N) == bar_homology(A, N)
+
+
+# A is generic over both fields, but A^! has dims 1, 3, 5, 3, 0, 0 over Q
+# against 1, 3, 5, 3, 1, 1 mod CERT_P
+DUAL_MISMATCH = _q(
+    f"-1*a*a + {CERT_P}*b*b + {2 * CERT_P}*c*b + {CERT_P}*c*c",
+    f"a*a + a*b + {CERT_P}*b*a + b*b + {2 * CERT_P}*b*c + {CERT_P}*c*a"
+    " + c*b",
+    f"{2 * CERT_P}*a*a + a*b - b*a - b*b - b*c",
+    f"-1*a*a + {2 * CERT_P}*a*b - a*c - b*a + b*b + {2 * CERT_P}*b*c"
+    " - c*b + c*c",
+    "-1*a*a + a*b + b*a + b*b + c*a + c*b + c*c",
+    gens="a b c")
+
+
+def test_certificate_falls_back_when_the_dual_differs_mod_p():
+    A = DUAL_MISMATCH
+    reduced = reduce_mod_p(A)
+    assert certified_hilbert(A, 5) == [1, 3, 4, 0, 0, 0]
+    assert hilbert(dual(A), 5) == [1, 3, 5, 3, 0, 0]
+    assert hilbert(dual(reduced), 5) == [1, 3, 5, 3, 1, 1]
+    assert certified_twin(A, 5) is None
+    assert certified_ext(A, 5) is None
+    # the mod-p table has one off-diagonal cell per degree, and it is wrong
+    # over Q: only the A^! check keeps it out
+    wrong = koszul._resolve(reduced, 5)
+    assert wrong.entry(3, 4) == 12 and wrong.entry(4, 4) == 1
+    assert ext_by_resolution(A, 5).entry(3, 4) == 11
+    _assert_exact_answers(A, 5)
+
+
+def test_certificate_falls_back_on_an_unlucky_prime():
+    # CERT_P sits in the denominators of the RREF basis
+    A = _q(f"{CERT_P}*x*x + y*x + y*y", f"{CERT_P}*x*y + 2*y*x + 3*y*y")
+    assert reduce_mod_p(A) is None
+    assert certified_twin(A, 5) is None
+    _assert_exact_answers(A, 5)
+
+
+def test_certificate_falls_back_when_a_differs_mod_p():
+    # generic over Q (dims m + 1); mod CERT_P the relation is x*x, whose
+    # dims are Fibonacci numbers
+    A = _q(f"x*x - {CERT_P}*y*y")
+    reduced = reduce_mod_p(A)
+    assert hilbert(reduced, 4) == [1, 2, 3, 5, 8]
+    assert hilbert(A, 4) == [1, 2, 3, 4, 5]
+    assert certified_twin(A, 4) is None
+    _assert_exact_answers(A, 4)
+
+
+def test_certified_answers_build_no_q_structure():
+    A = _q("x*y - 3*y*x + z*z", "x*z + 2*z*y", "y*y - x*x + 5*z*x",
+           gens="x y z")
+    graded._structures.clear()
+    assert certified_twin(A, 4) is not None
+    table = ext_by_resolution(A, 4)
+    assert certified_ext(A, 4) == table
+    table.on_diagonal(A)
+    koszul_verdict(A, 4)
+    euler_hilbert_test(A, 4)
+    assert not {A, dual(A)} & set(graded._structures)
+    _assert_exact_answers(A, 4)
+
+
+def test_koszul_certificate_needs_one_position(monkeypatch):
+    # a mod-p report with homology at two positions bounds nothing: the
+    # degree is computed over Q, where sym2 is exact
+    real = koszul.homology_report
+
+    def spread(A, m):
+        r = real(A, m)
+        if A.field == QQ or m != 2:
+            return r
+        return HomologyReport(m, r.position_dims, (0, 1, 1), False)
+    monkeypatch.setattr(koszul, "homology_report", spread)
+    A = load("sym2")
+    assert certified_twin(A, 3) is not None
+    reports, ok = koszul_verdict(A, 3)
+    assert ok and reports[1] == real(A, 2)
+
+
+def test_ext_certificate_needs_one_off_diagonal_cell(monkeypatch):
+    real = koszul._resolve
+
+    def spread(A, m_max):
+        table = real(A, m_max)
+        if A.field == QQ:
+            return table
+        return BidegreeTable(m_max, {**table.entries, (1, 3): 1, (2, 3): 1})
+    monkeypatch.setattr(koszul, "_resolve", spread)
+    A = load("sym2")
+    assert certified_twin(A, 3) is not None
+    assert certified_ext(A, 3) is None
+    assert ext_by_resolution(A, 3) == real(A, 3)
+
+
+CERT_COEFFS = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),
+                                         CERT_P, -CERT_P, 2 * CERT_P,
+                                         Fraction(1, CERT_P)])
+
+
+@st.composite
+def q_presentations(draw):
+    """2 or 3 generators, sparse relations whose entries include CERT_P
+    and 1/CERT_P, so that every fallback is reached."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n * n - 1))
+    rows = draw(st.lists(st.lists(CERT_COEFFS, min_size=n * n,
+                                  max_size=n * n), min_size=k, max_size=k))
+    return QuadraticPresentation(QQ, "xyz"[:n], Subspace.span(QQ, rows, n * n))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q_presentations())
+def test_certified_answers_match_the_exact_engines(A):
+    _assert_exact_answers(A, 5 if A.n == 2 else 4)
