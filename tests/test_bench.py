@@ -1,0 +1,101 @@
+"""tools/bench.py: each subcommand checks its engine against its oracle."""
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from quadalg.fields import QQ
+
+from conftest import CORPUS, CORPUS_NAMES
+
+TOOL = CORPUS.parent / "tools" / "bench.py"
+
+# one small run per subcommand
+RUNS = {
+    "ext": ["ext", "--seeds", "1", "--degrees", "3"],
+    "hilbert": ["hilbert", "--seeds", "1", "--degrees", "3"],
+    "linalg": ["linalg", "--seeds", "0", "--degrees", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def timings(node):
+    """Every {median_s, q1_s, q3_s} record inside a JSON value."""
+    if isinstance(node, dict):
+        if "median_s" in node:
+            yield node
+        for value in node.values():
+            yield from timings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from timings(value)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_bench_subcommand_agrees_with_its_oracle(bench, name, tmp_path):
+    out = tmp_path / f"BENCH_{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bench.main(RUNS[name] + ["--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    rows = record["rows"]
+    assert rows and all(row["agree"] is True for row in rows)
+    found = list(timings(rows))
+    assert len(found) >= len(rows)
+    assert all(t["q1_s"] <= t["median_s"] <= t["q3_s"] for t in found)
+    assert record["machine"]["ref_s"] > 0
+    if name == "ext":
+        corpus = [row["input"] for row in rows if row["family"] == "corpus"]
+        assert corpus == CORPUS_NAMES
+        generic = [row for row in rows if row["family"] != "corpus"]
+        assert len(generic) == 3
+        # the generic rows are answered by the certificate
+        assert all(row["certified"] for row in generic)
+
+
+def _shift_gf_degree(bench, monkeypatch):
+    real = bench.second_complex_slice
+    monkeypatch.setattr(bench, "second_complex_slice",
+                        lambda A, m: real(A, m + (A.field != QQ)))
+
+
+ORACLE_BREAKERS = {
+    "ext": lambda bench, mp: mp.setattr(bench, "bar_homology",
+                                        lambda A, N: None),
+    "hilbert": lambda bench, mp: mp.setattr(bench, "exact_dims",
+                                            lambda A, N: []),
+    "linalg": _shift_gf_degree,
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_bench_subcommand_exits_1_when_the_oracle_disagrees(
+        bench, name, tmp_path, monkeypatch, capsys):
+    ORACLE_BREAKERS[name](bench, monkeypatch)
+    argv = [name, "--seeds", "0", "--degrees", "2",
+            "--out", str(tmp_path / "out.json")]
+    assert bench.main(argv) == 1
+    assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_bench_script_runs_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "BENCH_linalg.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "linalg", "--seeds", "0", "--degrees",
+         "2", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert all(row["agree"] for row in json.loads(out.read_text())["rows"])

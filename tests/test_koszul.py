@@ -1,9 +1,7 @@
 """Koszul differentials, complexes, homology, and the bar-side cross-check."""
 
 import contextlib
-import importlib.util
 import io
-import json
 import random
 
 from fractions import Fraction
@@ -445,24 +443,6 @@ def test_value_classes_are_immutable_records():
         sl.internal_degree = 3
     with pytest.raises(TypeError):
         HomologyReport(2, (1,), (0,))
-
-
-def test_bench_ext_tool_compares_the_engines(tmp_path):
-    path = CORPUS.parent / "tools" / "bench_ext.py"
-    spec = importlib.util.spec_from_file_location("bench_ext", path)
-    bench_ext = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_ext)
-    out = tmp_path / "BENCH_ext.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert bench_ext.main(["--degrees", "2", "3", "--generic-degrees",
-                               "3", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())["rows"]
-    assert len(rows) == 2 * len(CORPUS_NAMES) + 3
-    assert all(row["equal"] is True for row in rows)
-    assert all(row["resolution_q1_s"] <= row["resolution_s"]
-               <= row["resolution_q3_s"] for row in rows)
-    # the generic rows are answered by the certificate
-    assert [row["certified"] for row in rows[-3:]] == [True] * 3
 
 
 # The certificate over Q: Koszul homology and Ext read off the reduction
