@@ -26,7 +26,7 @@ from __future__ import annotations
 from .fields import PrimeField
 from .linalg import sparse_rank, Matrix, Subspace, quotient_data
 from .presentations import QuadraticPresentation, dual
-from .tensorindex import kron
+from .tensorindex import contract, kron
 
 
 class GradedStructure:
@@ -58,16 +58,15 @@ class GradedStructure:
     def _ensure(self, m: int):
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        A, f, n = self.A, self.A.field, self.A.n
+        A, n = self.A, self.A.n
         while max(self._dims) < m:
             k = max(self._dims) + 1
             ambient = self._dims[k - 1] * n
             # K is spanned by the images of s (x) r, for s a basis vector
             # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
-            relations = kron(Matrix.identity(f, self._dims[k - 2]),
-                             A.R.basis)
-            push = kron(self._step_proj[k - 1], Matrix.identity(f, n))
-            K = Subspace(ambient, relations @ push.transpose())
+            push = contract(self._step_proj[k - 1], self._dims[k - 2],
+                            A.R.basis.transpose(), n)
+            K = Subspace(ambient, push.transpose())
             proj, section = quotient_data(ambient, K)
             self._dims[k] = proj.rows
             self._step_proj[k] = proj
@@ -89,7 +88,9 @@ class GradedStructure:
         By recursion on j: ``step_section(j)`` writes a basis vector of A_j
         as an element of A_{j-1} (x) V, so by associativity
         a * b = (a * b') * v for b = b' (x) v, and ``step_proj(i+j)``
-        multiplies by the last generator.  No map leaves the quotients.
+        multiplies by the last generator.  The map a (x) b -> (a * b') (x) v
+        is (mult(i, j-1) (x) I_V) @ (I_{A_i} (x) step_section(j)), one
+        ``contract``.  No map leaves the quotients.
         """
         key = (i, j)
         if key not in self._mult:
@@ -99,11 +100,9 @@ class GradedStructure:
             elif j == 0:
                 self._mult[key] = Matrix.identity(f, self.dim(i))
             else:
-                prev = kron(self.mult(i, j - 1),
-                            Matrix.identity(f, self.A.n))
-                lift = kron(Matrix.identity(f, self.dim(i)),
-                            self.step_section(j))
-                self._mult[key] = self.step_proj(i + j) @ prev @ lift
+                self._mult[key] = self.step_proj(i + j) @ contract(
+                    self.mult(i, j - 1), self.dim(i), self.step_section(j),
+                    self.A.n)
         return self._mult[key]
 
     def left_mult_by_generator(self, m: int, a: int) -> Matrix:

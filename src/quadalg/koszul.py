@@ -3,7 +3,9 @@
 Koszulity up to degree N is decided on the finite internal-degree slices of
 the dualized complex with terms A_{m-i} (x) (A^!_i)^*; the first complex
 is built independently for cross-checks.  The second-complex differential
-is one product of two Kronecker factors of the graded multiplication maps;
+is one ``tensorindex.contract`` of two graded multiplication maps, the
+product (step projection (x) I)(I (x) transposed dual multiplication)
+without either Kronecker factor, and so is each block of the resolution;
 the first complex and the bar complex are assembled by ``linalg.assemble``
 from signed Kronecker blocks.
 
@@ -40,7 +42,7 @@ from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
                      Matrix, Record, Subspace)
 from .presentations import AlgebraMorphism, QuadraticPresentation, dual
 from .graded import certified_twin, graded_structure, hilbert
-from .tensorindex import kron
+from .tensorindex import contract, kron
 
 
 def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
@@ -138,10 +140,12 @@ def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
 
     Positions are listed from i = m down to i = 0.  The differential is
     sum_j (right multiplication by u_j on A) (x) (left multiplication by
-    u^j on A^!)^T, computed as one product: the transpose of
-    gd.mult(1, i-1) splits (A^!_i)^* into V (x) (A^!_{i-1})^*, and
+    u^j on A^!)^T, computed as one ``contract``:
+    (gs.step_proj(m-i+1) (x) I) @ (I (x) gd.mult(1, i-1)^T).  The transpose
+    of gd.mult(1, i-1) splits (A^!_i)^* into V (x) (A^!_{i-1})^*, and
     gs.step_proj(m-i+1) multiplies A_{m-i} (x) V into A_{m-i+1}.  Both
-    factors index the middle V by the same row-major word.
+    index the middle V by the same row-major word; neither Kronecker factor
+    is built.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
@@ -154,11 +158,8 @@ def second_complex_slice(A: QuadraticPresentation, m: int) -> ComplexSlice:
         if not (dims[t] and dims[t + 1]):
             maps.append(Matrix.zero(f, dims[t + 1], dims[t]))
             continue
-        multiply = kron(gs.step_proj(m - i + 1),
-                        Matrix.identity(f, gd.dim(i - 1)))
-        split = kron(Matrix.identity(f, gs.dim(m - i)),
-                     gd.mult(1, i - 1).transpose())
-        maps.append(multiply @ split)
+        maps.append(contract(gs.step_proj(m - i + 1), gs.dim(m - i),
+                             gd.mult(1, i - 1).transpose(), gd.dim(i - 1)))
     return ComplexSlice(tuple(dims), tuple(maps), m)
 
 
@@ -249,10 +250,11 @@ def _resolution_differential(gs, gens, target, m: int) -> Matrix:
 
     A generator g of degree e with d(g) = sum_h h (x) c_h sends g (x) a,
     for a in A_{m-e}, to sum_h h (x) c_h a: the block (h, g) is
-    mult(i, m-e) @ kron(c_h, I), c_h in A_i.  A batch stacks the c_h of
+    mult(i, m-e) @ (c_h (x) I), c_h in A_i.  A batch stacks the c_h of
     the n generators h of one degree as the rows of C and those of its own
-    generators as the columns, so its block is kron(I_n, mult(i, m-e)) @
-    kron(C, I).  ``target`` is the layout of the previous term in degree m.
+    generators as the columns, so its block is (I_n (x) mult(i, m-e)) @
+    (C (x) I), the transpose of contract(C^T, n, mult(i, m-e)^T, dim
+    A_{m-e}).  ``target`` is the layout of the previous term in degree m.
     """
     f = gs.A.field
     row_of = {e: (off, n) for off, e, n in target[0]}
@@ -263,12 +265,12 @@ def _resolution_differential(gs, gens, target, m: int) -> Matrix:
         j = m - e
         if not (d := gs.dim(j)):
             continue
-        eye = Matrix.identity(f, d)
         for e_h, C in parts:
             if e_h in row_of:
                 off, n = row_of[e_h]
-                mult = kron(Matrix.identity(f, n), gs.mult(e - e_h, j))
-                blocks.append((off, col, False, mult @ kron(C, eye)))
+                block = contract(C.transpose(), n,
+                                 gs.mult(e - e_h, j).transpose(), d)
+                blocks.append((off, col, False, block.transpose()))
         col += count * d
     return assemble(f, target[1], col, blocks)
 

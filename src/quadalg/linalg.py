@@ -21,11 +21,12 @@ cleared of denominators and kept primitive (fraction-free), and every
 stored integer is bounded by a minor of the denominator-cleared input (see
 ``_echelon``).  ``sparse_rank`` and ``matrix_rank`` count its pivots;
 ``rref`` adds back-substitution and builds Fractions only for the final
-entries that its integer rows do not divide exactly.  The matrix product
-accumulates ints as well: over Q each factor's rows are cleared to one
-denominator first (see ``Matrix.__matmul__``).  Membership
-(``reduce_against``) and ``solve`` work on the same sparse rows; the dense
-``Matrix.data`` view exists for display only.
+entries that its integer rows do not divide exactly.  Products accumulate
+ints as well, in one core (``combine``) that serves ``Matrix.__matmul__``
+and ``tensorindex.contract``: over Q each factor's rows are cleared to one
+denominator first.  Membership (``reduce_against``) and ``solve`` work on
+the same sparse rows; the dense ``Matrix.data`` view exists for display
+only.
 """
 
 from __future__ import annotations
@@ -155,43 +156,9 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        p = f.p if isinstance(f, PrimeField) else None
-        orows = other.sparse
-        if p is None:
-            # each row k of `other` that `self` reaches becomes the int row
-            # orows[k] over the denominator oden[k]
-            oden, orows = {}, {}
-            for k in set().union(*self.sparse):
-                row = other.sparse[k]
-                d = oden[k] = lcm(*(y.denominator for y in row.values()))
-                orows[k] = row if d == 1 else {
-                    j: y.numerator * (d // y.denominator)
-                    for j, y in row.items()}
-        # accumulate the int rows of `other`, scaled by the int entries of
-        # each row of `self`; the sums stay unreduced until one finish per
-        # output entry
-        out = []
-        for row in self.sparse:
-            if p is None:
-                # sum_k (a_k / oden[k]) orows[k], over one denominator
-                den = lcm(*(a.denominator * oden[k] for k, a in row.items()))
-                if den != 1:
-                    row = {k: a.numerator * (den // (a.denominator * oden[k]))
-                           for k, a in row.items()}
-            acc = {}
-            for k, a in row.items():
-                terms = orows[k].items()
-                if a != 1:
-                    terms = [(j, a * y) for j, y in terms]
-                for j, y in terms:
-                    acc[j] = acc[j] + y if j in acc else y
-            if p is not None:
-                out.append({j: x for j, v in acc.items() if (x := v % p)})
-            elif den == 1:
-                out.append({j: v for j, v in acc.items() if v})
-            else:
-                out.append({j: _ratio(v, den) for j, v in acc.items() if v})
-        return Matrix.from_rows(f, out, other.cols)
+        dens, ints = int_rows(f, other.sparse, set().union(*self.sparse))
+        return Matrix.from_rows(f, combine(f, self.sparse, dens, ints),
+                                other.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -282,6 +249,59 @@ def assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
                 else:
                     del out[j]
     return Matrix.from_rows(f, rows, src_dim)
+
+
+def int_rows(f, rows, keys):
+    """``(dens, ints)`` with rows[k] = ints[k] / dens[k] for each k in
+    ``keys``, ints[k] an int row.  Over GF(p) the rows are residue rows
+    already, and ``(None, rows)`` is returned."""
+    if isinstance(f, PrimeField):
+        return None, rows
+    dens, ints = {}, {}
+    for k in keys:
+        row = rows[k]
+        d = dens[k] = lcm(*(y.denominator for y in row.values()))
+        ints[k] = row if d == 1 else {
+            j: y.numerator * (d // y.denominator) for j, y in row.items()}
+    return dens, ints
+
+
+def combine(f, combos, dens, ints, shifts=None) -> list:
+    """The canonical rows sum_k a_k * ints[k] / dens[k], one per
+    ``{k: a_k}`` in ``combos``: the accumulation core of every product.
+
+    ``dens`` and ``ints`` come from ``int_rows``; with ``shifts``, the
+    columns of ints[k] are moved right by shifts[k].  Over Q each
+    combination is cleared to one denominator first, so the sums run on
+    ints; over GF(p) they are unreduced residues.  Either way each output
+    entry gets one finish: ``% p``, or a division by the common
+    denominator that gives an int wherever it is exact.
+    """
+    p = f.p if isinstance(f, PrimeField) else None
+    out = []
+    for row in combos:
+        den = 1
+        if p is None:
+            den = lcm(*(a.denominator * dens[k] for k, a in row.items()))
+            if den != 1:
+                row = {k: a.numerator * (den // (a.denominator * dens[k]))
+                       for k, a in row.items()}
+        acc = {}
+        for k, a in row.items():
+            terms = ints[k].items()
+            if shifts is not None and (s := shifts[k]):
+                terms = [(j + s, a * y) for j, y in terms]
+            elif a != 1:
+                terms = [(j, a * y) for j, y in terms]
+            for j, y in terms:
+                acc[j] = acc[j] + y if j in acc else y
+        if p is not None:
+            out.append({j: x for j, v in acc.items() if (x := v % p)})
+        elif den == 1:
+            out.append({j: v for j, v in acc.items() if v})
+        else:
+            out.append({j: _ratio(v, den) for j, v in acc.items() if v})
+    return out
 
 
 def _ratio(n: int, d: int):

@@ -4,12 +4,16 @@ Basis vectors of V^(tensor m) are words over 0..n-1 read big-endian:
 index = sum letters[j] * n^(m-1-j), so word (a, b) of V (x) W is
 a * dim W + b.  ``mixed_index`` checks this rule letter by letter; ``kron``
 and the graded, parser, laws and presentations modules apply it inline.
+
+``contract(X, a, Y, b)`` is the product (X (x) I_b) @ (I_a (x) Y) without
+either Kronecker factor: the graded degree step, the graded multiplication
+maps, the Koszul differentials and the resolution are built with it.
 """
 
 from __future__ import annotations
 
 from .fields import check_same_field
-from .linalg import Matrix, Record, Subspace
+from .linalg import Matrix, Record, Subspace, combine, int_rows
 
 
 def mixed_index(letters, dims) -> int:
@@ -91,6 +95,58 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         out[base + l] = f.mul(a, b)
             rows.append(out)
     return Matrix.from_rows(f, rows, A.cols * width)
+
+
+def contract(X: Matrix, a: int, Y: Matrix, b: int) -> Matrix:
+    """(X (x) I_b) @ (I_a (x) Y) for X.cols = a*k and Y.rows = k*b.
+
+    The middle index is the word (a', kappa, b') of dims (a, k, b).  Row
+    (x, b') of the result is the sum, over the entries X[x, a'*k + kappa],
+    of that entry times row kappa*b + b' of Y moved right by a'*Y.cols.
+    All b rows (x, .) are summed at once: the rows kappa*b .. kappa*b+b-1
+    of Y are laid side by side as one row of b blocks of width a*Y.cols,
+    the sums run through the accumulation core of ``Matrix.__matmul__``,
+    and each sum is cut back into its b blocks.
+    """
+    check_same_field(X.field, Y.field)
+    if a < 0 or b < 0:
+        raise ValueError("identity sizes must be nonnegative")
+    k = X.cols // a if a else Y.rows // b if b else 0
+    if X.cols != a * k or Y.rows != k * b:
+        raise ValueError(
+            f"shape mismatch in contraction: {X.rows}x{X.cols} (x) I_{b} @ "
+            f"I_{a} (x) {Y.rows}x{Y.cols}")
+    f, width = X.field, Y.cols
+    cols = a * width
+    # with an identity factor the product is the other factor's kron
+    # with the identity, and its entries are taken as they are
+    if Y.is_identity():
+        return Matrix.from_rows(f, [{j * b + t: x for j, x in row.items()}
+                                    for row in X.sparse for t in range(b)],
+                                cols)
+    if X.is_identity():
+        return Matrix.from_rows(f, [{j + s * width: y for j, y in row.items()}
+                                    for s in range(a) for row in Y.sparse],
+                                cols)
+    reached = set().union(*X.sparse)
+    kappas = {j % k for j in reached}
+    side_by_side = {kappa: {t * cols + c: y for t in range(b)
+                            for c, y in Y.sparse[kappa * b + t].items()}
+                    for kappa in kappas}
+    dens, ints = int_rows(f, side_by_side, kappas)
+    sums = combine(f, X.sparse,
+                   None if dens is None else {j: dens[j % k] for j in reached},
+                   {j: ints[j % k] for j in reached},
+                   {j: j // k * width for j in reached})
+    if b == 1:
+        return Matrix.from_rows(f, sums, cols)
+    out = []
+    for row in sums:
+        blocks = [{} for _ in range(b)]
+        for c, x in row.items():
+            blocks[c // cols][c % cols] = x
+        out += blocks
+    return Matrix.from_rows(f, out, cols)
 
 
 def push_subspace(P: PermutationMap, S: Subspace) -> Subspace:

@@ -20,6 +20,7 @@ TOOL = CORPUS.parent / "tools" / "bench.py"
 RUNS = {
     "ext": ["ext", "--seeds", "1", "--degrees", "3"],
     "hilbert": ["hilbert", "--seeds", "1", "--degrees", "3"],
+    "koszul": ["koszul", "--seeds", "1", "--degrees", "3"],
     "linalg": ["linalg", "--seeds", "0", "--degrees", "2"],
 }
 
@@ -63,6 +64,12 @@ def test_bench_subcommand_agrees_with_its_oracle(bench, name, tmp_path):
         assert len(generic) == 3
         # the generic rows are answered by the certificate
         assert all(row["certified"] for row in generic)
+    if name == "koszul":
+        corpus = [row["input"] for row in rows if row["family"] == "corpus"]
+        assert corpus == CORPUS_NAMES
+        # each generic presentation is timed over Q and over its GF twin
+        generic = [row["field"] for row in rows if row["family"] != "corpus"]
+        assert generic == ["Q", f"GF {bench.GF_P}"] * 3
 
 
 def _shift_gf_degree(bench, monkeypatch):
@@ -76,6 +83,8 @@ ORACLE_BREAKERS = {
                                         lambda A, N: None),
     "hilbert": lambda bench, mp: mp.setattr(bench, "exact_dims",
                                             lambda A, N: []),
+    "koszul": lambda bench, mp: mp.setattr(bench, "exact_reports",
+                                           lambda A, N: []),
     "linalg": _shift_gf_degree,
 }
 

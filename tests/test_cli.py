@@ -235,10 +235,12 @@ def test_readme_quick_start_prints_its_commented_results():
 def test_golden_under_python_O():
     # runtime checks must not be asserts: -O strips them.  laws_axioms_q
     # validates every structure map through is_morphism and reduce_against;
-    # hilbert_sym2 is answered by the modular certificate.
+    # hilbert_sym2 is answered by the modular certificate; ext_embed3 runs
+    # the resolution's ArithmeticError checks over `contract`.
     env = _src_env()
     cases = {name: (argv, status) for name, argv, status in MANIFEST}
-    for name in ("koszul_sym3", "laws_axioms_q", "hilbert_sym2"):
+    for name in ("koszul_sym3", "laws_axioms_q", "hilbert_sym2",
+                 "ext_embed3"):
         argv, want_status = cases[name]
         proc = subprocess.run([sys.executable, "-O", "-c", MAIN_CODE, *argv],
                               capture_output=True, text=True, env=env,

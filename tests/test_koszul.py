@@ -34,7 +34,7 @@ from quadalg.koszul import (
     search_non_koszul,
     second_complex_slice,
 )
-from quadalg.linalg import Matrix, Subspace, null_basis
+from quadalg.linalg import Matrix, Subspace, null_basis, quotient_data
 from quadalg.parser import parse
 from quadalg.presentations import QuadraticPresentation, dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
@@ -322,6 +322,62 @@ def test_koszul_blocks_cancel_to_canonical_rows():
         d = second_complex_slice(A, m).differentials[t]
         assert sum(len(row) for row in d.sparse) < len(support)
         assert_canonical(d)
+
+
+def corpus_and_twin(name):
+    """A corpus algebra and the same relations read over the other field:
+    GF(32003) for a Q algebra, Q for a GF(p) one."""
+    text = (CORPUS / f"{name}.qa").read_text()
+    field, rest = text.split("\n", 1)
+    twin_field = "field GF 32003" if field == "field Q" else "field Q"
+    return load(name), parse(f"{twin_field}\n{rest}")[1]
+
+
+# The Kronecker-factor products that `contract` replaced, kept as
+# references: each is (X (x) I) @ (I (x) Y) built from both factors.
+
+def kron_second_differential(gs, gd, m, i):
+    f = gs.A.field
+    return (kron(gs.step_proj(m - i + 1), Matrix.identity(f, gd.dim(i - 1)))
+            @ kron(Matrix.identity(f, gs.dim(m - i)),
+                   gd.mult(1, i - 1).transpose()))
+
+
+def kron_mult(gs, i, j):
+    f = gs.A.field
+    return (gs.step_proj(i + j)
+            @ kron(gs.mult(i, j - 1), Matrix.identity(f, gs.A.n))
+            @ kron(Matrix.identity(f, gs.dim(i)), gs.step_section(j)))
+
+
+def kron_step_proj(gs, k):
+    f, n = gs.A.field, gs.A.n
+    relations = kron(Matrix.identity(f, gs.dim(k - 2)), gs.A.R.basis)
+    push = kron(gs.step_proj(k - 1), Matrix.identity(f, n))
+    K = Subspace(gs.dim(k - 1) * n, relations @ push.transpose())
+    return quotient_data(gs.dim(k - 1) * n, K)[0]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_contracted_products_match_the_kron_products(name):
+    for A in corpus_and_twin(name):
+        gs = graded_structure(A)
+        gd = graded_structure(dual(A))
+        for k in range(2, 6):
+            assert gs.step_proj(k) == kron_step_proj(gs, k)
+        for i in range(1, 5):
+            for j in range(1, 6 - i):
+                assert gs.mult(i, j) == kron_mult(gs, i, j)
+                assert_canonical(gs.mult(i, j))
+        for m in range(1, 6):
+            sl = second_complex_slice(A, m)
+            for t, i in enumerate(range(m, 0, -1)):
+                d = sl.differentials[t]
+                if sl.position_dims[t] and sl.position_dims[t + 1]:
+                    assert d == kron_second_differential(gs, gd, m, i)
+                else:
+                    assert d.is_zero()
+                assert_canonical(d)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -1,15 +1,18 @@
-"""Tensor word indexing, shuffle permutations, and Kronecker products."""
+"""Tensor word indexing, shuffle permutations, Kronecker products, and
+the contraction (X (x) I) @ (I (x) Y)."""
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadalg.fields import QQ, PrimeField
+from quadalg.fields import QQ, FieldMismatchError, PrimeField
 from quadalg.linalg import Matrix, Subspace
 from quadalg.tensorindex import (
     PermutationMap,
+    contract,
     flip,
     kron,
     mixed_index,
@@ -148,3 +151,98 @@ def test_push_subspace_by_permutation_matches_its_matrix(data):
     assert pushed == Subspace(M.cols, S.basis @ P.matrix(M.field).transpose())
     assert_canonical(pushed.basis)
     assert_canonical(P.matrix(M.field))
+
+
+def kron_contract(X, a, Y, b):
+    """(X (x) I_b) @ (I_a (x) Y) from both Kronecker factors (the oracle)."""
+    f = X.field
+    return kron(X, Matrix.identity(f, b)) @ kron(Matrix.identity(f, a), Y)
+
+
+# small denominators, so that products often sum to integers
+CONTRACT_SCALARS = {
+    QQ: st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
+                         Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)]),
+    F5: st.integers(0, 4),
+    PrimeField(32003): st.integers(0, 32002),
+}
+
+
+def dense(data, f, rows, cols):
+    return data.draw(st.lists(
+        st.lists(CONTRACT_SCALARS[f], min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows).map(
+            lambda m: Matrix(f, m, cols=cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(CONTRACT_SCALARS)), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.data())
+def test_contract_matches_the_kron_product(f, a, k, b, data):
+    X = dense(data, f, data.draw(st.integers(0, 4)), a * k)
+    Y = dense(data, f, k * b, data.draw(st.integers(0, 4)))
+    C = contract(X, a, Y, b)
+    assert C == kron_contract(X, a, Y, b)
+    assert (C.rows, C.cols) == (X.rows * b, a * Y.cols)
+    assert_canonical(C)
+
+
+def test_contract_sums_fractions_to_canonical_ints():
+    # 1/2 * 1 + 1/3 * 3/2 = 1 and 1/2 * 2/3 + 1/3 * -1 = 0
+    X = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)]], cols=2)
+    Y = Matrix(QQ, [[1, Fraction(2, 3)], [Fraction(3, 2), -1]], cols=2)
+    C = contract(X, 1, Y, 1)
+    assert C.sparse == ({0: 1},) and type(C.sparse[0][0]) is int
+    assert C == kron_contract(X, 1, Y, 1)
+    # a = 2, b = 1: the two halves of X's row land in two column blocks
+    X2 = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3),
+                      Fraction(2, 3), Fraction(4, 9)]], cols=4)
+    C2 = contract(X2, 2, Y, 1)
+    assert C2 == kron_contract(X2, 2, Y, 1)
+    assert C2.sparse[0][0] == 1 and type(C2.sparse[0][0]) is int
+    assert_canonical(C2)
+
+
+@pytest.mark.parametrize("f", [QQ, F5])
+def test_contract_degenerate_shapes(f):
+    X = Matrix.zero(f, 3, 0)
+    Y = Matrix(f, [[1, 2], [0, 1], [3, 0], [1, 1]], cols=2)
+    # a = 0: a dim-0 factor, so the result has no columns
+    for b in (1, 2, 4):
+        C = contract(X, 0, Y, b)
+        assert (C.rows, C.cols) == (3 * b, 0)
+        assert C == kron_contract(X, 0, Y, b)
+    # b = 0: no rows
+    X = Matrix(f, [[1, 0, 2, 1], [0, 0, 0, 0]], cols=4)
+    Y0 = Matrix.zero(f, 0, 3)
+    for a in (1, 2, 4):
+        C = contract(X, a, Y0, 0)
+        assert (C.rows, C.cols) == (0, 3 * a)
+        assert C == kron_contract(X, a, Y0, 0)
+    C = contract(Matrix.zero(f, 2, 0), 0, Y0, 0)
+    assert (C.rows, C.cols) == (0, 0)
+    # all-zero rows of X give all-zero rows, and zero rows of Y drop out
+    Z = contract(Matrix.zero(f, 2, 4), 2, Y, 2)
+    assert Z.is_zero() and (Z.rows, Z.cols) == (4, 4)
+    Yz = Matrix(f, [[0, 0], [1, 0], [0, 0], [0, 1]], cols=2)
+    assert contract(X, 2, Yz, 2) == kron_contract(X, 2, Yz, 2)
+    # an identity factor: the product is the other factor's kron with I
+    for a, b in ((1, 4), (2, 2), (4, 1)):
+        I = Matrix.identity(f, 4 // a * b)
+        assert contract(X, a, I, b) == kron(X, Matrix.identity(f, b))
+    I4 = Matrix.identity(f, 4)
+    assert contract(I4, 2, Y, 2) == kron(Matrix.identity(f, 2), Y)
+
+
+def test_contract_rejects_a_shape_mismatch():
+    X = Matrix(QQ, [[1, 2, 3]], cols=3)
+    Y = Matrix.identity(QQ, 4)
+    for args in ((X, 2, Y, 1),      # 3 columns are no multiple of a = 2
+                 (X, 3, Y, 2),      # k = 1, so Y needs k * b = 2 rows
+                 (X, 3, Y, -4),
+                 (X, -1, Y, 4),
+                 (Matrix.zero(QQ, 1, 0), 0, Y, 3)):
+        with pytest.raises(ValueError, match="shape|nonnegative"):
+            contract(*args)
+    with pytest.raises(FieldMismatchError):
+        contract(X, 3, Matrix.identity(F5, 4), 4)

@@ -1,6 +1,6 @@
 """Time quadalg's engines layer by layer, each against an independent oracle.
 
-    python3 tools/bench.py {ext,hilbert,linalg} [--seeds S]
+    python3 tools/bench.py {ext,hilbert,koszul,linalg} [--seeds S]
                            [--degrees N ...] [--out BENCH_<name>.json]
 
 - ``ext``: ``ext_by_resolution(A, N)`` (the engine behind ``quadalg ext``)
@@ -14,6 +14,12 @@
 - ``hilbert``: ``hilbert(A, N)`` (the modular certificate, with the exact
   structure as its fallback) against a fresh exact ``GradedStructure`` over
   Q; ``certified`` says whether the certificate answered.
+- ``koszul``: ``koszul_verdict(A, N)`` (the engine behind ``quadalg
+  koszul``, which over Q reads a degree off the reduction mod p where
+  ``certified_twin`` allows) against the exact ``homology_report(A, m)``
+  for m = 1..N, on the whole corpus and on generic 4-generator Q
+  presentations and their GF(``workloads.GF_P``) twins; ``agree`` says
+  the reports are the same.
 - ``linalg``: ``Matrix.__matmul__`` on every composite ``d[t+1] @ d[t]``,
   ``matrix_rank`` of every differential and ``ComplexSlice`` construction
   (the d∘d check) on the second Koszul complex in internal degrees 1..N,
@@ -22,8 +28,8 @@
   position dimensions, without which the Q/GF ratios would compare
   different complexes.
 
-Inputs: the corpus (Q algebras only, except for ``ext``) and ``--seeds``
-seeded presentations per family of ``INPUTS``, drawn by
+Inputs: the corpus (Q algebras only, except for ``ext`` and ``koszul``)
+and ``--seeds`` seeded presentations per family of ``INPUTS``, drawn by
 ``perfbench.workloads.random_relations``; a twin over GF(p) is parsed from
 the same integer relations, as ``perfbench.workloads.twins`` writes it.
 ``--degrees`` replaces the degrees of every input.  Every timing is the
@@ -56,6 +62,7 @@ from perfbench.workloads import GF_P, qa_text, random_relations  # noqa: E402
 from quadalg import graded  # noqa: E402
 from quadalg.koszul import (ComplexSlice, bar_homology,  # noqa: E402
                             certified_ext, ext_by_resolution,
+                            homology_report, koszul_verdict,
                             second_complex_slice)
 from quadalg.linalg import matrix_rank  # noqa: E402
 from quadalg.parser import parse  # noqa: E402
@@ -68,6 +75,7 @@ BAR_BUDGET_S = 10.0
 INPUTS = {
     "ext": ((5, 6, 7), [(4, (4, 5, 6), (3, 4, 5))], 1),
     "hilbert": ((6,), [(3, (2, 3), (7,)), (4, (4, 5, 6), (5,))], 3),
+    "koszul": ((5,), [(4, (4, 5, 6), (5,))], 1),
     "linalg": ((8,), [(3, (2, 3, 4, 5, 6), (5,))], 3),
 }
 OPS = ("matmul", "rank", "dd_check")
@@ -129,7 +137,7 @@ def inputs(bench: str, seeds: int, degrees):
         lines = path.read_text().splitlines()
         spec = dict(line.split(" ", 1) for line in lines
                     if line.startswith(("field ", "gens ")))
-        if bench == "ext" or spec["field"] == "Q":
+        if bench in ("ext", "koszul") or spec["field"] == "Q":
             yield (path.stem, "corpus", spec["field"], spec["gens"],
                    [line[4:] for line in lines if line.startswith("rel ")],
                    degrees or corpus_degrees)
@@ -183,6 +191,26 @@ def bench_hilbert(name, family, field, gens, rels, degrees):
                "agree": dims == oracle, "dims": oracle}
 
 
+def exact_reports(A, N: int):
+    return [homology_report(A, m) for m in range(1, N + 1)]
+
+
+def bench_koszul(name, family, field, gens, rels, degrees):
+    # a generic presentation runs over Q and over its GF twin
+    for fld in [field] + [f"GF {GF_P}"] * (family != "corpus"):
+        A = load(name, fld, gens, rels)
+        for N in degrees:
+            verdict, (reports, koszul) = timed(koszul_verdict, A, N)
+            exact, oracle = timed(exact_reports, A, N)
+            yield {"input": name, "family": family, "field": fld,
+                   "degree": N,
+                   "certified": graded.certified_twin(A, N) is not None,
+                   "verdict": verdict, "exact": exact,
+                   "speedup": round(exact["median_s"]
+                                    / verdict["median_s"], 1),
+                   "agree": reports == oracle, "koszul": koszul}
+
+
 def time_ops(A, N: int):
     """(per-op timings over degrees 1..N, position dims, sizes)."""
     slices = [second_complex_slice(A, m) for m in range(1, N + 1)]
@@ -232,6 +260,9 @@ BENCHES = {
             "4-generator Q presentations", bench_ext),
     "hilbert": ("hilbert (certificate mod p, exact fallback) vs the exact "
                 "GradedStructure over Q", bench_hilbert),
+    "koszul": ("koszul_verdict vs the exact homology_report on the corpus "
+               "and on generic 4-generator Q presentations and their "
+               f"GF({GF_P}) twins", bench_koszul),
     "linalg": (f"Matrix.__matmul__, matrix_rank and the d∘d check on "
                f"second-complex differentials, Q against GF({GF_P})",
                bench_linalg),
@@ -260,7 +291,8 @@ def main(argv=None) -> int:
     for spec in inputs(args.bench, seeds, args.degrees):
         for row in run(*spec):
             rows.append(row)
-            print(f"{row['input']:14} N={row['degree']}  " + "  ".join(
+            print(f"{row['input']:14} {row.get('field', ''):8} "
+                  f"N={row['degree']}  " + "  ".join(
                 f"{key} {s:.3g}" for key, s in medians(row))
                 + f"  agree {row['agree']}", flush=True)
     record = {"what": what, "machine": machine(),
