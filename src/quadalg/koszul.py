@@ -56,8 +56,9 @@ def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
     gs = graded_structure(A)
     gd = graded_structure(dual(A))
     # alpha_h^2 = sum_{i,j} h(u_i) h(u_j) (x) u^i u^j; in word coordinates its
-    # coefficient tensor is kron(h, h), pushed into the two degree-2 quotients.
-    image = gs.full_projection(2) @ kron(h, h) @ gd.full_projection(2).transpose()
+    # coefficient tensor is kron(h, h), pushed into the two degree-2 quotients
+    # by their step projections (the word space of degree 2 is V (x) V).
+    image = gs.step_proj(2) @ kron(h, h) @ gd.step_proj(2).transpose()
     if image.is_zero():
         return True, None
     return False, tuple(x for row in image.data for x in row)

@@ -156,7 +156,9 @@ def _parse_term(tok, column, field, index, lineno):
 
 
 def _writable(name: str) -> bool:
-    return bool(name) and "*" not in name and not _is_coefficient(name)
+    # structured output joins names with "," and laws joins them with "·"
+    return (bool(name) and not any(ch in name for ch in "*,·")
+            and not _is_coefficient(name))
 
 
 def _is_coefficient(piece: str) -> bool:

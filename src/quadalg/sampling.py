@@ -56,8 +56,7 @@ def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random):
         found.setdefault(identity.scale(random_scalar(f, rng)))
     if n <= 4:
         for perm in itertools.permutations(range(n)):
-            M = Matrix(f, [[f.one if j == perm[i] else f.zero
-                            for j in range(n)] for i in range(n)], cols=n)
+            M = Matrix.from_rows(f, [{j: f.one} for j in perm], n)
             if M not in found and is_morphism(A, A, M)[0]:
                 found[M] = None
     for _ in range(_DRAWS):

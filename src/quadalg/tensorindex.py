@@ -2,8 +2,9 @@
 
 Basis vectors of V^(tensor m) are words over 0..n-1 read big-endian:
 index = sum letters[j] * n^(m-1-j), so word (a, b) of V (x) W is
-a * dim W + b.  ``mixed_index`` checks this rule letter by letter; ``kron``
-and the graded, parser, laws and presentations modules apply it inline.
+a * dim W + b.  ``t23``, ``flip`` and ``kron`` build their index maps
+from this rule by arithmetic, and the graded, parser, laws and
+presentations modules apply it inline.
 
 ``contract(X, a, Y, b)`` is the product (X (x) I_b) @ (I_a (x) Y) without
 either Kronecker factor: the graded degree step, the graded multiplication
@@ -14,16 +15,6 @@ from __future__ import annotations
 
 from .fields import check_same_field
 from .linalg import Matrix, Record, Subspace, combine, int_rows
-
-
-def mixed_index(letters, dims) -> int:
-    """Row-major index for a word over factors of distinct dimensions."""
-    idx = 0
-    for a, d in zip(letters, dims):
-        if not 0 <= a < d:
-            raise ValueError(f"letter {a} out of range for factor dim {d}")
-        idx = idx * d + a
-    return idx
 
 
 class PermutationMap(Record):
@@ -51,27 +42,16 @@ def t23(n1: int, n2: int) -> PermutationMap:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("alphabet sizes must be positive")
-    size = (n1 * n2) ** 2
-    image = [0] * size
-    for a in range(n1):
-        for ap in range(n1):
-            for b in range(n2):
-                for bp in range(n2):
-                    src = mixed_index((a, ap, b, bp), (n1, n1, n2, n2))
-                    dst = mixed_index((a, b, ap, bp), (n1, n2, n1, n2))
-                    image[src] = dst
-    return PermutationMap(image)
+    return PermutationMap([((a * n2 + b) * n1 + ap) * n2 + bp
+                           for a in range(n1) for ap in range(n1)
+                           for b in range(n2) for bp in range(n2)])
 
 
 def flip(n1: int, n2: int) -> PermutationMap:
     """Swap of tensor factors: word (a, b) of U*V goes to (b, a) of V*U."""
     if n1 < 1 or n2 < 1:
         raise ValueError("alphabet sizes must be positive")
-    image = [0] * (n1 * n2)
-    for a in range(n1):
-        for b in range(n2):
-            image[mixed_index((a, b), (n1, n2))] = mixed_index((b, a), (n2, n1))
-    return PermutationMap(image)
+    return PermutationMap([b * n1 + a for a in range(n1) for b in range(n2)])
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:

@@ -57,6 +57,7 @@ def test_bench_subcommand_agrees_with_its_oracle(bench, name, tmp_path):
     assert len(found) >= len(rows)
     assert all(t["q1_s"] <= t["median_s"] <= t["q3_s"] for t in found)
     assert record["machine"]["ref_s"] > 0
+    assert all(row["ref_s"] > 0 for row in rows)
     if name == "ext":
         corpus = [row["input"] for row in rows if row["family"] == "corpus"]
         assert corpus == CORPUS_NAMES

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -155,6 +156,18 @@ def test_vanishing_gf_denominator_exit_code(tmp_path):
     assert err.getvalue().startswith("error: line 4, column 11:")
 
 
+@pytest.mark.parametrize("gens", ["a,b c=d", "a·b c"], ids=["comma", "dot"])
+def test_structured_output_rejects_a_name_it_could_not_delimit(tmp_path, gens):
+    # structured output joins the names with ',' and laws with '·', so a
+    # name holding either would print an ambiguous list
+    bad = tmp_path / "bad.qa"
+    bad.write_text(f"field Q\ngens {gens}\n", encoding="utf-8")
+    status, text = _run(["dual", "--output", "structured", str(bad)])
+    assert status == 2
+    assert text.startswith("record=error line=2 column=6 message=")
+    assert "bad_generator_name" in text
+
+
 def _library_nodes():
     """(file name, AST node) for every node of every library module."""
     for path in sorted((HERE.parent / "src" / "quadalg").glob("*.py")):
@@ -193,6 +206,32 @@ def test_value_classes_take_their_rules_from_record():
                 and name not in ("linalg.py", "fields.py")):
             found.append(f"{name}:{node.lineno} object.__setattr__")
     assert found == []
+
+
+def test_every_public_library_name_has_a_caller():
+    # a public module-level def or class must be named in another library
+    # module, a tool, the benchmark, or the acceptance gate, or be used in
+    # its own module besides its definition: otherwise nothing calls it
+    root = HERE.parent
+    library = sorted((root / "src" / "quadalg").glob("*.py"))
+    outside = "\n".join(
+        p.read_text(encoding="utf-8") for p in
+        [*sorted((root / "tools").glob("*.py")),
+         *sorted((root / "perfbench").glob("*.py")),
+         HERE / "test_acceptance.py"])
+    texts = {p.name: p.read_text(encoding="utf-8") for p in library}
+    unused = []
+    for name, text in texts.items():
+        for node in ast.parse(text, name).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if (len(word.findall(text)) < 2 and not word.search(outside)
+                    and not any(word.search(other)
+                                for o, other in texts.items() if o != name)):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("where", ["file", "stdin"])

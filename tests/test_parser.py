@@ -151,10 +151,12 @@ def test_error_column_is_that_of_the_offending_token(text, line, column):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
-@pytest.mark.parametrize("name", ["1", "2/3", "-4", "/", "x*", "*y", "a*b"])
+@pytest.mark.parametrize("name", ["1", "2/3", "-4", "/", "x*", "*y", "a*b",
+                                  "a,b", "a·b"])
 def test_reject_generator_names_unparse_could_not_write_back(name):
     # '1*1*x' parses, but unparse would write it as '1*x', and a name with
-    # '*' splits into pieces: neither could be read back
+    # '*' splits into pieces: neither could be read back.  A name with ','
+    # or '·' would make the structured and laws name lists ambiguous.
     with pytest.raises(ParseError) as exc:
         parse(f"field Q\ngens x {name}\n")
     assert (exc.value.line, exc.value.column) == (2, 8)

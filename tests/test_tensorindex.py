@@ -15,7 +15,6 @@ from quadalg.tensorindex import (
     contract,
     flip,
     kron,
-    mixed_index,
     push_subspace,
     t23,
     tensor_subspace,
@@ -25,21 +24,66 @@ from test_linalg import assert_canonical, field_matrices
 F5 = PrimeField(5)
 
 
+def mixed_index(letters, dims) -> int:
+    """Row-major index of a word over factors of the given dimensions,
+    checked letter by letter."""
+    idx = 0
+    for a, d in zip(letters, dims):
+        if not 0 <= a < d:
+            raise ValueError(f"letter {a} out of range for factor dim {d}")
+        idx = idx * d + a
+    return idx
+
+
+def reference_t23(n1, n2):
+    """t23 word by word: (a, a', b, b') goes to (a, b, a', b')."""
+    image = [0] * (n1 * n2) ** 2
+    for a, ap, b, bp in product(range(n1), range(n1), range(n2), range(n2)):
+        image[mixed_index((a, ap, b, bp), (n1, n1, n2, n2))] = mixed_index(
+            (a, b, ap, bp), (n1, n2, n1, n2))
+    return PermutationMap(image)
+
+
+def reference_flip(n1, n2):
+    """flip word by word: (a, b) of U*V goes to (b, a) of V*U."""
+    image = [0] * (n1 * n2)
+    for a, b in product(range(n1), range(n2)):
+        image[mixed_index((a, b), (n1, n2))] = mixed_index((b, a), (n2, n1))
+    return PermutationMap(image)
+
+
 def test_word_index_is_row_major():
-    # (a, b) over alphabet size n maps to a*n + b.
+    # (a, b) over alphabet sizes (3, 3) sits at a*3 + b, and flip sends
+    # it to (b, a) at b*3 + a
     assert mixed_index((1, 2), (3, 3)) == 5
     assert mixed_index((2, 0), (3, 3)) == 6
     assert mixed_index((2, 1), (3, 3)) == 7
     with pytest.raises(ValueError):
         mixed_index((3, 0), (3, 3))
+    assert [flip(3, 3).image[i] for i in (5, 6, 7)] == [7, 2, 5]
+    # (a, b) of sizes (2, 3) sits at a*3 + b and goes to b*2 + a
+    assert flip(2, 3).image == (0, 2, 4, 1, 3, 5)
 
 
 @given(st.data())
 def test_mixed_index_round_trip(data):
-    # the words in lexicographic order get the indices 0, 1, 2, ...
+    # the reference index: words in lexicographic order get 0, 1, 2, ...
     dims = tuple(data.draw(st.integers(1, 4)) for _ in range(data.draw(st.integers(1, 4))))
     words = product(*(range(d) for d in dims))
     assert [mixed_index(w, dims) for w in words] == list(range(prod(dims)))
+
+
+def test_t23_and_flip_match_the_word_by_word_reference():
+    for n1, n2 in product(range(1, 7), repeat=2):
+        assert t23(n1, n2) == reference_t23(n1, n2)
+        assert flip(n1, n2) == reference_flip(n1, n2)
+
+
+@pytest.mark.parametrize("shuffle", [t23, flip])
+@pytest.mark.parametrize("sizes", [(0, 2), (2, 0), (-1, 3), (0, 0)])
+def test_shuffles_reject_empty_alphabets(shuffle, sizes):
+    with pytest.raises(ValueError, match="positive"):
+        shuffle(*sizes)
 
 
 def test_t23_example():

@@ -37,7 +37,10 @@ median and quartiles, to three significant digits, of ``REPEAT`` calls in
 this process, each on empty caches, so it pays for the graded components
 and products it needs, as one CLI call does.  The machine record holds ``ref_s``, the median time of a
 fixed integer elimination that runs no quadalg code, so that recordings on
-hosts of different speed can be compared.  The record goes to ``--out``;
+hosts of different speed can be compared; each row holds its own ``ref_s``,
+the mean of one run of that elimination just before and one just after
+the row, so that a slow phase of the host shows in the rows it slowed.
+The record goes to ``--out``;
 the script prints ``MISMATCH`` and exits 1 if an engine and its oracle
 disagree.  Standard library only.
 """
@@ -114,6 +117,13 @@ def reference_loop() -> int:
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
         rank += 1
     return rank
+
+
+def reference_s() -> float:
+    """Seconds of one ``reference_loop`` run."""
+    t0 = time.perf_counter()
+    reference_loop()
+    return time.perf_counter() - t0
 
 
 def machine() -> dict:
@@ -288,13 +298,19 @@ def main(argv=None) -> int:
     what, run = BENCHES[args.bench]
     seeds = INPUTS[args.bench][2] if args.seeds is None else args.seeds
     rows = []
+    # the run after one row is the run before the next
+    before = reference_s()
     for spec in inputs(args.bench, seeds, args.degrees):
         for row in run(*spec):
+            after = reference_s()
+            row["ref_s"] = float(f"{(before + after) / 2:.3g}")
+            before = after
             rows.append(row)
             print(f"{row['input']:14} {row.get('field', ''):8} "
                   f"N={row['degree']}  " + "  ".join(
                 f"{key} {s:.3g}" for key, s in medians(row))
-                + f"  agree {row['agree']}", flush=True)
+                + f"  agree {row['agree']}  ref {row['ref_s']:.3g}",
+                  flush=True)
     record = {"what": what, "machine": machine(),
               "settings": {"seeds": seeds, "degrees": args.degrees,
                            "inputs": INPUTS[args.bench], "repeat": REPEAT,
