@@ -31,6 +31,13 @@ cell, may differ (see the tests).  Everything else is computed exactly
 over Q.  `bar_homology`, `homology_report`, `second_complex_slice` and
 `graded.graded_dim_by_oracle` on a Q presentation never reduce mod p:
 they stay exact-only oracles.
+
+`koszul_verdict` keeps the report it gives for each degree in the
+module-level dict ``_reports``, keyed by (presentation, degree), beside
+the ``graded._structures`` cache, so a session computes each degree of a
+presentation once.  Presentations compare by field, labels and relations,
+and a report is the homology over that field whichever path produced it.
+The oracles above keep nothing and compute afresh on every call.
 """
 
 from __future__ import annotations
@@ -170,6 +177,9 @@ def homology_report(A: QuadraticPresentation, m: int) -> HomologyReport:
     return HomologyReport(m, sl.position_dims, h, all(x == 0 for x in h))
 
 
+_reports: dict[tuple[QuadraticPresentation, int], HomologyReport] = {}
+
+
 def koszul_verdict(A: QuadraticPresentation, N: int):
     """Per-degree homology reports for m = 1..N, plus the overall verdict.
 
@@ -179,16 +189,22 @@ def koszul_verdict(A: QuadraticPresentation, N: int):
     is at most the mod-p homology at every position, and both have the
     same Euler characteristic, so that position's value is forced.  Any
     other degree is computed exactly over Q.
+
+    Each degree's report is kept in ``_reports`` under (A, m) and read
+    from there on later calls, so ``ext`` after ``koszul`` on the same
+    presentation, or a larger N, computes only the degrees not yet seen;
+    `certified_twin` runs once per call, and only when a degree is new.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    twin = certified_twin(A, N)
-    reports = []
-    for m in range(1, N + 1):
-        report = None if twin is None else homology_report(twin, m)
-        if report is None or sum(map(bool, report.homology_dims)) > 1:
-            report = homology_report(A, m)
-        reports.append(report)
+    if missing := [m for m in range(1, N + 1) if (A, m) not in _reports]:
+        twin = certified_twin(A, N)
+        for m in missing:
+            report = None if twin is None else homology_report(twin, m)
+            if report is None or sum(map(bool, report.homology_dims)) > 1:
+                report = homology_report(A, m)
+            _reports[A, m] = report
+    reports = [_reports[A, m] for m in range(1, N + 1)]
     return reports, all(r.exact for r in reports)
 
 

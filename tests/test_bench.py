@@ -10,9 +10,10 @@ import sys
 
 import pytest
 
+from quadalg import koszul
 from quadalg.fields import QQ
 
-from conftest import CORPUS, CORPUS_NAMES
+from conftest import CORPUS, CORPUS_NAMES, load
 
 TOOL = CORPUS.parent / "tools" / "bench.py"
 
@@ -98,6 +99,21 @@ def test_bench_subcommand_exits_1_when_the_oracle_disagrees(
             "--out", str(tmp_path / "out.json")]
     assert bench.main(argv) == 1
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_timed_computes_every_koszul_degree_on_every_repeat(bench,
+                                                            monkeypatch):
+    # a GF input has no certificate: one homology_report per degree per
+    # repeat, none answered from reports kept by an earlier repeat
+    real, calls = koszul.homology_report, []
+
+    def counted(A, m):
+        calls.append(m)
+        return real(A, m)
+    monkeypatch.setattr(koszul, "homology_report", counted)
+    A, N = load("gf7_seed1"), 3
+    bench.timed(bench.koszul_verdict, A, N)
+    assert calls == [1, 2, 3] * bench.REPEAT
 
 
 def test_bench_script_runs_without_pythonpath(tmp_path):

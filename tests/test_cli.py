@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from quadalg import koszul
 from quadalg.cli import build_parser, main
 
 # test_acceptance reads GOLDEN, MANIFEST and _run from this module
@@ -45,6 +46,30 @@ def test_golden(name, argv, want_status):
     golden = (GOLDEN / f"{name}.txt").read_text()
     assert text == golden, f"output drifted for {name}"
     assert status == want_status
+
+
+def test_goldens_hold_twice_on_warm_caches():
+    # no cache is cleared: the second pass reads whatever the first (and
+    # every earlier test) left in the structure, product and report caches
+    for _ in range(2):
+        for name, argv, want_status in MANIFEST:
+            status, text = _run(argv)
+            assert text == (GOLDEN / f"{name}.txt").read_text(), name
+            assert status == want_status, name
+
+
+def test_ext_after_koszul_matches_a_cold_run(monkeypatch):
+    # ext reads every degree of its complex_verdict from the reports that
+    # koszul kept for the same file
+    monkeypatch.setattr(koszul, "_reports", {})
+    for name in ("koszul_embed3", "ext_embed3"):
+        argv = next(a for n, a, _ in MANIFEST if n == name)
+        assert _run(argv) == (0, (GOLDEN / f"{name}.txt").read_text())
+    argv = ["ext", "--max", "5", _f("embed3")]
+    warm = _run(argv)
+    assert len(koszul._reports) == 6
+    monkeypatch.setattr(koszul, "_reports", {})
+    assert warm == _run(argv)
 
 
 def test_repeated_main_calls_share_one_parser():

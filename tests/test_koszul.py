@@ -45,6 +45,15 @@ from conftest import CORPUS, CORPUS_NAMES, load
 F2 = PrimeField(2)
 
 
+@pytest.fixture(autouse=True)
+def empty_reports(monkeypatch):
+    """Each test starts from an empty memo of `koszul_verdict`'s reports,
+    so no test reads a degree that an earlier one computed."""
+    memo = {}
+    monkeypatch.setattr(koszul, "_reports", memo)
+    return memo
+
+
 def test_second_complex_slice_sym2_degree2():
     # Internal degree 2 for the polynomial algebra on two variables:
     # positions i = 2, 1, 0 have dims (1*1, 2*2, 3*1) = (1, 4, 3)
@@ -584,17 +593,67 @@ def test_koszul_certificate_needs_one_position(monkeypatch):
     # a mod-p report with homology at two positions bounds nothing: the
     # degree is computed over Q, where sym2 is exact
     real = koszul.homology_report
+    spread_at = []
 
     def spread(A, m):
         r = real(A, m)
         if A.field == QQ or m != 2:
             return r
+        spread_at.append(m)
         return HomologyReport(m, r.position_dims, (0, 1, 1), False)
     monkeypatch.setattr(koszul, "homology_report", spread)
     A = load("sym2")
     assert certified_twin(A, 3) is not None
     reports, ok = koszul_verdict(A, 3)
+    assert spread_at == [2]
     assert ok and reports[1] == real(A, 2)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap koszul.<name>; the returned list collects each call's args."""
+    real, calls = getattr(koszul, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(koszul, name, counted)
+    return calls
+
+
+def test_koszul_verdict_reads_known_degrees_from_the_memo(monkeypatch):
+    A = load("sym3")
+    reports, ok = koszul_verdict(A, 5)
+    homology = _count_calls(monkeypatch, "homology_report")
+    twin = _count_calls(monkeypatch, "certified_twin")
+    assert koszul_verdict(A, 3) == (reports[:3], ok)
+    assert homology == [] and twin == []
+
+
+def test_koszul_verdict_computes_only_new_degrees(monkeypatch, empty_reports):
+    A = load("embed3")
+    koszul_verdict(A, 5)
+    homology = _count_calls(monkeypatch, "homology_report")
+    twin = _count_calls(monkeypatch, "certified_twin")
+    reports, _ = koszul_verdict(A, 7)
+    # embed3 is certified: each new degree is read off its reduction
+    assert twin == [(A, 7)]
+    assert [m for _, m in homology] == [6, 7]
+    assert reports == [homology_report(A, m) for m in range(1, 8)]
+    assert set(empty_reports) == {(A, m) for m in range(1, 8)}
+
+
+def test_koszul_memo_keeps_a_q_file_apart_from_its_gf_twin(empty_reports):
+    # the same integers: x*x - 32003*y*y over Q has dims m + 1, but over
+    # GF(32003) it is x*x, whose dims are Fibonacci numbers
+    body = "algebra t\ngens x y\nrel x*x - 32003*y*y\n"
+    A_gf = parse("field GF 32003\n" + body)[1]
+    A_q = parse("field Q\n" + body)[1]
+    gf_reports, _ = koszul_verdict(A_gf, 4)
+    q_reports, _ = koszul_verdict(A_q, 4)
+    assert q_reports == [homology_report(A_q, m) for m in range(1, 5)]
+    assert gf_reports == [homology_report(A_gf, m) for m in range(1, 5)]
+    assert q_reports[2] != gf_reports[2]
+    assert len(empty_reports) == 8
 
 
 def test_ext_certificate_needs_one_off_diagonal_cell(monkeypatch):

@@ -34,15 +34,15 @@ and ``--seeds`` seeded presentations per family of ``INPUTS``, drawn by
 the same integer relations, as ``perfbench.workloads.twins`` writes it.
 ``--degrees`` replaces the degrees of every input.  Every timing is the
 median and quartiles, to three significant digits, of ``REPEAT`` calls in
-this process, each on empty caches, so it pays for the graded components
-and products it needs, as one CLI call does.  The machine record holds ``ref_s``, the median time of a
-fixed integer elimination that runs no quadalg code, so that recordings on
-hosts of different speed can be compared; each row holds its own ``ref_s``,
-the mean of one run of that elimination just before and one just after
-the row, so that a slow phase of the host shows in the rows it slowed.
-The record goes to ``--out``;
-the script prints ``MISMATCH`` and exits 1 if an engine and its oracle
-disagree.  Standard library only.
+this process, each on empty caches, so it pays for the graded components,
+products and Koszul reports it needs, as one CLI call does.  The machine
+record holds ``ref_s``, the median time of a fixed integer elimination
+that runs no quadalg code, so that recordings on hosts of different speed
+can be compared; each row holds its own ``ref_s``, the mean of one run of
+that elimination just before and one just after the row, so that a slow
+phase of the host shows in the rows it slowed.  The record goes to
+``--out``; the script prints ``MISMATCH`` and exits 1 if an engine and its
+oracle disagree.  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import GF_P, qa_text, random_relations  # noqa: E402
-from quadalg import graded  # noqa: E402
+from quadalg import graded, koszul  # noqa: E402
 from quadalg.koszul import (ComplexSlice, bar_homology,  # noqa: E402
                             certified_ext, ext_by_resolution,
                             homology_report, koszul_verdict,
@@ -89,6 +89,7 @@ def timed(fn, *args):
     times = []
     for _ in range(REPEAT):
         graded._structures.clear()
+        koszul._reports.clear()
         for cache in (dual, black, white):
             cache.cache_clear()
         t0 = time.perf_counter()
