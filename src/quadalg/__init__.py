@@ -19,4 +19,20 @@ __all__ = [
     "AlgebraMorphism", "QuadraticPresentation", "black", "dual",
     "free_presentation", "full_relations_presentation", "internal_hom",
     "is_morphism", "unit_black", "unit_white", "white",
+    "clear_caches",
 ]
+
+
+def clear_caches():
+    """Empty every cache the library keeps between calls.
+
+    Those are the graded structures (``graded._structures``) and Koszul
+    reports (``koszul._reports``), both keyed by relation space, and the
+    lru caches of `dual`, `black` and `white`, keyed by presentation.
+    """
+    # imported here, so that `import quadalg` loads neither module
+    from . import graded, koszul
+    graded._structures.clear()
+    koszul._reports.clear()
+    for cache in (dual, black, white):
+        cache.cache_clear()

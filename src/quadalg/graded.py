@@ -15,13 +15,21 @@ generators and r relations.  Generic algebras meet it (Anick 1982;
 Polishchuk and Positselski, *Quadratic Algebras*, ch. 6); elsewhere
 `hilbert` falls back to the exact structure over Q.  `certified_twin`
 proves the same for A and for A^! (with n^2 - r relations), which is what
-the Koszul and Ext certificates of `koszul` rest on.  The structures of
-the reductions are cached under their own GF(CERT_P) keys, so `hilbert`,
-`koszul` and `ext` share one A' and one A'^!; a hit on such a key is
-exact.  `graded_dim_by_oracle` never reduces mod p.
+the Koszul and Ext certificates of `koszul` rest on.
+`graded_dim_by_oracle` never reduces mod p.
+
+`graded_structure` caches one `GradedStructure` per relation space in the
+module-level dict ``_structures``.  A structure reads no generator labels,
+and a relation space carries its field and n, so a relabelled copy of an
+algebra, or one algebra's dual under another's names (ext3 is sym3^!),
+shares it.  The reductions are relation spaces over GF(CERT_P), so
+`hilbert`, `koszul` and `ext` share one A' and one A'^!, and a hit on such
+a key is exact.  `quadalg.clear_caches()` empties the dict.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .fields import PrimeField
 from .linalg import sparse_rank, Matrix, Subspace, quotient_data
@@ -30,12 +38,17 @@ from .tensorindex import contract, kron
 
 
 class GradedStructure:
-    """Cached quotient bases, projections, and multiplication maps."""
+    """Cached quotient bases, projections, and multiplication maps of the
+    algebra with relation space R.
 
-    def __init__(self, A: QuadraticPresentation):
-        self.A = A
-        f = A.field
-        n = A.n
+    Nothing here reads generator labels: a structure is fixed by R (its
+    field and n = sqrt(dim of the degree-2 words) included).
+    """
+
+    def __init__(self, R: Subspace):
+        self.R = R
+        self.field = f = R.field
+        self.n = n = isqrt(R.ambient_dim)
         self._dims = {0: 1, 1: n}
         # step_proj[m]: A_{m-1} (x) V  ->  A_m  (right multiplication data)
         self._step_proj = {1: Matrix.identity(f, n)}
@@ -58,14 +71,14 @@ class GradedStructure:
     def _ensure(self, m: int):
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        A, n = self.A, self.A.n
+        n = self.n
         while max(self._dims) < m:
             k = max(self._dims) + 1
             ambient = self._dims[k - 1] * n
             # K is spanned by the images of s (x) r, for s a basis vector
             # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
             push = contract(self._step_proj[k - 1], self._dims[k - 2],
-                            A.R.basis.transpose(), n)
+                            self.R.basis.transpose(), n)
             K = Subspace(ambient, push.transpose())
             proj, section = quotient_data(ambient, K)
             self._dims[k] = proj.rows
@@ -75,7 +88,7 @@ class GradedStructure:
     def full_projection(self, m: int) -> Matrix:
         """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest)."""
         self._ensure(m)
-        f, n = self.A.field, self.A.n
+        f, n = self.field, self.n
         while max(self._full_proj) < m:
             k = max(self._full_proj) + 1
             self._full_proj[k] = self.step_proj(k) @ kron(
@@ -94,7 +107,7 @@ class GradedStructure:
         """
         key = (i, j)
         if key not in self._mult:
-            f = self.A.field
+            f = self.field
             if i == 0:
                 self._mult[key] = Matrix.identity(f, self.dim(j))
             elif j == 0:
@@ -102,7 +115,7 @@ class GradedStructure:
             else:
                 self._mult[key] = self.step_proj(i + j) @ contract(
                     self.mult(i, j - 1), self.dim(i), self.step_section(j),
-                    self.A.n)
+                    self.n)
         return self._mult[key]
 
     def left_mult_by_generator(self, m: int, a: int) -> Matrix:
@@ -112,17 +125,19 @@ class GradedStructure:
         lo = a * d
         rows = [{j - lo: x for j, x in row.items() if lo <= j < lo + d}
                 for row in mult.sparse]
-        return Matrix.from_rows(self.A.field, rows, d)
+        return Matrix.from_rows(self.field, rows, d)
 
 
-_structures: dict[QuadraticPresentation, GradedStructure] = {}
+_structures: dict[Subspace, GradedStructure] = {}
 
 
 def graded_structure(A: QuadraticPresentation) -> GradedStructure:
-    # one lookup: a hit hashes A and compares it with the key once
-    gs = _structures.get(A)
+    """The structure of A, shared by every presentation with relation
+    space A.R: a relabelled copy, or a dual under other names, hits."""
+    # one lookup: a hit hashes A.R and compares it with the key once
+    gs = _structures.get(A.R)
     if gs is None:
-        gs = _structures[A] = GradedStructure(A)
+        gs = _structures[A.R] = GradedStructure(A.R)
     return gs
 
 
@@ -197,8 +212,9 @@ def certified_hilbert(A: QuadraticPresentation, N: int):
     bound, both bounds meet and d_m is proven; at the first degree where
     it does not, the attempt stops.  An unlucky prime costs time, never an
     answer.  The structure of A' enters the cache of `graded_structure`
-    under its own GF(CERT_P) key, where `certified_twin` and a later
-    GF(CERT_P) job on the same presentation find it: it is exact there.
+    under its own relation space over GF(CERT_P), where `certified_twin`
+    and a later GF(CERT_P) job with the same relations find it: it is
+    exact there.
     """
     reduced = reduce_mod_p(A)
     return None if reduced is None else _generic_dims(reduced, A.R.dim, N)

@@ -33,11 +33,13 @@ over Q.  `bar_homology`, `homology_report`, `second_complex_slice` and
 they stay exact-only oracles.
 
 `koszul_verdict` keeps the report it gives for each degree in the
-module-level dict ``_reports``, keyed by (presentation, degree), beside
-the ``graded._structures`` cache, so a session computes each degree of a
-presentation once.  Presentations compare by field, labels and relations,
-and a report is the homology over that field whichever path produced it.
-The oracles above keep nothing and compute afresh on every call.
+module-level dict ``_reports``, keyed by (relation space, degree) like the
+``graded._structures`` cache beside it, so a session computes each degree
+of an algebra once.  A relation space carries its field and n but no
+labels, and a report is the homology over that field whichever path
+produced it, so a relabelled copy of an algebra shares its reports.
+`quadalg.clear_caches()` empties both dicts.  The oracles above keep
+nothing and compute afresh on every call.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def homology_report(A: QuadraticPresentation, m: int) -> HomologyReport:
     return HomologyReport(m, sl.position_dims, h, all(x == 0 for x in h))
 
 
-_reports: dict[tuple[QuadraticPresentation, int], HomologyReport] = {}
+_reports: dict[tuple[Subspace, int], HomologyReport] = {}
 
 
 def koszul_verdict(A: QuadraticPresentation, N: int):
@@ -190,21 +192,23 @@ def koszul_verdict(A: QuadraticPresentation, N: int):
     same Euler characteristic, so that position's value is forced.  Any
     other degree is computed exactly over Q.
 
-    Each degree's report is kept in ``_reports`` under (A, m) and read
+    Each degree's report is kept in ``_reports`` under (A.R, m) and read
     from there on later calls, so ``ext`` after ``koszul`` on the same
-    presentation, or a larger N, computes only the degrees not yet seen;
-    `certified_twin` runs once per call, and only when a degree is new.
+    algebra, under any generator labels, or a larger N, computes only the
+    degrees not yet seen; `certified_twin` runs once per call, and only
+    when a degree is new.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if missing := [m for m in range(1, N + 1) if (A, m) not in _reports]:
+    R = A.R
+    if missing := [m for m in range(1, N + 1) if (R, m) not in _reports]:
         twin = certified_twin(A, N)
         for m in missing:
             report = None if twin is None else homology_report(twin, m)
             if report is None or sum(map(bool, report.homology_dims)) > 1:
                 report = homology_report(A, m)
-            _reports[A, m] = report
-    reports = [_reports[A, m] for m in range(1, N + 1)]
+            _reports[R, m] = report
+    reports = [_reports[R, m] for m in range(1, N + 1)]
     return reports, all(r.exact for r in reports)
 
 
@@ -273,7 +277,7 @@ def _resolution_differential(gs, gens, target, m: int) -> Matrix:
     (C (x) I), the transpose of contract(C^T, n, mult(i, m-e)^T, dim
     A_{m-e}).  ``target`` is the layout of the previous term in degree m.
     """
-    f = gs.A.field
+    f = gs.field
     row_of = {e: (off, n) for off, e, n in target[0]}
     blocks, col = [], 0
     for e, count, parts in gens:

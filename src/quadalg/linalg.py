@@ -166,8 +166,9 @@ class Matrix:
                 and self.sparse == other.sparse)
 
     def __hash__(self):
-        # computed on first use: products, duals and graded structures are
-        # cached by presentation, so every cache lookup hashes the relations
+        # computed on first use: products and duals are cached by
+        # presentation, graded structures and Koszul reports by relation
+        # space, so every cache lookup hashes the relations
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(
                 (self.field, self.rows, self.cols,

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from quadalg import koszul
+from quadalg import clear_caches, koszul
 from quadalg.cli import build_parser, main
 
 # test_acceptance reads GOLDEN, MANIFEST and _run from this module
@@ -58,18 +58,69 @@ def test_goldens_hold_twice_on_warm_caches():
             assert status == want_status, name
 
 
-def test_ext_after_koszul_matches_a_cold_run(monkeypatch):
+def test_ext_after_koszul_matches_a_cold_run():
     # ext reads every degree of its complex_verdict from the reports that
     # koszul kept for the same file
-    monkeypatch.setattr(koszul, "_reports", {})
+    clear_caches()
     for name in ("koszul_embed3", "ext_embed3"):
         argv = next(a for n, a, _ in MANIFEST if n == name)
         assert _run(argv) == (0, (GOLDEN / f"{name}.txt").read_text())
     argv = ["ext", "--max", "5", _f("embed3")]
     warm = _run(argv)
     assert len(koszul._reports) == 6
-    monkeypatch.setattr(koszul, "_reports", {})
+    clear_caches()
     assert warm == _run(argv)
+
+
+# In a fresh interpreter: find the caches of the library, fill them with
+# CLI calls, call clear_caches(), and print {cache: [size after the calls,
+# size after clear_caches()]}.  A cache is a module-level dict of a quadalg
+# module that is empty at import, or a functools cache among the globals of
+# one (build_parser's cached parser holds no data).
+CACHE_GUARD_CODE = """
+import contextlib, io, json, sys
+import quadalg.cli
+from quadalg import clear_caches
+from quadalg.cli import build_parser, main
+
+caches = {}
+for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "quadalg"]:
+    for key, value in vars(module).items():
+        if type(value) is dict and not value:
+            caches.setdefault(id(value), (f"{module.__name__}.{key}", len, value))
+        elif hasattr(value, "cache_clear") and value is not build_parser:
+            caches.setdefault(id(value), (f"{module.__name__}.{key}",
+                                         lambda c: c.cache_info().currsize, value))
+corpus = dict(arg.split("=") for arg in sys.argv[1:])
+calls = [["koszul", "--max", "4", corpus["sym3"]],
+         ["ext", "--max", "4", corpus["gf7_seed1"]],
+         ["product", "--kind", "black", corpus["ext2"], corpus["sym2"]],
+         ["dual", corpus["embed2"]],
+         ["hom", corpus["sym2"], corpus["ext2"]]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in calls:
+        assert main(argv) == 0, argv
+filled = {name: size(c) for name, size, c in caches.values()}
+clear_caches()
+print(json.dumps({name: [filled[name], size(c)]
+                  for name, size, c in caches.values()}))
+"""
+
+
+def test_clear_caches_reaches_every_library_cache():
+    args = [f"{stem}={_f(stem)}"
+            for stem in ("sym3", "gf7_seed1", "ext2", "sym2", "embed2")]
+    proc = subprocess.run([sys.executable, "-c", CACHE_GUARD_CODE, *args],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"quadalg.graded._structures", "quadalg.koszul._reports"} <= set(
+        sizes)
+    # the calls fill every cache, so an empty one after clear_caches() was
+    # emptied by it
+    assert {name for name, (filled, _) in sizes.items() if not filled} == set()
+    assert {name for name, (_, left) in sizes.items() if left} == set()
 
 
 def test_repeated_main_calls_share_one_parser():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadalg import graded
+from quadalg import clear_caches, graded
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace, matrix_rank
 from quadalg.graded import (
@@ -22,7 +22,7 @@ from quadalg.graded import (
 )
 from quadalg.parser import parse
 from quadalg.presentations import (QuadraticPresentation, dual, unit_black,
-                                   unit_white)
+                                   unit_white, white)
 from quadalg.tensorindex import kron
 
 from conftest import CORPUS_NAMES, load
@@ -31,7 +31,7 @@ from conftest import CORPUS_NAMES, load
 def section_words(G, m):
     """A right inverse of ``G.full_projection(m)``, landing in the word
     space: lift A_m to A_{m-1} (x) V step by step."""
-    f, n = G.A.field, G.A.n
+    f, n = G.field, G.n
     S = Matrix.identity(f, 1)
     for k in range(1, m + 1):
         S = kron(S, Matrix.identity(f, n)) @ G.step_section(k)
@@ -118,7 +118,7 @@ def test_mult_recursion_matches_word_space(field):
     for name in CORPUS_NAMES:
         A = _over(field, load(name))
         for B in (A, dual(A)):
-            G = GradedStructure(B)
+            G = GradedStructure(B.R)
             for i in range(7):
                 for j in range(7 - i):
                     assert G.mult(i, j) == mult_through_words(G, i, j), \
@@ -129,8 +129,25 @@ def test_dual_hilbert_of_sym_is_ext():
     assert hilbert(dual(load("sym3")), 5) == hilbert(load("ext3"), 5)
 
 
+# the nine Koszul Q algebras of the corpus
+KOSZUL_Q = ("embed2", "embed3", "ext2", "ext3", "free1", "free2", "sym2",
+            "sym3", "unit_black")
+
+
+def test_white_product_hilbert_series_is_the_segre_product():
+    # the Segre product of Koszul algebras is quadratic (and Koszul), so
+    # their white product has (A o B)_m = A_m (x) B_m (Polishchuk and
+    # Positselski, *Quadratic Algebras*, ch. 3)
+    for a in KOSZUL_Q:
+        A = load(a)
+        for b in KOSZUL_Q:
+            B = load(b)
+            assert hilbert(white(A, B), 4) == [
+                x * y for x, y in zip(hilbert(A, 4), hilbert(B, 4))], (a, b)
+
+
 def _exact_dims(A, N):
-    G = GradedStructure(A)
+    G = GradedStructure(A.R)
     return [G.dim(m) for m in range(N + 1)]
 
 
@@ -173,17 +190,18 @@ def test_certificate_falls_back_to_the_q_dimensions(rels, dims):
 
 
 def test_certificate_caches_the_reduction_and_not_the_q_presentation():
-    # the reduced structure is cached under its GF(CERT_P) key, where the
-    # Koszul and Ext certificates and later GF(CERT_P) jobs share it
+    # the reduced structure is cached under its GF(CERT_P) relation space,
+    # where the Koszul and Ext certificates and later GF(CERT_P) jobs share
+    # it
     A = _q("u*v - 3*v*u", gens="u v")
     reduced = reduce_mod_p(A)
     assert reduced.field == PrimeField(CERT_P)
     assert reduced.R.basis == Matrix(reduced.field, [[0, 1, CERT_P - 3, 0]],
                                      cols=4)
-    graded._structures.pop(reduced, None)
+    clear_caches()
     assert hilbert(A, 6) == [1, 2, 3, 4, 5, 6, 7]
-    assert A not in graded._structures
-    cached = graded._structures[reduced]
+    assert A.R not in graded._structures
+    cached = graded._structures[reduced.R]
     assert graded_structure(reduced) is cached
     assert [cached.dim(m) for m in range(7)] == [1, 2, 3, 4, 5, 6, 7]
 

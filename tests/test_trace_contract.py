@@ -9,7 +9,7 @@ import pathlib
 import sys
 
 import quadalg
-from quadalg import cli, koszul
+from quadalg import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -27,14 +27,13 @@ CALLS = [
 
 
 def test_tracer_reports_every_per_layer_metric(capsys):
+    # earlier tests may have cached these structures, products and Koszul
+    # reports; compute them here.  This runs before install, which rebinds
+    # dual, black and white to wrappers without cache_clear
+    quadalg.clear_caches()
     tracer = tracing.Tracer()
     caches = tracing.install(tracer, quadalg)
     try:
-        # earlier tests may have cached these products and Koszul reports;
-        # compute them here
-        for c in caches.values():
-            c.cache_clear()
-        koszul._reports.clear()
         cache_before = {n: c.cache_info() for n, c in caches.items()}
         for argv in CALLS:
             argv = [str(ROOT / a) if a.startswith("corpus/") else a

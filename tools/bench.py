@@ -62,14 +62,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import GF_P, qa_text, random_relations  # noqa: E402
-from quadalg import graded, koszul  # noqa: E402
+from quadalg import clear_caches, graded  # noqa: E402
 from quadalg.koszul import (ComplexSlice, bar_homology,  # noqa: E402
                             certified_ext, ext_by_resolution,
                             homology_report, koszul_verdict,
                             second_complex_slice)
 from quadalg.linalg import matrix_rank  # noqa: E402
 from quadalg.parser import parse  # noqa: E402
-from quadalg.presentations import black, dual, white  # noqa: E402
 
 REPEAT = 5
 BAR_BUDGET_S = 10.0
@@ -88,10 +87,7 @@ def timed(fn, *args):
     """({median_s, q1_s, q3_s}, result) of REPEAT calls on empty caches."""
     times = []
     for _ in range(REPEAT):
-        graded._structures.clear()
-        koszul._reports.clear()
-        for cache in (dual, black, white):
-            cache.cache_clear()
+        clear_caches()
         t0 = time.perf_counter()
         result = fn(*args)
         times.append(time.perf_counter() - t0)
@@ -185,7 +181,7 @@ def bench_ext(name, family, field, gens, rels, degrees):
 
 
 def exact_dims(A, N: int):
-    gs = graded.GradedStructure(A)
+    gs = graded.GradedStructure(A.R)
     return [gs.dim(m) for m in range(N + 1)]
 
 
