@@ -13,24 +13,25 @@ already hold, without coercing them again.  A canonical sum is zero exactly
 when it is falsy, so the code tests ``if x`` rather than ``x == zero``, and
 a canonical entry is one exactly when it is the int 1.
 
-One elimination kernel, ``_echelon``, serves both field families and every
-caller: forward elimination on sparse ``{column: int}`` row dicts.  Over
-GF(p) the entries are residues and each pivot row is scaled to a leading 1;
-Python ints never overflow, so no modulus is too large.  Over Q each row is
-cleared of denominators and kept primitive (fraction-free), and every
-stored integer is bounded by a minor of the denominator-cleared input (see
-``_echelon``).  ``sparse_rank`` and ``matrix_rank`` count its pivots;
-``rref`` adds back-substitution and builds Fractions only for the final
-entries that its integer rows do not divide exactly.  Products accumulate
-ints as well, in one core (``combine``) that serves ``Matrix.__matmul__``
-and ``tensorindex.contract``: over Q each factor's rows are cleared to one
-denominator first.  Membership (``reduce_against``) and ``solve`` work on
-the same sparse rows; the dense ``Matrix.data`` view exists for display
-only.
+Rows are eliminated in one of two forms, chosen by ``_packs``.
+``_echelon`` works on sparse ``{column: int}`` row dicts, over Q and for
+sparse GF(p) matrices or large p: over GF(p) on residues, each pivot row
+scaled to a leading 1; over Q fraction-free, each row cleared of
+denominators and kept primitive, so every stored integer is bounded by a
+minor of the input (see ``_echelon``).  ``_echelon_packed`` holds a dense
+GF(p) row as one int with a 64-bit slot per column, so that a row
+operation is one multiply-add.  ``rref`` adds back-substitution and builds
+Fractions only where its integer rows do not divide exactly.  Products
+accumulate ints as well, in one core (``combine``) that serves
+``Matrix.__matmul__`` and ``tensorindex.contract``: over Q each factor's
+rows are cleared to one denominator first.  Membership
+(``reduce_against``) and ``solve`` work on the same sparse rows; the dense
+``Matrix.data`` view exists for display only.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -389,6 +390,89 @@ def _echelon(field, rows):
     return pivots
 
 
+def _packs(field, rows, cols) -> bool:
+    """The one rule that puts a GF(p) matrix on packed rows.
+
+    A packed row is one int with a 64-bit slot per column.  A slot starts
+    below p and gains at most ``cols`` addends, each below p^2, so while
+    2·bitlen(p) + bitlen(cols) + 1 <= 64 it stays below 2^63 and never
+    carries.  Each pivot costs a Python pass over all the columns, and each
+    row operation saves one over a pivot row's nonzeros; with k = nnz /
+    cols, packed rows won on the graded, Koszul and resolution matrices
+    where k >= 6 and k·density >= 2 (k <= rows, so 6 rows at least).
+    """
+    if (len(rows) < 6 or not isinstance(field, PrimeField)
+            or 2 * field.p.bit_length() + cols.bit_length() + 1 > 64):
+        return False
+    nnz = sum(map(len, rows))
+    return 0 < 6 * cols <= nnz and nnz * nnz >= 2 * len(rows) * cols * cols
+
+
+def _pack(values) -> int:
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unpack(row: int, n: int) -> tuple:
+    return struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))
+
+
+_SLOT = (1 << 64) - 1
+
+
+def _echelon_packed(p, rows, cols):
+    """``_echelon`` over GF(p) on packed rows: ``{pivot column: tail}``,
+    tail being the pivot row scaled to a leading 1, from its pivot column
+    on, with that 1 removed.  A work row is shifted so that its lowest
+    nonzero slot, v, is slot 0.  Adding (p - v % p)·tail, one multiply-add,
+    leaves slot 0 divisible by p, and it is dropped."""
+    tails = {}
+    for row in rows:
+        dense = [0] * cols
+        for j, x in row.items():
+            dense[j] = x
+        work, off = _pack(dense), 0
+        while work:
+            if not (v := work & _SLOT):
+                r = (work & -work).bit_length() - 1 >> 6
+                work >>= r << 6
+                off += r
+                continue
+            a = v % p
+            if a and (tail := tails.get(off)) is None:
+                inv = pow(a, -1, p)
+                tails[off] = _pack(
+                    [x * inv % p for x in _unpack(work, cols - off)]) - 1
+                break
+            if a:
+                work += (p - a) * tail
+            work >>= 64
+            off += 1
+    return tails
+
+
+def _rref_packed(p, rows, cols):
+    """``{pivot column: RREF row}`` over GF(p) on packed rows.
+
+    Back-substitution runs from the last pivot up.  A finished row is zero
+    at every other pivot column, so a forward row's coefficients there are
+    read once; then one multiply-add per coefficient (within the slot
+    bound of ``_packs``) and one reduction mod p finish it.
+    """
+    tails = _echelon_packed(p, rows, cols)
+    done, out = {}, {}
+    for lead in sorted(tails, reverse=True):
+        n = cols - lead
+        acc = tails[lead] + 1
+        coeffs = _unpack(acc, n)
+        for k, row in done.items():
+            if c := coeffs[k - lead]:
+                acc += (p - c) * row << (k - lead << 6)
+        values = [x % p for x in _unpack(acc, n)]
+        out[lead] = {j: x for j, x in enumerate(values, lead) if x}
+        done[lead] = _pack(values)
+    return out
+
+
 def rref(M: Matrix):
     """Reduced row-echelon form.
 
@@ -396,11 +480,14 @@ def rref(M: Matrix):
     """
     f = M.field
     p = f.p if isinstance(f, PrimeField) else None
-    rows = _echelon(f, M.sparse)
+    packed = _packs(f, M.sparse, M.cols)
+    rows = (_rref_packed(p, M.sparse, M.cols) if packed
+            else _echelon(f, M.sparse))
     pivots = sorted(rows)
-    # back-substitution from the last pivot up: the rows below are already
-    # reduced, so clearing one pivot column brings in no other
-    for lead in reversed(pivots):
+    # back-substitution on dict rows, from the last pivot up: the rows
+    # below are already reduced, so clearing one pivot column brings in no
+    # other
+    for lead in () if packed else reversed(pivots):
         work = rows[lead]
         for c in [k for k in work if k != lead and k in rows]:
             work = _reduce(work, rows[c], c, p)
@@ -557,5 +644,8 @@ def sparse_rank(field, rows) -> int:
 
 
 def matrix_rank(M: Matrix) -> int:
-    """Exact rank, by sparse elimination of the nonzero entries."""
+    """Exact rank: the forward elimination of ``rref``, on packed rows
+    where ``_packs`` chooses them."""
+    if _packs(M.field, M.sparse, M.cols):
+        return len(_echelon_packed(M.field.p, M.sparse, M.cols))
     return sparse_rank(M.field, M.sparse)

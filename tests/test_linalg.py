@@ -1,10 +1,13 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
                             matrix_rank, null_basis, quotient_data,
@@ -556,7 +559,149 @@ def test_matrix_rank_gf_dense_block(field):
     assert R == reference_rref(M)[0]
 
 
-raw_q = st.one_of(st.integers(-3, 3),
+@contextmanager
+def dict_rows():
+    """Every GF(p) matrix eliminated on dict rows: the sparse loop is the
+    reference that the packed rows must match."""
+    packs = linalg._packs
+    linalg._packs = lambda field, rows, cols: False
+    try:
+        yield
+    finally:
+        linalg._packs = packs
+
+
+def slots_fit(p, cols):
+    return 2 * p.bit_length() + cols.bit_length() + 1 <= 64
+
+
+PACKED_PRIMES = [2, 7, 32003, 32749, P_BIG]
+
+
+@st.composite
+def dense_gf_matrices(draw):
+    """Up to 40 x 80 over one of PACKED_PRIMES, at fill rates on both sides
+    of the packed-row rule, with zero, repeated and combined rows."""
+    f = PrimeField(draw(st.sampled_from(PACKED_PRIMES)))
+    dense = draw(st.booleans())
+    n = draw(st.sampled_from([12, 24, 40] if dense else [1, 2, 5, 12, 40]))
+    m = draw(st.sampled_from([1, 3, 9, 16, 33, 64, 80]))
+    # nonzero in about fill / 8 of the cells
+    fill = draw(st.sampled_from([4, 6, 8] if dense else [0, 1, 2, 8]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = []
+    for i in range(n):
+        kind = rng.choice(["free"] * 3 + (["zero", "combo"] if i else []))
+        if kind == "free":
+            rows.append([rng.randrange(f.p) if rng.randrange(8) < fill
+                         else 0 for _ in range(m)])
+        elif kind == "zero":
+            rows.append([0] * m)
+        else:
+            a, b = rng.randrange(f.p), rng.randrange(f.p)
+            j, k = rng.randrange(i), rng.randrange(i)
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+    return mat(f, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_gf_matrices())
+def test_packed_and_dict_rows_agree(M):
+    R, rank, pivots = rref(M)
+    K = null_basis(M)
+    with dict_rows():
+        assert rref(M) == (R, rank, pivots)
+        assert null_basis(M) == K
+        assert matrix_rank(M) == rank
+    assert matrix_rank(M) == rank
+    assert (M @ K.transpose()).is_zero()
+    assert_canonical(R)
+    p = M.field.p
+    if slots_fit(p, M.cols):
+        # whatever the rule picks, the packed kernel itself must agree
+        out = linalg._rref_packed(p, M.sparse, M.cols)
+        assert sorted(out) == pivots
+        assert [out[c] for c in pivots] == list(R.sparse)
+        assert len(linalg._echelon_packed(p, M.sparse, M.cols)) == rank
+
+
+def test_packed_rule_is_crossed_by_the_drawn_matrices():
+    full = mat(F32003, [[1] * 80 for _ in range(40)])
+    diagonal = mat(F32003, [[int(i == j) for j in range(80)]
+                            for i in range(40)])
+    assert linalg._packs(F32003, full.sparse, 80)
+    assert not linalg._packs(F32003, diagonal.sparse, 80)
+    assert not linalg._packs(FBIG, full.sparse, 80)
+    assert not linalg._packs(QQ, full.sparse, 80)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("rows", [
+    [[0] * 80 for _ in range(40)],
+    [[3]] * 40,
+    [[0]] * 7 + [[5]],
+    [[j % 5 for j in range(30)]] * 12 + [[0] * 30],
+], ids=["all zero", "one column", "one column, zero rows", "rank one"])
+def test_packed_edge_shapes(p, rows):
+    M = mat(PrimeField(p), rows)
+    R, rank, pivots = rref(M)
+    assert (R, rank, pivots) == reference_rref(M)
+    assert matrix_rank(M) == rank
+    if slots_fit(p, M.cols):
+        out = linalg._rref_packed(p, M.sparse, M.cols)
+        assert [out[c] for c in sorted(out)] == list(R.sparse)
+
+
+# the largest prime below 2^28: 2·28 + bitlen(64) + 1 = 64, so 64 columns
+# meet the slot bound of linalg._packs exactly
+P28 = 268435399
+
+
+@pytest.mark.parametrize("p", [32749, P28])
+@pytest.mark.parametrize("case", ["independent", "dependent", "all p - 1"])
+def test_packed_slots_do_not_carry(p, case):
+    """Every addend at its largest.  Rows 0..n-2 are e_j - e_{j+1} - ... -
+    e_{n-1}, every entry right of the diagonal p - 1.  The last row has
+    c_j = 1 - j, so at step j its slot j holds c_j + j·(p - 1)^2, which is
+    1 mod p: the multiplier is p - 1 and every later slot gains (p - 1)^2.
+    The last slot reaches (n - 1)(p - 1)^2 + c_{n-1}, 62 bits for P28; in
+    the dependent case c_{n-1} = -(n - 1) makes it a nonzero multiple of
+    p, which is dropped."""
+    n = 64
+    f = PrimeField(p)
+    if case == "all p - 1":
+        rows = [[p - 1] * n for _ in range(n)]
+    else:
+        rows = [[0] * j + [1] + [p - 1] * (n - 1 - j) for j in range(n - 1)]
+        last = [1 - j for j in range(n)]
+        if case == "dependent":
+            last[-1] = 1 - n
+        rows.append(last)
+    M = mat(f, rows)
+    assert linalg._packs(f, M.sparse, n)
+    R, rank, pivots = rref(M)
+    with dict_rows():
+        assert rref(M) == (R, rank, pivots)
+    assert matrix_rank(M) == rank
+    assert rank == {"independent": n, "dependent": n - 1, "all p - 1": 1}[case]
+    if case == "independent":
+        assert R == Matrix.identity(f, n)
+
+
+@pytest.mark.parametrize("p, cols", [(P_BIG, 16), (P28, 128)])
+def test_wide_slots_take_the_dict_rows(p, cols):
+    # 2·bitlen(p) + bitlen(cols) + 1 > 64, so a slot could carry: these
+    # dense matrices must be eliminated on dict rows, and still be right
+    f, rng = PrimeField(p), Random(p)
+    M = mat(f, [[rng.randrange(p) for _ in range(cols)] for _ in range(24)])
+    assert not slots_fit(p, cols)
+    assert not linalg._packs(f, M.sparse, cols)
+    R, rank, pivots = rref(M)
+    assert (R, rank, pivots) == reference_rref(M)
+    assert matrix_rank(M) == rank == min(24, cols)
+
+
+raw_q =st.one_of(st.integers(-3, 3),
                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
 raw_gf7 = st.one_of(st.integers(-15, 15), st.sampled_from([7, -7, 14, 8, -6]))
 
