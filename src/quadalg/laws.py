@@ -3,9 +3,11 @@
 Each check composes degree-1 matrices of the structure morphisms (f, h,
 c_U, d_U, the flips c' and their tensor products) along the two legs of a
 diagram and compares them exactly; the zig-zags (2.3) and (2.4) are the
-Theorem 2.2 transposes of c_U and d_U, checked against the identity.  Every
-arrow is first validated as an algebra morphism; a containment failure
-there is an engine bug and raises instead of reporting a FAIL.
+Theorem 2.2 transposes of c_U and d_U, checked against the identity.  On
+rigid objects the contragredient h' of an invertible h is the inverse
+transpose of M_h, checked against the two zig-zag equations it must solve.
+Every arrow is first validated as an algebra morphism; a containment
+failure there is an engine bug and raises instead of reporting a FAIL.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import prod
 from random import Random
 
 from .fields import QQ, check_same_field
-from .linalg import Matrix, Record, rref, solve
+from .linalg import Matrix, Record, rref
 from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             evaluation_matrix, free_presentation,
                             full_relations_presentation, internal_hom,
@@ -324,24 +326,19 @@ def contragredient_check(h: AlgebraMorphism, hp: AlgebraMorphism):
 
 
 def solve_contragredient(h: AlgebraMorphism):
-    """Solve the two contragredient equations for h'; None if inconsistent."""
-    U, V = h.src, h.dst
-    f = U.field
-    nu, nv = U.n, V.n
-    # unknown Y = (M_h')^T, an nu x nv matrix; equations M_h Y = I and
-    # Y M_h = I, on the row-major vec(Y): vec(A Y B) = (A (x) B^T) vec(Y)
-    rows = (kron(h.M, Matrix.identity(f, nv)).sparse
-            + kron(Matrix.identity(f, nu), h.M.transpose()).sparse)
-    rhs = [f.one if a == b else f.zero
-           for k in (nv, nu) for a in range(k) for b in range(k)]
-    sol = solve(Matrix.from_rows(f, rows, nu * nv), rhs)
-    if sol is None:
+    """h' from the two zig-zag equations, or None when they have no solution.
+
+    In the unknown Y = (M_h')^T the equations read M_h Y = I and Y M_h = I,
+    so they hold exactly when M_h is invertible, and then Y is its inverse:
+    M_h' is the inverse transpose of M_h.  None also when that matrix is no
+    morphism of the duals.
+    """
+    inverse = solve_linear_inverse(h.M)
+    if inverse is None:
         return None
-    Mp = Matrix(f, [sol[i * nv:(i + 1) * nv] for i in range(nu)],
-                cols=nv).transpose()  # M_h' = Y^T
     try:
-        return AlgebraMorphism(dual(U), dual(V), Mp)
-    except ValueError:  # Mp solves the equations but is no morphism
+        return AlgebraMorphism(dual(h.src), dual(h.dst), inverse.transpose())
+    except ValueError:  # M_h' solves the equations but is no morphism
         return None
 
 
@@ -492,8 +489,9 @@ def suite_rigid(pool, trials: int, rng):
             for h in sample)
         checks.append(flag_check("trace-matches-matrix-trace",
                                  (_name(U),), agree, field))
-        # contragredient pair: an invertible h with inverse-transpose partner
-        # the cyclic shift: row i holds a 1 in column i + 1 (mod n)
+        # contragredient pair: the cyclic shift (row i holds a 1 in column
+        # i + 1 mod n) is invertible, so its partner is its inverse
+        # transpose, itself; a singular map has no partner
         hmat = PermutationMap([(j - 1) % n for j in range(n)]).matrix(field)
         h = AlgebraMorphism(U, U, hmat)
         hp = solve_contragredient(h)

@@ -25,8 +25,9 @@ Fractions only where its integer rows do not divide exactly.  Products
 accumulate ints as well, in one core (``combine``) that serves
 ``Matrix.__matmul__`` and ``tensorindex.contract``: over Q each factor's
 rows are cleared to one denominator first.  Membership
-(``reduce_against``) and ``solve`` work on the same sparse rows; the dense
-``Matrix.data`` view exists for display only.
+(``reduce_against``) works on the same sparse rows; a linear system is
+solved by ``rref`` of its augmented matrix.  The dense ``Matrix.data`` view
+exists for display only.
 """
 
 from __future__ import annotations
@@ -614,24 +615,6 @@ def reduce_against(A: Subspace, rows):
                 else:
                     del v[j]
     return None
-
-
-def solve(M: Matrix, rhs):
-    """One solution x of M x = rhs (a tuple), or None if inconsistent."""
-    f, n = M.field, M.cols
-    if len(rhs) != M.rows:
-        raise ValueError("right-hand side length != row count")
-    aug = []
-    for row, b in zip(M.sparse, rhs):
-        b = f.coerce(b)
-        aug.append({**row, n: b} if b else row)
-    reduced, _, pivots = rref(Matrix.from_rows(f, aug, n + 1))
-    if n in pivots:
-        return None
-    x = [f.zero] * n
-    for row, pc in zip(reduced.sparse, pivots):
-        x[pc] = row.get(n, f.zero)
-    return tuple(x)
 
 
 def sparse_rank(field, rows) -> int:

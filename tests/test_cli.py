@@ -351,11 +351,12 @@ def test_golden_under_python_O():
     # runtime checks must not be asserts: -O strips them.  laws_axioms_q
     # validates every structure map through is_morphism and reduce_against;
     # hilbert_sym2 is answered by the modular certificate; ext_embed3 runs
-    # the resolution's ArithmeticError checks over `contract`.
+    # the resolution's ArithmeticError checks over `contract`; laws_rigid_q
+    # builds each contragredient through AlgebraMorphism's ValueError.
     env = _src_env()
     cases = {name: (argv, status) for name, argv, status in MANIFEST}
     for name in ("koszul_sym3", "laws_axioms_q", "hilbert_sym2",
-                 "ext_embed3"):
+                 "ext_embed3", "laws_rigid_q"):
         argv, want_status = cases[name]
         proc = subprocess.run([sys.executable, "-O", "-c", MAIN_CODE, *argv],
                               capture_output=True, text=True, env=env,

@@ -693,13 +693,38 @@ def test_koszul_verdict_of_the_dual_agrees_degree_by_degree(name):
     # A is Koszul exactly when A^! is (Polishchuk and Positselski,
     # *Quadratic Algebras*, ch. 2); on the corpus the exactness of each
     # degree agrees as well.  That finer form is not a theorem: past the
-    # first inexact degree it can fail, as for k<a,b,c>/(aa + bb, ab, ca,
-    # cb) over Q, exact in degree 5 where its dual is not.
+    # first inexact degree it can fail (see the counterexamples below).
     A = load(name)
     reports, _ = koszul_verdict(A, 6)
     dual_reports, _ = koszul_verdict(dual(A), 6)
     assert ([r.exact for r in reports]
             == [r.exact for r in dual_reports])
+
+
+T, F = True, False
+
+
+@pytest.mark.parametrize("field, rows, flags, dual_flags", [
+    # k<a,b,c>/(aa + bb, ab, ca, cb): exact in degree 5 where its dual is not
+    (QQ, [[1, 0, 0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0]],
+     [T, T, T, F, T], [T, T, T, F, F]),
+    (PrimeField(7), [[1, 0, 0, 0, 6, 2, 0, 0, 0], [0, 1, 0, 0, 0, 3, 0, 0, 0],
+                     [0, 0, 1, 0, 3, 3, 0, 0, 0], [0, 0, 0, 1, 0, 5, 0, 0, 0]],
+     [T, T, T, F, F], [T, T, T, F, T]),
+    (PrimeField(7), [[1, 0, 0, 0, 0, 3, 0, 0, 0], [0, 1, 0, 0, 0, 4, 0, 0, 0],
+                     [0, 0, 1, 6, 0, 2, 0, 0, 0], [0, 0, 0, 0, 1, 5, 0, 0, 0]],
+     [T, T, T, F, F], [T, T, T, F, T]),
+], ids=["Q", "GF7-a", "GF7-b"])
+def test_koszul_verdict_of_the_dual_can_differ_past_the_first_inexact_degree(
+        field, rows, flags, dual_flags):
+    # the first inexact degree agrees; a later one need not
+    A = QuadraticPresentation(field, ("a", "b", "c"),
+                              Subspace.span(field, rows, 9))
+    reports, _ = koszul_verdict(A, 5)
+    dual_reports, _ = koszul_verdict(dual(A), 5)
+    assert [r.exact for r in reports] == flags
+    assert [r.exact for r in dual_reports] == dual_flags
 
 
 def test_ext_certificate_needs_one_off_diagonal_cell(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix, Subspace, matrix_rank, solve
+from quadalg.linalg import Matrix, Subspace, matrix_rank, rref
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -256,9 +256,16 @@ def reference_solve_contragredient(h):
         for j, mcol in enumerate(cols):
             rows.append({i * nv + k: x for k, x in mcol.items()})
             rhs.append(f.one if i == j else f.zero)
-    sol = solve(Matrix.from_rows(f, rows, nu * nv), rhs)
-    if sol is None:
+    # solve on rref of the augmented matrix [rows | rhs]: inconsistent when
+    # the last column holds a pivot, else the free unknowns are set to 0
+    k = nu * nv
+    aug = [{**row, k: b} if b else row for row, b in zip(rows, rhs)]
+    reduced, _, pivots = rref(Matrix.from_rows(f, aug, k + 1))
+    if k in pivots:
         return None
+    sol = [f.zero] * k
+    for row, pc in zip(reduced.sparse, pivots):
+        sol[pc] = row.get(k, f.zero)
     Mp = Matrix.from_rows(f, [{i: x for i in range(nu)
                                if (x := sol[i * nv + j])}
                               for j in range(nv)], nu)
@@ -298,6 +305,28 @@ def test_solve_contragredient_matches_the_loop_built_system():
             assert hp.M == ref
         outcomes.add(hp is None)
     assert outcomes == {True, False}  # both branches were reached
+
+
+@pytest.mark.parametrize("f", [QQ, F5], ids=["Q", "GF5"])
+def test_solve_contragredient_on_non_rigid_pairs(f):
+    # off the rigid subcategory not every matrix is a morphism, so an
+    # inverse transpose can fail to be one of the duals
+    free2 = free_presentation(f, ("a", "b"))
+    sym2 = QuadraticPresentation(f, ("a", "b"),
+                                 Subspace.span(f, [[0, 1, -1, 0]], 4))
+    # diag(2, 3) is invertible, but diag(1/2, 1/3) would have to send the
+    # full relations of free2^! into the three-dimensional ones of sym2^!
+    diag = AlgebraMorphism(free2, sym2, mat(f, [[2, 0], [0, 3]]))
+    # the swap of a and b keeps ab - ba up to sign, and is its own inverse
+    # transpose
+    swap = AlgebraMorphism(sym2, sym2, mat(f, [[0, 1], [1, 0]]))
+    assert solve_linear_inverse(diag.M) is not None
+    assert solve_contragredient(diag) is None
+    assert reference_solve_contragredient(diag) is None
+    hp = solve_contragredient(swap)
+    assert hp is not None and hp.M == swap.M
+    assert hp.M == reference_solve_contragredient(swap)
+    assert all(check.passed for check in contragredient_check(swap, hp))
 
 
 def test_solve_linear_inverse():

@@ -11,7 +11,7 @@ from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
                             matrix_rank, null_basis, quotient_data,
-                            reduce_against, rref, solve, sparse_rank)
+                            reduce_against, rref, sparse_rank)
 from quadalg.tensorindex import kron
 
 from conftest import subspace_sum
@@ -441,36 +441,6 @@ def test_reduce_against_matches_dense_reference(case):
             # the residual differs from the vector by an element of A
             diff = mat(A.field, [residual]) - V
             assert reduce_against(A, diff.sparse) is None
-
-
-def test_solve_consistent_and_inconsistent():
-    M = mat(QQ, [[1, 1], [0, 1]])
-    x = solve(M, [QQ.coerce(3), QQ.coerce(1)])
-    assert M @ column(QQ, x) == column(QQ, [3, 1])
-    M2 = mat(QQ, [[1, 0], [1, 0]])
-    assert solve(M2, [QQ.one, QQ.zero]) is None
-    with pytest.raises(ValueError):
-        solve(M2, [QQ.one])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_solve_matches_consistency(data):
-    M = data.draw(field_matrices())
-    f = M.field
-    scalars = q_scalars if f == QQ else int_scalars
-    x0 = [data.draw(scalars) for _ in range(M.cols)]
-    rhs = list((M @ column(f, x0)).transpose().data[0])
-    if data.draw(st.booleans()):
-        rhs[data.draw(st.integers(0, M.rows - 1))] += f.coerce(
-            data.draw(scalars))
-        rhs = [f.coerce(b) for b in rhs]
-    aug = mat(f, [list(row) + [b] for row, b in zip(M.data, rhs)])
-    consistent = matrix_rank(aug) == matrix_rank(M)
-    x = solve(M, rhs)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert M @ column(f, x) == column(f, rhs)
 
 
 def test_sparse_rank_agrees_with_rref():
