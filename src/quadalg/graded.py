@@ -53,7 +53,6 @@ class GradedStructure:
         # step_proj[m]: A_{m-1} (x) V  ->  A_m  (right multiplication data)
         self._step_proj = {1: Matrix.identity(f, n)}
         self._step_section = {1: Matrix.identity(f, n)}
-        self._full_proj = {0: Matrix.identity(f, 1), 1: Matrix.identity(f, n)}
         self._mult = {}
 
     def dim(self, m: int) -> int:
@@ -86,14 +85,14 @@ class GradedStructure:
             self._step_section[k] = section
 
     def full_projection(self, m: int) -> Matrix:
-        """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest)."""
+        """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest),
+        built afresh on each call as step_proj(m) @ (Pi_{m-1} (x) id_V)."""
         self._ensure(m)
-        f, n = self.field, self.n
-        while max(self._full_proj) < m:
-            k = max(self._full_proj) + 1
-            self._full_proj[k] = self.step_proj(k) @ kron(
-                self._full_proj[k - 1], Matrix.identity(f, n))
-        return self._full_proj[m]
+        f = self.field
+        proj, id_v = Matrix.identity(f, 1), Matrix.identity(f, self.n)
+        for k in range(1, m + 1):
+            proj = self.step_proj(k) @ kron(proj, id_v)
+        return proj
 
     def mult(self, i: int, j: int) -> Matrix:
         """The product map A_i (x) A_j -> A_{i+j} in quotient coordinates.
@@ -167,19 +166,20 @@ _CERT_FIELD = PrimeField(CERT_P)
 
 def reduce_mod_p(A: QuadraticPresentation):
     """The reduction of a Q presentation mod CERT_P, or None when CERT_P
-    divides a denominator of the RREF basis of its relations.
+    divides a denominator of the RREF basis of its relations (exactly when
+    ``coerce`` into GF(CERT_P) raises ZeroDivisionError).
 
     Otherwise the RREF rows are a Z_(p)-basis of the saturated lattice
     R cap Z_(p)^{n^2}, their entrywise reduction is again in RREF (a pivot
     stays 1, a pivot column stays clear), and the annihilator of the
     reduction is the reduction of the annihilator lattice.
     """
-    coerce, rows = _CERT_FIELD.coerce, []
-    for row in A.R.basis.sparse:
-        if any(type(x) is not int and x.denominator % CERT_P == 0
-               for x in row.values()):
-            return None
-        rows.append({j: y for j, x in row.items() if (y := coerce(x))})
+    coerce = _CERT_FIELD.coerce
+    try:
+        rows = [{j: y for j, x in row.items() if (y := coerce(x))}
+                for row in A.R.basis.sparse]
+    except ZeroDivisionError:
+        return None
     n2 = A.n * A.n
     return QuadraticPresentation(
         _CERT_FIELD, A.labels,

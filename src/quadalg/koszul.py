@@ -54,12 +54,11 @@ from .graded import certified_twin, graded_structure, hilbert
 from .tensorindex import contract, kron
 
 
-def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
-    """Left multiplication by alpha_h, squared, applied to the unit.
+def dh_square_is_zero(A: QuadraticPresentation, h: Matrix) -> bool:
+    """Whether left multiplication by alpha_h, squared, kills the unit.
 
-    The image lives in A_2 (x) (A^!)_2; returns (True, None) when it
-    vanishes, else (False, witness-coordinates).  Raises ValueError when h
-    is not an endomorphism of A.
+    The image lives in A_2 (x) (A^!)_2.  Raises ValueError when h is not
+    an endomorphism of A.
     """
     AlgebraMorphism(A, A, h)
     gs = graded_structure(A)
@@ -67,10 +66,8 @@ def dh_square_is_zero(A: QuadraticPresentation, h: Matrix):
     # alpha_h^2 = sum_{i,j} h(u_i) h(u_j) (x) u^i u^j; in word coordinates its
     # coefficient tensor is kron(h, h), pushed into the two degree-2 quotients
     # by their step projections (the word space of degree 2 is V (x) V).
-    image = gs.step_proj(2) @ kron(h, h) @ gd.step_proj(2).transpose()
-    if image.is_zero():
-        return True, None
-    return False, tuple(x for row in image.data for x in row)
+    return (gs.step_proj(2) @ kron(h, h)
+            @ gd.step_proj(2).transpose()).is_zero()
 
 
 class ComplexSlice(Record):
@@ -471,21 +468,20 @@ def ext_diagonal_check(A: QuadraticPresentation, m_max: int) -> bool:
     return bar_homology(A, m_max).on_diagonal(A)
 
 
-def search_non_koszul(field, n: int, max_degree: int = 6,
-                      limit: int | None = None):
+def search_non_koszul(field, n: int, max_degree: int, limit: int):
     """Deterministic scan for a presentation failing the Euler identity.
 
-    Candidates are relation spaces spanned by small-support vectors over the
-    n^2 degree-2 words, enumerated in a fixed order.  Returns the first
-    presentation whose Euler-Hilbert identity fails by ``max_degree``, or
-    None if the scan is exhausted.
+    Candidates are relation spaces spanned by three small-support vectors
+    over the n^2 degree-2 words, enumerated in a fixed order.  Returns the
+    first of the first ``limit`` candidates whose Euler-Hilbert identity
+    fails by ``max_degree``, or None if none does.
     """
     nn, one = n * n, field.one
     vectors = [{i: one} for i in range(nn)]
     vectors += [{i: one, j: one} for i, j in combinations(range(nn), 2)]
     labels = tuple(chr(ord("x") + k) for k in range(n))
     for count, triple in enumerate(combinations(vectors, 3), start=1):
-        if limit is not None and count > limit:
+        if count > limit:
             return None
         S = Subspace(nn, Matrix.from_rows(field, triple, nn))
         if S.dim != 3:

@@ -88,19 +88,15 @@ def tensor_morphisms(op, u: AlgebraMorphism, v: AlgebraMorphism):
                      "tensor of morphisms")
 
 
-def check_axiom_diagrams(U1, U2, U3, U4=None, u1=None, u2=None, u3=None):
+def check_axiom_diagrams(U1, U2, U3, U4, u1, u2, u3):
     """The six coherence diagrams, evaluated at the degree-1 matrix level.
 
-    U4 defaults to U1; u1..u3 default to identities.  Each u_k must start
-    at U_k, so the naturality squares (2.5) and (2.6) reuse h(U1, U2, U3)
-    and f(U1, U2, U3) as their source-side structure maps.
+    Each u_k must start at U_k, so the naturality squares (2.5) and (2.6)
+    reuse h(U1, U2, U3) and f(U1, U2, U3) as their source-side structure
+    maps.
     """
-    U4 = U1 if U4 is None else U4
     id1 = AlgebraMorphism.identity(U1)
     id4 = AlgebraMorphism.identity(U4)
-    u1 = u1 if u1 is not None else id1
-    u2 = u2 if u2 is not None else AlgebraMorphism.identity(U2)
-    u3 = u3 if u3 is not None else AlgebraMorphism.identity(U3)
     h123 = structure_map_h(U1, U2, U3)
     f123 = structure_map_f(U1, U2, U3)
     names = tuple(_name(U) for U in (U1, U2, U3, U4))

@@ -33,14 +33,11 @@ def random_matrix(field, rows: int, cols: int, rng: Random) -> Matrix:
                           for _ in range(rows)], cols=cols)
 
 
-def random_presentation(field, n: int, rng: Random,
-                        labels=None) -> QuadraticPresentation:
-    if labels is None:
-        labels = _LETTERS[:n]
+def random_presentation(field, n: int, rng: Random) -> QuadraticPresentation:
     k = rng.randrange(n * n + 1)
     vectors = [[random_scalar(field, rng) for _ in range(n * n)]
                for _ in range(k)]
-    return QuadraticPresentation(field, labels,
+    return QuadraticPresentation(field, _LETTERS[:n],
                                  Subspace.span(field, vectors, n * n))
 
 

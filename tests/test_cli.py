@@ -259,6 +259,49 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _own_returns(func):
+    """The return statements of func, not of the functions it defines."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_assert_on_a_function_that_returns_a_tuple():
+    # a nonempty tuple display is always true, so `assert f(...)` or
+    # `assert not f(...)` on a library function whose every return is one
+    # can never fail (or never pass) whatever f finds
+    verdicts = {}
+    for _, node in _library_nodes():
+        if isinstance(node, ast.FunctionDef):
+            returns = list(_own_returns(node))
+            always = bool(returns) and all(
+                isinstance(r.value, ast.Tuple) and r.value.elts
+                for r in returns)
+            verdicts[node.name] = verdicts.get(node.name, True) and always
+    tuple_valued = {name for name, always in verdicts.items() if always}
+    assert {"is_morphism", "koszul_verdict", "rref",
+            "run_suite"} <= tuple_valued
+    found = []
+    for path in sorted([*HERE.glob("*.py"),
+                        *(HERE.parent / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Assert):
+                continue
+            call = node.test
+            if isinstance(call, ast.UnaryOp) and isinstance(call.op, ast.Not):
+                call = call.operand
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in tuple_valued:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 # the classes that keep their own immutability and value rules: Record is
 # the base every other value class uses, Matrix caches its hash and has a
 # second constructor, and the fields module sits below linalg

@@ -82,7 +82,25 @@ def test_dh_square_on_sampled_endomorphisms():
     for name in ("sym2", "ext2", "free2", "gf7_seed1"):
         A = load(name)
         for h in sample_endomorphisms(A, 10, rng):
-            assert dh_square_is_zero(A, h), name
+            assert dh_square_is_zero(A, h) is True, name
+
+
+def test_dh_square_is_false_when_the_square_survives(monkeypatch):
+    # With the dual's degree-2 projection replaced by the identity on
+    # V (x) V, the image of alpha_I^2 for sym2 is step_proj(2) itself.
+    A = load("sym2")
+    I = Matrix.identity(QQ, 2)
+    assert dh_square_is_zero(A, I) is True
+
+    class WordsOnly:
+        def step_proj(self, m):
+            return Matrix.identity(QQ, 2 ** m)
+
+    dual_R = dual(A).R
+    real = koszul.graded_structure
+    monkeypatch.setattr(koszul, "graded_structure",
+                        lambda B: WordsOnly() if B.R == dual_R else real(B))
+    assert dh_square_is_zero(A, I) is False
 
 
 def test_dh_square_rejects_a_non_endomorphism():
@@ -137,6 +155,18 @@ def test_koszul_verdict_positive_and_negative():
     assert not ok
     # Euler already breaks by degree 6 for this presentation.
     assert not all(euler_hilbert_test(load("nonkoszul_gf2"), 6))
+
+
+def test_search_non_koszul_returns_none_when_the_scan_runs_out(monkeypatch):
+    # n = 1 has a single degree-2 word, so no triple of vectors at all
+    assert search_non_koszul(F2, 1, max_degree=4, limit=5) is None
+    # n = 2 stops after its first 5 of 120 candidates
+    tested = []
+    real = koszul.euler_hilbert_test
+    monkeypatch.setattr(koszul, "euler_hilbert_test",
+                        lambda A, N: tested.append(A) or real(A, N))
+    assert search_non_koszul(F2, 2, max_degree=4, limit=5) is None
+    assert 0 < len(tested) <= 5
 
 
 def test_homology_report_degrees():

@@ -70,7 +70,8 @@ def test_axiom_diagrams_across_triples():
                if t[0].n * t[1].n * t[2].n <= 4]
     triples.append((load("sym2"), load("ext2"), load("free2")))
     for U1, U2, U3 in triples:
-        for check in check_axiom_diagrams(U1, U2, U3):
+        ids = [AlgebraMorphism.identity(U) for U in (U1, U2, U3)]
+        for check in check_axiom_diagrams(U1, U2, U3, U1, *ids):
             assert check.passed, (check.name, check.objects)
             assert check.residual.is_zero()
 
