@@ -202,7 +202,13 @@ def flag_check(name, objects, passed: bool, field) -> DiagramCheck:
 
 
 def check_dual_antimultiplicative(U, V) -> DiagramCheck:
-    """dual(U . V) agrees with dual(V) o dual(U) under the flip-transpose."""
+    """dual(U . V) agrees with dual(V) o dual(U) under the flip-transpose.
+
+    An independent check of both products: the left side is the
+    annihilator of the black relations, computed by elimination, and the
+    white product on the right writes its basis down from its factors and
+    goes through no annihilator.
+    """
     lhs = dual(black(U, V))
     rhs = white(dual(V), dual(U))
     p, m = flip(U.n, V.n).image, U.n * V.n  # flip (x) flip on words of U.V

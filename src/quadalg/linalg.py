@@ -1,8 +1,11 @@
 """Sparse exact matrices and the canonical-subspace calculus.
 
-Everything downstream (products, duals, complexes, diagram checks) reduces
-to row reduction here.  Subspaces are kept in reduced row-echelon form, so
-set equality is representation equality.
+Duals, complexes and diagram checks reduce to row reduction here; Manin's
+products do not, since they write their RREF bases down from those of
+their factors (see ``presentations``).  Subspaces are kept in reduced
+row-echelon form, so set equality is representation equality; a basis
+built in that form is passed with ``_canonical=True``, which checks only
+that its rows lead at increasing columns.
 
 A Matrix stores one ``{column: scalar}`` dict per row, holding only the
 nonzero entries, each canonical (see ``fields``): over Q an int when
@@ -529,6 +532,9 @@ class Subspace(Record):
             basis, _, pivots = rref(basis)
         else:
             pivots = [min(row) for row in basis.sparse]
+            if any(p >= q for p, q in zip(pivots, pivots[1:])):
+                raise ValueError("canonical rows must lead at strictly "
+                                 "increasing columns")
         super().__init__(ambient_dim, basis, tuple(pivots))
 
     @property

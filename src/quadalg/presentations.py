@@ -4,6 +4,29 @@ A presentation is a generator count n with a canonical relation subspace
 R inside the n^2-dimensional degree-2 word space.  The black product takes
 the shuffled tensor of relation spaces, the white product the shuffled sum
 with the full complements, the dual the annihilator.
+
+Neither product eliminates: each writes the RREF basis of its relations
+down from the RREF bases of R_A and R_B.  In Kronecker coordinates of
+V_A^2 (x) V_B^2 (the word w of V_A^2, then u of V_B^2) let a_s lead at
+p_s and b_r at q_r.  The black rows are the a_s (x) b_r.  The white sum
+V_A^2 (x) R_B + R_A (x) V_B^2 is V_A^2 (x) R_B + R_A (x) F_B, F_B spanned
+by the e_u at the non-pivot columns u of R_B, and its RREF has three kinds
+of rows:
+
+- (i) e_w (x) b_r for each w that is no pivot of R_A, leading at (w, q_r);
+- (ii) e_{p_s} (x) e_{q_r} - (a_s - e_{p_s}) (x) (b_r - e_{q_r}), which is
+  a_s (x) e_{q_r} + e_{p_s} (x) b_r - a_s (x) b_r, leading at (p_s, q_r);
+- (iii) a_s (x) e_u for each u that is no pivot of R_B, leading at (p_s, u).
+
+Each row lies in the sum and no two lead at the same word, so these
+n_A^2 c_B + c_A n_B^2 - c_A c_B rows, the dimension of the sum, are a basis
+of it.  In both products a row's lead is the least word (w, u) of its
+support in the order that compares w, then u (every other entry (w', u')
+has w' >= w and u' >= u), and each pivot column is zero in every other
+row.  t23 sends (w, u) = (a, a', b, b') to (a, b, a', b'), which is least
+as well when w' >= w and u' >= u, so the t23 image of a row leads at the
+image of its lead.  Sorted by those leads, the moved rows are the
+canonical basis as they stand.
 """
 
 from __future__ import annotations
@@ -12,7 +35,7 @@ from functools import lru_cache
 
 from .fields import check_same_field
 from .linalg import Matrix, Record, Subspace, annihilator, reduce_against
-from .tensorindex import kron, push_subspace, t23, tensor_subspace
+from .tensorindex import kron, t23, tensor_subspace
 
 
 class QuadraticPresentation(Record):
@@ -82,26 +105,65 @@ def dual_label(label: str) -> str:
 
 @lru_cache(maxsize=4096)
 def black(A: QuadraticPresentation, B: QuadraticPresentation):
-    """Manin's bullet product: relations t23(R_A tensor R_B)."""
+    """Manin's bullet product: relations t23(R_A tensor R_B).
+
+    The rows a_s (x) b_r of ``tensor_subspace`` moved by t23 and sorted by
+    their leads are the canonical basis (see the module docstring).
+    """
     check_same_field(A.field, B.field)
-    R = push_subspace(t23(A.n, B.n), tensor_subspace(A.R, B.R))
+    S = tensor_subspace(A.R, B.R)
+    image = t23(A.n, B.n).image
+    R = _sorted_by_lead(A.field, len(image), {
+        image[lead]: {image[j]: x for j, x in row.items()}
+        for lead, row in zip(S.pivots, S.basis.sparse)})
     return QuadraticPresentation(A.field, _product_labels(A, B), R)
 
 
 @lru_cache(maxsize=4096)
 def white(A: QuadraticPresentation, B: QuadraticPresentation):
-    """Manin's circle product: relations t23(V_A^2 ⊗ R_B + R_A ⊗ V_B^2)."""
+    """Manin's circle product: relations t23(V_A^2 ⊗ R_B + R_A ⊗ V_B^2).
+
+    One row per word (w, u) with w a pivot of R_A or u one of R_B, written
+    down by the three rules of the module docstring (no elimination, and
+    no annihilator, so ``laws.check_dual_antimultiplicative`` stays an
+    independent check of it) and moved by t23 as it is built.
+    """
     check_same_field(A.field, B.field)
-    f, na2, nb2 = A.field, A.n * A.n, B.n * B.n
-    # the spanning rows of both summands, shuffled by t23 and reduced once:
-    # the RREF of a span is unique, whatever rows it is reduced from
+    f, nb2 = A.field, B.n * B.n
+    a_at = dict(zip(A.R.pivots, A.R.basis.sparse))
+    b_at = dict(zip(B.R.pivots, B.R.basis.sparse))
+    # for the rows (ii): the entries of -(a_s - e_{p_s}) at their row
+    # offsets i * n_B^2, and those of b_r - e_{q_r}
+    a_tails = {p: [(i * nb2, f.neg(x)) for i, x in a.items() if i != p]
+               for p, a in a_at.items()}
+    b_tails = {q: [(j, y) for j, y in b.items() if j != q]
+               for q, b in b_at.items()}
     image = t23(A.n, B.n).image
-    rows = [{image[j]: x for j, x in row.items()}
-            for half in (kron(Matrix.identity(f, na2), B.R.basis),
-                         kron(A.R.basis, Matrix.identity(f, nb2)))
-            for row in half.sparse]
-    R = Subspace(na2 * nb2, Matrix.from_rows(f, rows, na2 * nb2))
-    return QuadraticPresentation(A.field, _product_labels(A, B), R)
+    rows = {}
+    for w in range(A.n * A.n):
+        a, base = a_at.get(w), w * nb2
+        for u in range(nb2):
+            b = b_at.get(u)
+            if a is None:
+                if b is None:
+                    continue
+                row = {image[base + j]: y for j, y in b.items()}  # (i)
+            elif b is None:
+                row = {image[i * nb2 + u]: x for i, x in a.items()}  # (iii)
+            else:
+                row = {image[base + u]: f.one}  # (ii)
+                for offset, x in a_tails[w]:
+                    for j, y in b_tails[u]:
+                        row[image[offset + j]] = f.mul(x, y)
+            rows[image[base + u]] = row
+    return QuadraticPresentation(A.field, _product_labels(A, B),
+                                 _sorted_by_lead(f, len(image), rows))
+
+
+def _sorted_by_lead(f, size: int, rows: dict) -> Subspace:
+    """The subspace on canonical rows given by their leads, in lead order."""
+    return Subspace(size, Matrix.from_rows(
+        f, [rows[lead] for lead in sorted(rows)], size), _canonical=True)
 
 
 def internal_hom(U: QuadraticPresentation, V: QuadraticPresentation):

@@ -1,8 +1,9 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from quadalg.fields import check_same_field
+from quadalg.fields import QQ, check_same_field
 from quadalg.linalg import Matrix, Subspace
 from quadalg.parser import parse
 
@@ -27,6 +28,21 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     stacked = Matrix.from_rows(A.field, A.basis.sparse + B.basis.sparse,
                                A.ambient_dim)
     return Subspace(A.ambient_dim, stacked)
+
+
+def assert_canonical(M):
+    """M.sparse has one dict per row holding only nonzero canonical
+    entries: over Q an int when integral and otherwise a Fraction with
+    denominator above 1, over GF(p) an int in 1..p-1."""
+    assert isinstance(M.sparse, tuple) and len(M.sparse) == M.rows
+    for row in M.sparse:
+        for j, x in row.items():
+            assert 0 <= j < M.cols
+            if M.field == QQ:
+                assert x and (type(x) is int or type(x) is Fraction
+                              and x.denominator > 1)
+            else:
+                assert type(x) is int and 0 < x < M.field.p
 
 
 @pytest.fixture(scope="session")

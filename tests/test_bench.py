@@ -23,6 +23,7 @@ RUNS = {
     "hilbert": ["hilbert", "--seeds", "1", "--degrees", "3"],
     "koszul": ["koszul", "--seeds", "1", "--degrees", "3"],
     "linalg": ["linalg", "--seeds", "0", "--degrees", "2"],
+    "products": ["products", "--seeds", "1"],
 }
 
 
@@ -72,6 +73,17 @@ def test_bench_subcommand_agrees_with_its_oracle(bench, name, tmp_path):
         # each generic presentation is timed over Q and over its GF twin
         generic = [row["field"] for row in rows if row["family"] != "corpus"]
         assert generic == ["Q", f"GF {bench.GF_P}"] * 3
+    if name == "products":
+        # every ordered corpus pair over one field, then each
+        # HOM_RELATIONS pair over Q and over its GF twin
+        fields = {n: load(n).field for n in CORPUS_NAMES}
+        corpus = [row["input"] for row in rows if row["family"] == "corpus"]
+        assert corpus == [f"{u},{v}" for u in CORPUS_NAMES
+                          for v in CORPUS_NAMES if fields[u] == fields[v]]
+        generic = [(row["k"], row["field"]) for row in rows
+                   if row["family"] != "corpus"]
+        assert generic == [(list(k), field) for k in bench.HOM_RELATIONS
+                           for field in ("Q", f"GF {bench.GF_P}")]
 
 
 def _shift_gf_degree(bench, monkeypatch):
@@ -88,6 +100,8 @@ ORACLE_BREAKERS = {
     "koszul": lambda bench, mp: mp.setattr(bench, "exact_reports",
                                            lambda A, N: []),
     "linalg": _shift_gf_degree,
+    "products": lambda bench, mp: mp.setitem(
+        bench.PRODUCTS, "black", (bench.black, bench.white_by_stacking)),
 }
 
 

@@ -40,7 +40,7 @@ from quadalg.presentations import QuadraticPresentation, dual
 from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
 
-from conftest import CORPUS, CORPUS_NAMES, load
+from conftest import CORPUS, CORPUS_NAMES, assert_canonical, load
 from golden_manifest import run
 
 F2 = PrimeField(2)
@@ -301,14 +301,6 @@ def reference_first_complex(A, i_max, weight):
                     gd.left_mult_by_generator(i, j))
         maps.append(total)
     return tuple(maps)
-
-
-def assert_canonical(M):
-    """Every stored entry is a nonzero canonical scalar of M's field."""
-    f = M.field
-    for row in M.sparse:
-        for x in row.values():
-            assert x and type(f.coerce(x)) is type(x) and f.coerce(x) == x
 
 
 def assert_same_differentials(A, m):

@@ -14,7 +14,7 @@ from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
                             reduce_against, rref, sparse_rank)
 from quadalg.tensorindex import kron
 
-from conftest import subspace_sum
+from conftest import assert_canonical, subspace_sum
 
 F5 = PrimeField(5)
 F32003 = PrimeField(32003)
@@ -172,21 +172,6 @@ def partners(draw, M):
     return mat(M.field, rows)
 
 
-def assert_canonical(M):
-    """M.sparse has one dict per row holding only nonzero canonical
-    entries: over Q an int when integral and otherwise a Fraction with
-    denominator above 1, over GF(p) an int in 1..p-1."""
-    assert isinstance(M.sparse, tuple) and len(M.sparse) == M.rows
-    for row in M.sparse:
-        for j, x in row.items():
-            assert 0 <= j < M.cols
-            if M.field == QQ:
-                assert x and (type(x) is int or type(x) is Fraction
-                              and x.denominator > 1)
-            else:
-                assert type(x) is int and 0 < x < M.field.p
-
-
 def dense_product(A, B):
     f = A.field
     out = []
@@ -318,6 +303,20 @@ def test_subspace_set_equality_is_representation_equality():
     a = Subspace.span(QQ, [[1, 1], [0, 1]], 2)
     b = Subspace.span(QQ, [[1, 0], [1, 1]], 2)
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("rows", [[{1: 1}, {0: 1}], [{0: 1}, {0: 1, 1: 1}],
+                                  [{2: 1}, {0: 1, 1: 2}, {1: 1}]],
+                         ids=["swapped", "repeated", "unsorted"])
+def test_canonical_rows_must_lead_at_increasing_columns(rows):
+    # the guard is a raise, not an assert, so it holds under python -O
+    M = Matrix.from_rows(QQ, rows, 3)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Subspace(3, M, _canonical=True)
+    if len(set(map(min, rows))) == len(rows):
+        ordered = Matrix.from_rows(QQ, sorted(rows, key=min), 3)
+        assert Subspace(3, ordered, _canonical=True).pivots == tuple(
+            sorted(map(min, rows)))
 
 
 def test_annihilator_example():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Subspace
-from quadalg.parser import ParseError, parse, unparse
+from quadalg.parser import ParseError, _as_scalar, parse, unparse
 from quadalg.presentations import QuadraticPresentation, black, dual, white
 
 from conftest import CORPUS, CORPUS_NAMES
@@ -320,3 +320,29 @@ def test_sparse_unparse_matches_dense_reference(A):
     text = unparse("rand", A)
     assert text == dense_unparse("rand", A)
     assert parse(text)[1] == A
+
+
+def reference_as_scalar(piece, field):
+    """Every coefficient read by ``Fraction``: the scalar, or the message
+    of the ParseError the parser raises at line 1, column 1."""
+    try:
+        return field.coerce(Fraction(piece))
+    except ValueError:
+        why = "bad coefficient"
+    except ZeroDivisionError:
+        why = f"zero denominator over {field} in coefficient"
+    return f"line 1, column 1: {why} {piece!r}"
+
+
+# "\u0663" is an Arabic-Indic 3, which both read; "\u00b2" is a
+# superscript 2, which str.isdigit accepts and both reject
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+@pytest.mark.parametrize("piece", ["-3", "007", "\u0663", "\u00b2", "1/0",
+                                   "3/", "0", "-6/4", "1/5"])
+def test_integer_coefficients_read_as_fraction_would(piece, field):
+    try:
+        got = _as_scalar(piece, 1, field, 1)
+    except ParseError as exc:
+        got = str(exc)
+    want = reference_as_scalar(piece, field)
+    assert got == want and type(got) is type(want)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_structure
 from quadalg.linalg import Matrix, Subspace, reduce_against
@@ -27,7 +28,7 @@ from quadalg.presentations import (
     white,
 )
 
-from conftest import load, subspace_sum
+from conftest import assert_canonical, load, subspace_sum
 
 F5 = PrimeField(5)
 
@@ -92,6 +93,65 @@ def white_by_sum(A, B):
     mixed = subspace_sum(tensor_subspace(full_a, B.R),
                          tensor_subspace(A.R, full_b))
     return push_subspace(t23(A.n, B.n), mixed)
+
+
+def black_by_push(A, B):
+    """t23(R_A (x) R_B) as the Kronecker basis pushed through t23 and
+    reduced again (the reference for ``black``)."""
+    return push_subspace(t23(A.n, B.n), tensor_subspace(A.R, B.R))
+
+
+def _with_relations(field, n, k, rng):
+    """n generators and a random k-dimensional relation space, drawn as an
+    RREF with random pivots and entries, Fractions among them over Q."""
+    n2, top = n * n, 4 if field == QQ else 2
+    pivots = sorted(rng.sample(range(n2), k))
+    rows = []
+    for p in pivots:
+        row = [0] * n2
+        row[p] = 1
+        for c in range(p + 1, n2):
+            if c not in pivots and rng.random() < 0.6:
+                row[c] = field.coerce(Fraction(rng.randrange(-4, 5),
+                                               rng.randrange(1, top)))
+        rows.append(row)
+    return QuadraticPresentation(field, tuple(f"g{i}" for i in range(n)),
+                                 Subspace.span(field, rows, n2))
+
+
+PRODUCT_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+@pytest.mark.parametrize("n1, n2", [(n1, n2) for n1 in (1, 2, 3)
+                                    for n2 in (1, 2, 3)])
+def test_products_match_the_eliminated_references(field, n1, n2):
+    # every relation count 0..n^2 on each side, full relations included
+    rng = random.Random(f"{field}:{n1}:{n2}")
+    for k1 in range(n1 * n1 + 1):
+        for k2 in range(n2 * n2 + 1):
+            A = _with_relations(field, n1, k1, rng)
+            B = _with_relations(field, n2, k2, rng)
+            assert A.R.dim == k1 and B.R.dim == k2
+            for product, reference in ((black, black_by_push),
+                                       (white, white_by_sum)):
+                R = product.__wrapped__(A, B).R
+                assert R == reference(A, B)
+                assert_canonical(R.basis)
+                assert all(p < q for p, q in zip(R.pivots, R.pivots[1:]))
+
+
+def test_products_run_no_elimination(monkeypatch):
+    A = load("sym3")
+    B = _with_relations(QQ, 3, 4, random.Random(0))
+    want = {product: product.__wrapped__(A, B) for product in (black, white)}
+
+    def refuse(M):
+        raise AssertionError("rref called")
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for product in (black, white):
+        assert product.__wrapped__(A, B) == want[product]
+        assert product.__wrapped__(B, A).R.dim > 0
 
 
 @settings(max_examples=40, deadline=None)

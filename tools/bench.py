@@ -1,7 +1,8 @@
 """Time quadalg's engines layer by layer, each against an independent oracle.
 
-    python3 tools/bench.py {ext,hilbert,koszul,linalg} [--seeds S]
-                           [--degrees N ...] [--out BENCH_<name>.json]
+    python3 tools/bench.py {ext,hilbert,koszul,linalg,products}
+                           [--seeds S] [--degrees N ...]
+                           [--out BENCH_<name>.json]
 
 - ``ext``: ``ext_by_resolution(A, N)`` (the engine behind ``quadalg ext``)
   against ``bar_homology(A, N)`` (the reduced bar complex, the oracle) on
@@ -27,12 +28,18 @@
   GF(``workloads.GF_P``) twin; ``agree`` says the two fields gave the same
   position dimensions, without which the Q/GF ratios would compare
   different complexes.
+- ``products``: ``white``, ``black`` and ``internal_hom`` (the closed-form
+  RREF bases) against the same relations reduced by ``rref`` from their
+  stacked spanning rows, on every ordered pair of corpus algebras over
+  one field and on 3-generator pairs with the relation counts of
+  ``workloads.HOM_RELATIONS``, over Q and over their GF(``GF_P``) twins.
 
-Inputs: the corpus (Q algebras only, except for ``ext`` and ``koszul``)
-and ``--seeds`` seeded presentations per family of ``INPUTS``, drawn by
-``perfbench.workloads.random_relations``; a twin over GF(p) is parsed from
-the same integer relations, as ``perfbench.workloads.twins`` writes it.
-``--degrees`` replaces the degrees of every input.  Every timing is the
+Inputs: the corpus (Q algebras only, except for ``ext``, ``koszul`` and
+``products``) and ``--seeds`` seeded presentations per family of
+``INPUTS``, drawn by ``perfbench.workloads.random_relations``; a twin over
+GF(p) is parsed from the same integer relations, as
+``perfbench.workloads.twins`` writes it.  ``--degrees`` replaces the
+degrees of every input (``products`` has none).  Every timing is the
 median and quartiles, to three significant digits, of ``REPEAT`` calls in
 this process, each on empty caches, so it pays for the graded components,
 products and Koszul reports it needs, as one CLI call does.  The machine
@@ -61,14 +68,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import GF_P, qa_text, random_relations  # noqa: E402
+from perfbench.workloads import (GF_P, HOM_RELATIONS, qa_text,  # noqa: E402
+                                 random_relations)
 from quadalg import clear_caches, graded  # noqa: E402
 from quadalg.koszul import (ComplexSlice, bar_homology,  # noqa: E402
                             certified_ext, ext_by_resolution,
                             homology_report, koszul_verdict,
                             second_complex_slice)
-from quadalg.linalg import matrix_rank  # noqa: E402
+from quadalg.linalg import Matrix, Subspace, matrix_rank  # noqa: E402
 from quadalg.parser import parse  # noqa: E402
+from quadalg.presentations import (black, dual, internal_hom,  # noqa: E402
+                                   white)
+from quadalg.tensorindex import (kron, push_subspace, t23,  # noqa: E402
+                                 tensor_subspace)
 
 REPEAT = 5
 BAR_BUDGET_S = 10.0
@@ -79,6 +91,7 @@ INPUTS = {
     "hilbert": ((6,), [(3, (2, 3), (7,)), (4, (4, 5, 6), (5,))], 3),
     "koszul": ((5,), [(4, (4, 5, 6), (5,))], 1),
     "linalg": ((8,), [(3, (2, 3, 4, 5, 6), (5,))], 3),
+    "products": ((), [(3, tuple(HOM_RELATIONS), ())], 3),
 }
 OPS = ("matmul", "rank", "dd_check")
 
@@ -137,16 +150,25 @@ def load(name: str, field: str, gens: str, rels):
     return parse(qa_text(name, field, gens, rels))[1]
 
 
-def inputs(bench: str, seeds: int, degrees):
-    """(name, family, field, gens, rels, degrees) of every input."""
-    corpus_degrees, families, _ = INPUTS[bench]
+def corpus():
+    """(name, field, gens, rels) of every corpus file."""
     for path in sorted((ROOT / "corpus").glob("*.qa")):
         lines = path.read_text().splitlines()
         spec = dict(line.split(" ", 1) for line in lines
                     if line.startswith(("field ", "gens ")))
-        if bench in ("ext", "koszul") or spec["field"] == "Q":
-            yield (path.stem, "corpus", spec["field"], spec["gens"],
-                   [line[4:] for line in lines if line.startswith("rel ")],
+        yield (path.stem, spec["field"], spec["gens"],
+               [line[4:] for line in lines if line.startswith("rel ")])
+
+
+def inputs(bench: str, seeds: int, degrees):
+    """(name, family, field, gens, rels, degrees) of every input."""
+    if bench == "products":
+        yield from product_inputs(seeds)
+        return
+    corpus_degrees, families, _ = INPUTS[bench]
+    for name, field, gens, rels in corpus():
+        if bench in ("ext", "koszul") or field == "Q":
+            yield (name, "corpus", field, gens, rels,
                    degrees or corpus_degrees)
     for n, ks, family_degrees in families:
         for k in ks:
@@ -262,6 +284,64 @@ def q_over_gf_by_family(rows) -> dict:
     return out
 
 
+def product_inputs(seeds: int):
+    """(name, family, field, U, V) of every pair ``bench_products`` runs."""
+    algebras = [(name, field, load(name, field, gens, rels))
+                for name, field, gens, rels in corpus()]
+    for u, field, U in algebras:
+        for v, other, V in algebras:
+            if other == field:
+                yield f"{u},{v}", "corpus", field, U, V
+    (n, counts, _), = INPUTS["products"][1]
+    for seed in range(seeds):
+        for pair, (ku, kv) in enumerate(counts):
+            rng = Random(f"products:{n}:{pair}:{seed}")
+            u, v = random_relations(rng, n, ku), random_relations(rng, n, kv)
+            for field in ("Q", f"GF {GF_P}"):
+                yield (f"h{pair}s{seed}", f"random n={n} k={ku},{kv}", field,
+                       load("u", field, *u), load("v", field, *v))
+
+
+def white_by_stacking(A, B) -> Subspace:
+    """white(A, B)'s relations: the t23-shuffled spanning rows of
+    V_A^2 (x) R_B and R_A (x) V_B^2, stacked and reduced by ``rref``."""
+    f, na2, nb2 = A.field, A.n * A.n, B.n * B.n
+    image = t23(A.n, B.n).image
+    rows = [{image[j]: x for j, x in row.items()}
+            for half in (kron(Matrix.identity(f, na2), B.R.basis),
+                         kron(A.R.basis, Matrix.identity(f, nb2)))
+            for row in half.sparse]
+    return Subspace(na2 * nb2, Matrix.from_rows(f, rows, na2 * nb2))
+
+
+def black_by_push(A, B) -> Subspace:
+    """black(A, B)'s relations: R_A (x) R_B pushed by t23 and reduced."""
+    return push_subspace(t23(A.n, B.n), tensor_subspace(A.R, B.R))
+
+
+def hom_by_stacking(U, V) -> Subspace:
+    return white_by_stacking(V, dual(U))
+
+
+# product -> (engine, stacked-rows-then-rref reference)
+PRODUCTS = {"white": (white, white_by_stacking),
+            "black": (black, black_by_push),
+            "hom": (internal_hom, hom_by_stacking)}
+
+
+def bench_products(name, family, field, U, V):
+    row = {"input": name, "family": family, "field": field,
+           "n": [U.n, V.n], "k": [U.R.dim, V.R.dim], "agree": True}
+    for product, (engine, reference) in PRODUCTS.items():
+        closed_form, got = timed(engine, U, V)
+        rref, want = timed(reference, U, V)
+        row[product] = {"closed_form": closed_form, "rref": rref,
+                        "speedup": round(rref["median_s"]
+                                         / closed_form["median_s"], 1)}
+        row["agree"] = row["agree"] and got.R == want
+    yield row
+
+
 BENCHES = {
     "ext": ("ext_by_resolution vs bar_homology on the corpus and on generic "
             "4-generator Q presentations", bench_ext),
@@ -273,6 +353,9 @@ BENCHES = {
     "linalg": (f"Matrix.__matmul__, matrix_rank and the d∘d check on "
                f"second-complex differentials, Q against GF({GF_P})",
                bench_linalg),
+    "products": ("white, black and internal_hom (closed-form RREF bases) vs "
+                 "the stacked spanning rows reduced by rref, on corpus pairs "
+                 f"and 3-generator Q/GF({GF_P}) twins", bench_products),
 }
 
 
@@ -304,7 +387,7 @@ def main(argv=None) -> int:
             before = after
             rows.append(row)
             print(f"{row['input']:14} {row.get('field', ''):8} "
-                  f"N={row['degree']}  " + "  ".join(
+                  f"N={row.get('degree', '-')}  " + "  ".join(
                 f"{key} {s:.3g}" for key, s in medians(row))
                 + f"  agree {row['agree']}  ref {row['ref_s']:.3g}",
                   flush=True)
@@ -324,7 +407,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     mismatched = [r for r in rows if r["agree"] is False]
     for r in mismatched:
-        print(f"MISMATCH {r['input']} N={r['degree']}", file=sys.stderr)
+        print(f"MISMATCH {r['input']} {r.get('field', '')} "
+              f"N={r.get('degree', '-')}", file=sys.stderr)
     return 1 if mismatched else 0
 
 
