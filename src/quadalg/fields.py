@@ -8,11 +8,17 @@ carries the arithmetic and returns these canonical forms; values never
 float: ``coerce`` accepts only an int or a Fraction and raises TypeError
 on anything else.  ``Fraction(2, 1) == 2`` and both hash alike, so the two
 forms of an integral rational compare and hash as one value.
+
+``Record``, the base of every immutable value class of the library, lives
+here, in the module that every other one imports, so that the field
+objects are Records too: GF(p) equals GF(q) exactly when p = q, and every
+``Rationals()`` equals ``QQ`` and hashes alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly
@@ -59,23 +65,60 @@ def _canonical(x):
     return x.numerator if x.denominator == 1 else x
 
 
-class Rationals:
+# one global lookup per field set: every Matrix is built through Record
+_setattr = object.__setattr__
+
+
+class Record:
+    """The one base for immutable values: a subclass names its fields in
+    ``__slots__`` and is built positionally, compared, hashed and printed
+    field by field.  A subclass that validates its input overrides only
+    ``__init__`` and ends it with ``super().__init__(...)``.
+
+    ``Matrix`` caches its hash in a ``_hash`` slot, so it compares and
+    hashes without that slot by its own ``__eq__`` and ``__hash__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every field read in one C call, not a generator: presentations
+        # are cache keys, so __eq__ and __hash__ run on every cache lookup
+        cls._fields = (attrgetter(*cls.__slots__) if cls.__slots__
+                       else staticmethod(lambda value: ()))
+
+    def __init__(self, *values):
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(slots)} fields")
+        for name, value in zip(slots, values):
+            _setattr(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._fields(other) == self._fields(self))
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class Rationals(Record):
     """The field Q; scalars are ints when integral, else Fractions in
     lowest terms.  Immutable."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     zero = 0
     one = 1
-
-    def __setattr__(self, *args):
-        raise AttributeError("Rationals is immutable")
 
     @staticmethod
     def coerce(x):
@@ -116,14 +159,8 @@ class Rationals:
     def __repr__(self):
         return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
 
-    def __hash__(self):
-        return hash("Q")
-
-
-class PrimeField:
+class PrimeField(Record):
     """GF(p) for a prime p; scalars are ints reduced mod p.  Immutable."""
 
     __slots__ = ("p",)
@@ -133,10 +170,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PrimeField is immutable")
+        super().__init__(p)
 
     def coerce(self, x) -> int:
         if type(x) is int:
@@ -165,7 +199,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -173,16 +207,10 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
 
 QQ = Rationals()
 
 
 def check_same_field(f1, f2):
-    if f1 != f2:
+    if f1 is not f2 and f1 != f2:
         raise FieldMismatchError(f"field mismatch: {f1} vs {f2}")

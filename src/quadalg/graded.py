@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .fields import PrimeField
-from .linalg import sparse_rank, Matrix, Subspace, quotient_data
+from .linalg import matrix_rank, Matrix, Subspace, quotient_data
 from .presentations import QuadraticPresentation, dual
 from .tensorindex import contract, kron
 
@@ -241,18 +241,21 @@ def certified_twin(A: QuadraticPresentation, N: int):
 
 
 def graded_dim_by_oracle(A: QuadraticPresentation, m: int) -> int:
-    """dim A_m via the direct relation-span oracle (sparse rank, no rref)."""
+    """dim A_m via the direct relation-span oracle: n^m minus the rank of
+    the rows u r v spanning I_m, one per relation r and pair of words u, v.
+
+    Each row holds a relation's canonical entries at distinct columns, so
+    ``matrix_rank`` takes the rows as they are; it eliminates without
+    back-substitution."""
     f, n = A.field, A.n
     if m < 2:
         return n ** m
-    ambient = n ** m
-    def rows():
-        for i in range(m - 1):
-            right = n ** (m - 2 - i)
-            for rel in A.R.basis.sparse:
-                support = rel.items()
-                for w1 in range(n ** i):
-                    for w2 in range(right):
-                        base = w1 * n * n * right
-                        yield {base + k * right + w2: c for k, c in support}
-    return ambient - sparse_rank(f, rows())
+    rows = []
+    for i in range(m - 1):
+        right = n ** (m - 2 - i)
+        for rel in A.R.basis.sparse:
+            for w1 in range(n ** i):
+                for w2 in range(right):
+                    base = w1 * n * n * right + w2
+                    rows.append({base + k * right: c for k, c in rel.items()})
+    return n ** m - matrix_rank(Matrix.from_rows(f, rows, n ** m))

@@ -47,8 +47,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
+from .fields import Record
 from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
-                     Matrix, Record, Subspace)
+                     Matrix, Subspace)
 from .presentations import AlgebraMorphism, QuadraticPresentation, dual
 from .graded import certified_twin, graded_structure, hilbert
 from .tensorindex import contract, kron

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import prod
 from random import Random
 
-from .fields import QQ, check_same_field
-from .linalg import Matrix, Record, rref
+from .fields import QQ, Record, check_same_field
+from .linalg import Matrix, rref
 from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             evaluation_matrix, free_presentation,
                             full_relations_presentation, internal_hom,

@@ -23,14 +23,14 @@ scaled to a leading 1; over Q fraction-free, each row cleared of
 denominators and kept primitive, so every stored integer is bounded by a
 minor of the input (see ``_echelon``).  ``_echelon_packed`` holds a dense
 GF(p) row as one int with a 64-bit slot per column, so that a row
-operation is one multiply-add.  ``rref`` adds back-substitution and builds
-Fractions only where its integer rows do not divide exactly.  Products
-accumulate ints as well, in one core (``combine``) that serves
-``Matrix.__matmul__`` and ``tensorindex.contract``: over Q each factor's
-rows are cleared to one denominator first.  Membership
-(``reduce_against``) works on the same sparse rows; a linear system is
-solved by ``rref`` of its augmented matrix.  The dense ``Matrix.data`` view
-exists for display only.
+operation is one multiply-add.  ``matrix_rank`` is forward elimination
+alone; ``rref`` adds back-substitution and builds Fractions only where its
+integer rows do not divide exactly.  Products accumulate ints as well, in
+one core (``combine``) that serves ``Matrix.__matmul__`` and
+``tensorindex.contract``: over Q each factor's rows are cleared to one
+denominator first.  Membership (``reduce_against``) works on the same
+sparse rows; a linear system is solved by ``rref`` of its augmented
+matrix.  The dense ``Matrix.data`` view exists for display only.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 
-from .fields import PrimeField, check_same_field
+from .fields import PrimeField, Record, check_same_field
 
 
-class Matrix:
-    """Immutable sparse matrix over an exact field.
+class Matrix(Record):
+    """Immutable sparse matrix over an exact field, a ``Record`` that
+    caches its hash.
 
     ``sparse`` is a tuple with one ``{column: scalar}`` dict per row that
     holds only the nonzero canonical entries (see the module docstring).
@@ -76,17 +76,15 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs explicit column count")
-        _fill(self, field, cols, tuple(sparse))
+        super().__init__(field, len(sparse), cols, tuple(sparse), None)
 
     @staticmethod
     def from_rows(field, rows, cols) -> "Matrix":
         """A matrix on canonical sparse rows, taken as they are."""
         M = object.__new__(Matrix)
-        _fill(M, field, cols, tuple(rows))
+        rows = tuple(rows)
+        Record.__init__(M, field, len(rows), cols, rows, None)
         return M
-
-    def __setattr__(self, *args):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def data(self):
@@ -183,54 +181,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: [{body}])"
-
-
-class Record:
-    """The one base for immutable values: a subclass names its fields in
-    ``__slots__`` and is built positionally, compared, hashed and printed
-    field by field.  A subclass that validates its input overrides only
-    ``__init__`` and ends it with ``super().__init__(...)``.
-
-    ``Matrix`` keeps its own rules: it caches its hash, and ``from_rows``
-    builds it without ``__init__``.  The field classes keep theirs because
-    ``fields`` sits below this module.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # every field read in one C call, not a generator: presentations
-        # are cache keys, so __eq__ and __hash__ run on every cache lookup
-        cls._fields = attrgetter(*cls.__slots__)
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes "
-                            f"{len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return (type(other) is type(self)
-                and self._fields(other) == self._fields(self))
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__slots__)
-        return f"{type(self).__name__}({body})"
-
-
-def _fill(M: Matrix, field, cols: int, sparse: tuple):
-    for name, value in (("field", field), ("rows", len(sparse)),
-                        ("cols", cols), ("sparse", sparse), ("_hash", None)):
-        object.__setattr__(M, name, value)
 
 
 def assemble(f, dst_dim: int, src_dim: int, blocks) -> Matrix:
@@ -623,18 +573,9 @@ def reduce_against(A: Subspace, rows):
     return None
 
 
-def sparse_rank(field, rows) -> int:
-    """Rank of a row collection given as {column: value} dicts.
-
-    Elimination keeps only nonzero entries, so kron-structured and
-    band-like matrices stay cheap however large they are.
-    """
-    return len(_echelon(field, rows))
-
-
 def matrix_rank(M: Matrix) -> int:
     """Exact rank: the forward elimination of ``rref``, on packed rows
     where ``_packs`` chooses them."""
     if _packs(M.field, M.sparse, M.cols):
         return len(_echelon_packed(M.field.p, M.sparse, M.cols))
-    return sparse_rank(M.field, M.sparse)
+    return len(_echelon(M.field, M.sparse))

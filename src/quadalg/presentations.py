@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import check_same_field
-from .linalg import Matrix, Record, Subspace, annihilator, reduce_against
+from .fields import Record, check_same_field
+from .linalg import Matrix, Subspace, annihilator, reduce_against
 from .tensorindex import kron, t23, tensor_subspace
 
 

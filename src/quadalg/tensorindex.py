@@ -13,8 +13,8 @@ maps, the Koszul differentials and the resolution are built with it.
 
 from __future__ import annotations
 
-from .fields import check_same_field
-from .linalg import Matrix, Record, Subspace, combine, int_rows
+from .fields import Record, check_same_field
+from .linalg import Matrix, Subspace, combine, int_rows
 
 
 class PermutationMap(Record):
@@ -58,8 +58,6 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product in row-major word order."""
     check_same_field(A.field, B.field)
     f = A.field
-    if A.is_identity() and B.is_identity():
-        return Matrix.identity(f, A.rows * B.rows)
     width = B.cols
     rows = []
     for arow in A.sparse:

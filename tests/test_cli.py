@@ -6,6 +6,7 @@ goldens and checks them without pytest.
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -302,29 +303,47 @@ def test_no_assert_on_a_function_that_returns_a_tuple():
     assert found == []
 
 
-# the classes that keep their own immutability and value rules: Record is
-# the base every other value class uses, Matrix caches its hash and has a
-# second constructor, and the fields module sits below linalg
-OWN_VALUE_RULES = {"Record", "Matrix", "Rationals", "PrimeField"}
-VALUE_METHODS = {"__setattr__", "__eq__", "__hash__"}
+# Record is the base every value class uses, and the only one that refuses
+# assignment; Matrix caches its hash, so it compares and hashes without
+# that cache by rules of its own
+OWN_VALUE_RULES = {"Record": {"__setattr__", "__eq__", "__hash__"},
+                   "Matrix": {"__eq__", "__hash__"}}
+VALUE_METHODS = {"__setattr__", "__eq__", "__hash__", "__new__"}
 
 
 def test_value_classes_take_their_rules_from_record():
     found = []
     for name, node in _library_nodes():
-        if isinstance(node, ast.ClassDef) and node.name not in OWN_VALUE_RULES:
+        if isinstance(node, ast.ClassDef):
+            own = VALUE_METHODS - OWN_VALUE_RULES.get(node.name, set())
             for item in node.body:
                 defined = ({item.name} if isinstance(item, ast.FunctionDef)
                            else {t.id for t in getattr(item, "targets", ())
                                  if isinstance(t, ast.Name)})
                 found += [f"{name}:{item.lineno} {node.name}.{method}"
-                          for method in defined & VALUE_METHODS]
+                          for method in defined & own]
         if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "object"
                 and name not in ("linalg.py", "fields.py")):
             found.append(f"{name}:{node.lineno} object.__setattr__")
     assert found == []
+
+
+def test_every_slotted_library_class_is_a_record():
+    # __slots__ marks an immutable value, and Record gives every value
+    # class its construction, comparison, hashing and immutability
+    from quadalg.fields import Record
+    slotted = {}
+    for path in sorted((HERE.parent / "src" / "quadalg").glob("*.py")):
+        module = importlib.import_module(
+            "quadalg" if path.stem == "__init__" else f"quadalg.{path.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and "__slots__" in vars(cls) and cls is not Record):
+                slotted[cls.__name__] = issubclass(cls, Record)
+    assert {"Matrix", "PrimeField", "Rationals", "Subspace"} <= set(slotted)
+    assert [name for name, is_record in slotted.items() if not is_record] == []
 
 
 def test_every_public_library_name_has_a_caller():

@@ -12,9 +12,20 @@ from quadalg.linalg import Matrix
 from quadalg.parser import parse
 
 
-def test_rationals_singleton():
+def test_field_records_compare_hash_and_print_by_value():
+    # fields are Records: equal fields are interchangeable as cache keys,
+    # and cli and the tracer tell Q from GF(p) by hasattr(field, "p")
     from quadalg.fields import Rationals
-    assert Rationals() is QQ
+    assert Rationals() == QQ and hash(Rationals()) == hash(QQ)
+    assert PrimeField(7) == PrimeField(7)
+    assert hash(PrimeField(7)) == hash(PrimeField(7))
+    assert PrimeField(5) != PrimeField(7) and QQ != PrimeField(7)
+    assert PrimeField(7) != QQ
+    for field, name in ((QQ, "Rationals"), (PrimeField(7), "PrimeField")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            field.p = 3
+    assert (repr(QQ), repr(PrimeField(7))) == ("Q", "GF(7)")
+    assert not hasattr(QQ, "p") and PrimeField(7).p == 7
 
 
 def test_field_objects_are_immutable():

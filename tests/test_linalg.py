@@ -11,7 +11,7 @@ from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import (Matrix, Subspace, _free_rows, annihilator,
                             matrix_rank, null_basis, quotient_data,
-                            reduce_against, rref, sparse_rank)
+                            reduce_against, rref)
 from quadalg.tensorindex import kron
 
 from conftest import assert_canonical, subspace_sum
@@ -442,12 +442,10 @@ def test_reduce_against_matches_dense_reference(case):
             assert reduce_against(A, diff.sparse) is None
 
 
-def test_sparse_rank_agrees_with_rref():
-    rows = [[0, 2, 4], [1, 1, 1], [1, 3, 5]]
-    M = mat(QQ, rows)
-    sparse = sparse_rank(QQ, [{j: QQ.coerce(x) for j, x in enumerate(r)
-                               if x} for r in rows])
-    assert sparse == rref(M)[1] == matrix_rank(M) == 2
+def test_matrix_rank_agrees_with_rref():
+    M = mat(QQ, [[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+    reference = reference_sparse_rank(QQ, row_dicts(M))
+    assert matrix_rank(M) == rref(M)[1] == reference == 2
 
 
 @settings(max_examples=40)
@@ -458,9 +456,9 @@ def test_matrix_rank_dispatch(M):
 
 @settings(max_examples=150, deadline=None)
 @given(q_matrices())
-def test_sparse_rank_q_matches_rref_and_reference(M):
+def test_matrix_rank_q_matches_rref_and_reference(M):
     rank = rref(M)[1]
-    assert sparse_rank(QQ, row_dicts(M)) == rank
+    assert matrix_rank(M) == rank
     assert reference_sparse_rank(QQ, row_dicts(M)) == rank
 
 
@@ -468,9 +466,12 @@ def test_sparse_rank_q_matches_rref_and_reference(M):
 @given(st.sampled_from([F5, F32003, FBIG]),
        st.lists(st.dictionaries(st.integers(0, 7), int_scalars, max_size=8),
                 max_size=6))
-def test_sparse_rank_gf_matches_reference(field, rows):
-    # raw integer values: negative, zero mod p and above p are all allowed
-    assert sparse_rank(field, rows) == reference_sparse_rank(field, rows)
+def test_matrix_rank_gf_matches_reference(field, rows):
+    # raw integer values: negative, zero mod p and above p are all allowed;
+    # Matrix coerces them, the reference reads them as they are
+    M = Matrix(field, [[row.get(j, 0) for j in range(8)] for row in rows],
+               cols=8)
+    assert matrix_rank(M) == reference_sparse_rank(field, rows)
 
 
 @settings(max_examples=15, deadline=None)
