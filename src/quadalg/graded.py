@@ -106,11 +106,8 @@ class GradedStructure:
         """
         key = (i, j)
         if key not in self._mult:
-            f = self.field
-            if i == 0:
-                self._mult[key] = Matrix.identity(f, self.dim(j))
-            elif j == 0:
-                self._mult[key] = Matrix.identity(f, self.dim(i))
+            if j == 0:
+                self._mult[key] = Matrix.identity(self.field, self.dim(i))
             else:
                 self._mult[key] = self.step_proj(i + j) @ contract(
                     self.mult(i, j - 1), self.dim(i), self.step_section(j),

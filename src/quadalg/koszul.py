@@ -249,15 +249,13 @@ class BidegreeTable(Record):
 def _layout(gs, gens, m: int):
     """Where the generators of P = E (x) A sit in P_m.
 
-    ``gens`` lists one batch (e, count, parts) per generator degree e, in
-    increasing e; each of its generators spans a copy of A_{m-e} there, and
-    a batch is left out when that is zero.  Returns ``[(offset, e, count)]``
+    ``gens`` lists one batch (e, count, parts) per generator degree e <= m,
+    in increasing e; each of its generators spans a copy of A_{m-e} there,
+    and a batch is left out when that is zero.  Returns ``[(offset, e, count)]``
     and dim P_m.
     """
     layout, total = [], 0
     for e, count, _ in gens:
-        if e > m:
-            break
         if d := gs.dim(m - e):
             layout.append((total, e, count))
             total += count * d
@@ -279,8 +277,6 @@ def _resolution_differential(gs, gens, target, m: int) -> Matrix:
     row_of = {e: (off, n) for off, e, n in target[0]}
     blocks, col = [], 0
     for e, count, parts in gens:
-        if e >= m:
-            break
         j = m - e
         if not (d := gs.dim(j)):
             continue

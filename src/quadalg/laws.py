@@ -345,21 +345,20 @@ def solve_contragredient(h: AlgebraMorphism):
 
 
 def contragredient_invertibility(h: AlgebraMorphism, hp: AlgebraMorphism):
-    """If the contragredient equations hold, h must be invertible.
+    """If the contragredient equations hold, h must be invertible, and
+    (M_h')^T is the inverse of M_h (see `solve_contragredient`).
 
     Returns (True, inverse morphism) or (False, witness string).
     """
     checks = contragredient_check(h, hp)
     if not all(c.passed for c in checks):
         return False, "contragredient equations do not hold"
-    inv_t = solve_linear_inverse(h.M)
-    if inv_t is None:
-        return False, "degree-1 matrix is not invertible"
-    ok, residual = is_morphism(h.dst, h.src, inv_t)
+    inverse = hp.M.transpose()
+    ok, residual = is_morphism(h.dst, h.src, inverse)
     if not ok:
         return False, ("inverse is not a morphism; residual "
                        + residual_text(residual))
-    return True, AlgebraMorphism(h.dst, h.src, inv_t)
+    return True, AlgebraMorphism(h.dst, h.src, inverse)
 
 
 def solve_linear_inverse(M: Matrix):

@@ -548,28 +548,23 @@ def reduce_against(A: Subspace, rows):
     """Reduce ``{column: scalar}`` rows against A's basis; return the first
     nonzero residual as a dense tuple.
 
-    Returns None when every row lies in A.  Each step clears the leftmost
-    entry c with the basis row that leads at c and stops when c is no
-    pivot; A's basis is in RREF, so that row touches no column left of c.
+    Returns None when every row lies in A.  The residual is canonical, the
+    one vector of row + A that is zero at A's pivots: each pivot entry is
+    cleared once, as A's RREF basis row there is zero at the other pivots.
     """
     f = A.field
     basis = dict(zip(A.pivots, A.basis.sparse))
     for row in rows:
         v = dict(row)
-        while v:
-            c = min(v)
-            brow = basis.get(c)
-            if brow is None:
-                out = [f.zero] * A.ambient_dim
-                for j, x in v.items():
-                    out[j] = x
-                return tuple(out)
+        for c in [c for c in v if c in basis]:
             coef = v[c]
-            for j, y in brow.items():
+            for j, y in basis[c].items():
                 if x := f.sub(v.get(j, f.zero), f.mul(coef, y)):
                     v[j] = x
                 else:
                     del v[j]
+        if v:
+            return tuple(v.get(j, f.zero) for j in range(A.ambient_dim))
     return None
 
 

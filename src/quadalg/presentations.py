@@ -56,9 +56,8 @@ class QuadraticPresentation(Record):
         super().__init__(field, n, labels, R)
 
     def same_relations(self, other: "QuadraticPresentation") -> bool:
-        """Equality ignoring generator labels."""
-        return (self.field == other.field and self.n == other.n
-                and self.R == other.R)
+        """Equality ignoring generator labels (R fixes the field and n)."""
+        return self.R == other.R
 
 
 def free_presentation(field, labels) -> QuadraticPresentation:

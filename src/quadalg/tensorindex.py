@@ -116,8 +116,6 @@ def contract(X: Matrix, a: int, Y: Matrix, b: int) -> Matrix:
                    None if dens is None else {j: dens[j % k] for j in reached},
                    {j: ints[j % k] for j in reached},
                    {j: j // k * width for j in reached})
-    if b == 1:
-        return Matrix.from_rows(f, sums, cols)
     out = []
     for row in sums:
         blocks = [{} for _ in range(b)]

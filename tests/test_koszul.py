@@ -609,6 +609,25 @@ def test_certified_answers_build_no_q_structure():
     _assert_exact_answers(A, 4)
 
 
+def test_certificate_rules_on_a_non_koszul_input():
+    # not Koszul, with dims 1, 2, 2, 0, 0, 0 for A and A^!: the mod-p
+    # Koszul homology of degree 4 sits at one position, and the mod-p Ext
+    # table has one off-diagonal cell in degrees 4 and 5, so both rules
+    # answer from the reduction and build no Q structure
+    A = _q("-3*a*a + 2*a*b", "-2*a*a - 3*a*b - 3*b*a - 3*b*b", gens="a b")
+    twin = certified_twin(A, 5)
+    assert twin is not None
+    assert homology_report(twin, 4).homology_dims == (0, 0, 4, 0, 0)
+    reports, ok = koszul_verdict(A, 5)
+    assert not ok and [r.exact for r in reports] == [True] * 3 + [False, True]
+    table = certified_ext(A, 5)
+    assert table is not None
+    assert {(p, m): x for (p, m), x in table.entries.items()
+            if x and p < m} == {(3, 4): 4, (4, 5): 8}
+    assert not {A.R, dual(A).R} & set(graded._structures)
+    _assert_exact_answers(A, 5)
+
+
 def test_koszul_certificate_needs_one_position(monkeypatch):
     # a mod-p report with homology at two positions bounds nothing: the
     # degree is computed over Q, where sym2 is exact

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadalg import laws
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace, matrix_rank, rref
 from quadalg.presentations import (
@@ -205,7 +206,7 @@ def test_trace_rejects_a_matrix_of_the_wrong_shape_or_field(h):
         trace(full_relations_presentation(QQ, ("a", "b")), h)
 
 
-def test_contragredient_of_permutation():
+def test_contragredient_of_permutation(monkeypatch):
     U = full_relations_presentation(F3, ("a", "b", "c"))
     P = Matrix(F3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], cols=3)
     h = AlgebraMorphism(U, U, P)
@@ -213,8 +214,16 @@ def test_contragredient_of_permutation():
     assert hp is not None
     for check in contragredient_check(h, hp):
         assert check.passed
+
+    # the passed equations already give the inverse, (M_h')^T: nothing is
+    # inverted again
+    def no_inverse(M):
+        raise AssertionError("contragredient_invertibility inverted M_h")
+
+    monkeypatch.setattr(laws, "solve_linear_inverse", no_inverse)
     ok, inv = contragredient_invertibility(h, hp)
     assert ok
+    assert inv.M == hp.M.transpose()
     assert inv.M @ P == Matrix.identity(F3, 3)
 
 

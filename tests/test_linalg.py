@@ -1,6 +1,5 @@
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
 from random import Random
 
 import pytest
@@ -93,20 +92,22 @@ def reference_sparse_rank(field, rows):
 
 def reference_reduce_against(A, vectors):
     """Dense column-by-column reduction against A's RREF basis (the oracle):
-    the first nonzero residual as a tuple, or None."""
+    the first nonzero residual as a tuple, or None.  Every pivot column is
+    cleared, past non-pivot entries too, so the residual is the canonical
+    one, zero at A's pivots."""
     f = A.field
     basis = A.basis.data
     pivot_of = {pc: r for r, pc in enumerate(A.pivots)}
     for vec in vectors:
         v = list(vec)
         for c in range(A.ambient_dim):
-            if f.is_zero(v[c]):
-                continue
             r = pivot_of.get(c)
-            if r is None:
-                return tuple(v)
+            if r is None or f.is_zero(v[c]):
+                continue
             coef = v[c]
             v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, basis[r])]
+        if any(v):
+            return tuple(v)
     return None
 
 
@@ -396,6 +397,10 @@ def test_reduce_against_and_member():
     residual = reduce_against(S, [{1: QQ.one}, {0: QQ.one, 1: QQ.one,
                                                 2: QQ.one}])
     assert residual == (0, 0, 1)
+    # the residual is the canonical one, zero at the pivots, even where
+    # the row leads at a free column
+    line = Subspace.span(QQ, [[0, 1]], 2)
+    assert reduce_against(line, [{0: QQ.one, 1: QQ.one}]) == (1, 0)
 
 
 @st.composite
@@ -437,6 +442,7 @@ def test_reduce_against_matches_dense_reference(case):
         assert residual == reference_reduce_against(A, [vec])
         assert (residual is None) == (kind != "out")
         if residual is not None:
+            assert not any(residual[c] for c in A.pivots)
             # the residual differs from the vector by an element of A
             diff = mat(A.field, [residual]) - V
             assert reduce_against(A, diff.sparse) is None
@@ -478,10 +484,12 @@ def test_matrix_rank_gf_matches_reference(field, rows):
 @given(st.sampled_from([QQ, F5, F32003]).flatmap(
     lambda f: q_matrices(f, q_scalars if f == QQ else int_scalars)))
 def test_matrix_rank_equals_rref_rank_across_sizes(M):
-    # M itself is far below 4096 cells, kron(M, I_k) above
-    k = 1 + isqrt(4096 // (M.rows * M.cols))
+    # kron(M, I_k) is block diagonal: `_packs` would put it on packed rows
+    # only if M had 2k rows, so it stays on dict rows in every field,
+    # whichever rows M itself is eliminated on
+    k = 10
     big = kron(M, Matrix.identity(M.field, k))
-    assert M.rows * M.cols < 4096 < big.rows * big.cols
+    assert not linalg._packs(big.field, big.sparse, big.cols)
     assert matrix_rank(M) == rref(M)[1]
     assert matrix_rank(big) == rref(big)[1] == k * rref(M)[1]
 
@@ -489,26 +497,26 @@ def test_matrix_rank_equals_rref_rank_across_sizes(M):
 @settings(max_examples=20, deadline=None)
 @given(q_matrices())
 def test_matrix_rank_q_sparse_path(M):
-    # kron(M, I_k) has k^2 * M.rows * M.cols > 4096 cells, so matrix_rank
-    # eliminates sparsely; its rank is k * rank(M)
-    k = 1 + isqrt(4096 // (M.rows * M.cols))
+    # a Q matrix is never packed, so matrix_rank eliminates kron(M, I_k)
+    # on dict rows; its rank is k * rank(M)
+    k = 10
     big = kron(M, Matrix.identity(QQ, k))
-    assert big.rows * big.cols > 4096
+    assert not linalg._packs(QQ, big.sparse, big.cols)
     rank = rref(M)[1]
     assert matrix_rank(big) == k * rank
     assert reference_sparse_rank(QQ, row_dicts(big)) == k * rank
 
 
 def test_matrix_rank_q_sparse_path_dense_block():
-    # 65 x 65 = 4225 cells: over the dense limit, with Fraction entries,
-    # a zero row and a dependent row
+    # a dense 65 x 65 block with Fraction entries, a zero row and a
+    # dependent row, eliminated on dict rows as every Q matrix is
     n = 65
     rows = [[Fraction((i * j) % 7 - 3, 1 + (i + j) % 5) if (i + 2 * j) % 3
              else 0 for j in range(n)] for i in range(n - 2)]
     rows.append([0] * n)
     rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
     M = mat(QQ, rows)
-    assert M.rows * M.cols > 4096
+    assert not linalg._packs(QQ, M.sparse, M.cols)
     rank = rref(M)[1]
     assert matrix_rank(M) == rank == reference_sparse_rank(QQ, row_dicts(M))
     assert rank <= n - 2
