@@ -4,10 +4,12 @@ Scalars are plain Python values.  Over the rationals a scalar is an
 ``int`` when it is integral and otherwise a ``fractions.Fraction`` whose
 denominator exceeds 1, so integral arithmetic never builds a Fraction;
 over a prime field it is an ``int`` residue in ``0..p-1``.  A field object
-carries the arithmetic and returns these canonical forms; values never
-float: ``coerce`` accepts only an int or a Fraction and raises TypeError
-on anything else.  ``Fraction(2, 1) == 2`` and both hash alike, so the two
-forms of an integral rational compare and hash as one value.
+carries ``coerce``, ``add``, ``mul``, ``neg``, ``zero`` and ``one``, and
+returns these canonical forms; values never float: ``coerce`` accepts only
+an int or a Fraction and raises TypeError on anything else, and over GF(p)
+it raises ZeroDivisionError on a denominator divisible by p.
+``Fraction(2, 1) == 2`` and both hash alike, so the two forms of an
+integral rational compare and hash as one value.
 
 ``Record``, the base of every immutable value class of the library, lives
 here, in the module that every other one imports, so that the field
@@ -135,26 +137,12 @@ class Rationals(Record):
         return _canonical(a + b)
 
     @staticmethod
-    def sub(a, b):
-        return _canonical(a - b)
-
-    @staticmethod
     def mul(a, b):
         return _canonical(a * b)
 
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _canonical(1 / Fraction(a))
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
 
     def __repr__(self):
         return "Q"
@@ -178,7 +166,9 @@ class PrimeField(Record):
         if isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
-            return (num * self.inv(den)) % self.p if den != 1 else num
+            if den == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return num if den == 1 else num * pow(den, -1, self.p) % self.p
         if isinstance(x, int):
             return x % self.p
         raise TypeError(f"not an exact scalar over {self}: {x!r}")
@@ -186,23 +176,11 @@ class PrimeField(Record):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -23,7 +23,7 @@ from .presentations import (AlgebraMorphism, black, canonical_column, dual,
                             full_relations_presentation, internal_hom,
                             is_morphism, residual_text, unit_black,
                             unit_white, white)
-from .tensorindex import PermutationMap, flip, kron, push_subspace
+from .tensorindex import flip, kron, permutation_matrix, push_subspace
 
 
 def _name(U) -> str:
@@ -66,8 +66,8 @@ def structure_map_h(U1, U2, U3) -> AlgebraMorphism:
 
 def flip_map(op, A, B) -> AlgebraMorphism:
     """c': op(A, B) -> op(B, A), the factor swap; op is black or white."""
-    return _morphism(op(A, B), op(B, A), flip(A.n, B.n).matrix(A.field),
-                     "c'")
+    return _morphism(op(A, B), op(B, A),
+                     permutation_matrix(A.field, flip(A.n, B.n)), "c'")
 
 
 def unit_map(U) -> AlgebraMorphism:
@@ -211,9 +211,8 @@ def check_dual_antimultiplicative(U, V) -> DiagramCheck:
     """
     lhs = dual(black(U, V))
     rhs = white(dual(V), dual(U))
-    p, m = flip(U.n, V.n).image, U.n * V.n  # flip (x) flip on words of U.V
-    P = PermutationMap([a * m + b for a in p for b in p])
-    transported = push_subspace(P, lhs.R)
+    p, m = flip(U.n, V.n), U.n * V.n  # flip (x) flip on words of U.V
+    transported = push_subspace([a * m + b for a in p for b in p], lhs.R)
     return flag_check("dual-antimult", (_name(U), _name(V)),
                       transported == rhs.R, U.field)
 
@@ -281,7 +280,7 @@ def check_bullet_to_circle(U, V) -> DiagramCheck:
                           tensor_morphisms(black, c_io,
                                            AlgebraMorphism.identity(U)))
     s4 = _morphism(white(V, black(Ib, U)), white(U, V),
-                   flip(nv, nu).matrix(f), "c'_o")
+                   permutation_matrix(f, flip(nv, nu)), "c'_o")
     total = s4.M @ s3.M @ s2.M @ s1.M
     # the composite itself must be a morphism black(U,V) -> white(U,V)
     comparison = _morphism(black(U, V), white(U, V), total,
@@ -303,7 +302,7 @@ def trace(U, h: Matrix):
     # full relations accept any h; kron and @ reject a bad shape or field
     f, n = U.field, U.n
     # c'_U = c'_o composed with c_U: the flipped canonical column
-    cprime = flip(n, n).matrix(f) @ canonical_column(U)
+    cprime = permutation_matrix(f, flip(n, n)) @ canonical_column(U)
     composite = evaluation_matrix(U) @ kron(Matrix.identity(f, n), h) @ cprime
     return composite.entry(0, 0)
 
@@ -493,7 +492,7 @@ def suite_rigid(pool, trials: int, rng):
         # contragredient pair: the cyclic shift (row i holds a 1 in column
         # i + 1 mod n) is invertible, so its partner is its inverse
         # transpose, itself; a singular map has no partner
-        hmat = PermutationMap([(j - 1) % n for j in range(n)]).matrix(field)
+        hmat = permutation_matrix(field, [(j - 1) % n for j in range(n)])
         h = AlgebraMorphism(U, U, hmat)
         hp = solve_contragredient(h)
         checks.extend(contragredient_check(h, hp))

@@ -133,15 +133,6 @@ class Matrix(Record):
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._merge(other, True, "subtraction")
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return Matrix.zero(f, self.rows, self.cols)
-        return Matrix.from_rows(
-            f, [{j: f.mul(c, x) for j, x in row.items()}
-                for row in self.sparse], self.cols)
-
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -300,7 +291,7 @@ def _reduce(work, prow, j, p):
 
 
 def _echelon(field, rows):
-    """Forward elimination of ``{column: value}`` rows of field scalars.
+    """Forward elimination of canonical ``Matrix`` rows, taken as they are.
 
     Returns ``{pivot column: row}``, one integer row dict per pivot with its
     leading entry at that column.  Each input row is reduced against the
@@ -321,14 +312,14 @@ def _echelon(field, rows):
     for row in rows:
         if p is None:
             den = lcm(*(v.denominator for v in row.values()))
-            work = ({j: v for j, v in row.items() if v} if den == 1 else
+            work = (dict(row) if den == 1 else
                     {j: v.numerator * (den // v.denominator)
-                     for j, v in row.items() if v})
+                     for j, v in row.items()})
             g = gcd(*work.values())
             if g > 1:
                 work = {k: v // g for k, v in work.items()}
         else:
-            work = {j: x for j, v in row.items() if (x := v % p)}
+            work = dict(row)
         while work:
             j = min(work)
             prow = pivots.get(j)
@@ -557,9 +548,9 @@ def reduce_against(A: Subspace, rows):
     for row in rows:
         v = dict(row)
         for c in [c for c in v if c in basis]:
-            coef = v[c]
+            coef = f.neg(v[c])
             for j, y in basis[c].items():
-                if x := f.sub(v.get(j, f.zero), f.mul(coef, y)):
+                if x := f.add(v.get(j, f.zero), f.mul(coef, y)):
                     v[j] = x
                 else:
                     del v[j]

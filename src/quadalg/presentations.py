@@ -111,7 +111,7 @@ def black(A: QuadraticPresentation, B: QuadraticPresentation):
     """
     check_same_field(A.field, B.field)
     S = tensor_subspace(A.R, B.R)
-    image = t23(A.n, B.n).image
+    image = t23(A.n, B.n)
     R = _sorted_by_lead(A.field, len(image), {
         image[lead]: {image[j]: x for j, x in row.items()}
         for lead, row in zip(S.pivots, S.basis.sparse)})
@@ -137,7 +137,7 @@ def white(A: QuadraticPresentation, B: QuadraticPresentation):
                for p, a in a_at.items()}
     b_tails = {q: [(j, y) for j, y in b.items() if j != q]
                for q, b in b_at.items()}
-    image = t23(A.n, B.n).image
+    image = t23(A.n, B.n)
     rows = {}
     for w in range(A.n * A.n):
         a, base = a_at.get(w), w * nb2

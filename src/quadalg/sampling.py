@@ -50,7 +50,9 @@ def sample_endomorphisms(A: QuadraticPresentation, count: int, rng: Random):
     identity = Matrix.identity(f, n)
     found = {identity: None}
     for _ in range(3):
-        found.setdefault(identity.scale(random_scalar(f, rng)))
+        c = f.coerce(random_scalar(f, rng))
+        found.setdefault(Matrix.from_rows(
+            f, [{i: c} if c else {} for i in range(n)], n))
     if n <= 4:
         for perm in itertools.permutations(range(n)):
             M = Matrix.from_rows(f, [{j: f.one} for j in perm], n)

@@ -4,7 +4,8 @@ Basis vectors of V^(tensor m) are words over 0..n-1 read big-endian:
 index = sum letters[j] * n^(m-1-j), so word (a, b) of V (x) W is
 a * dim W + b.  ``t23``, ``flip`` and ``kron`` build their index maps
 from this rule by arithmetic, and the graded, parser, laws and
-presentations modules apply it inline.
+presentations modules apply it inline.  A permutation of basis vectors is
+its image tuple: vector i goes to image[i].
 
 ``contract(X, a, Y, b)`` is the product (X (x) I_b) @ (I_a (x) Y) without
 either Kronecker factor: the graded degree step, the graded multiplication
@@ -13,45 +14,35 @@ maps, the Koszul differentials and the resolution are built with it.
 
 from __future__ import annotations
 
-from .fields import Record, check_same_field
+from .fields import check_same_field
 from .linalg import Matrix, Subspace, combine, int_rows
 
 
-class PermutationMap(Record):
-    """A permutation of basis vectors: vector i is sent to image[i]."""
-
-    __slots__ = ("size", "image")
-
-    def __init__(self, image):
-        image = tuple(image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("image is not a bijection")
-        super().__init__(len(image), image)
-
-    def matrix(self, field) -> Matrix:
-        rows = [None] * self.size
-        for i, j in enumerate(self.image):
-            rows[j] = {i: field.one}
-        return Matrix.from_rows(field, rows, self.size)
+def permutation_matrix(field, image) -> Matrix:
+    """The matrix sending basis vector i to basis vector image[i]."""
+    rows = [None] * len(image)
+    for i, j in enumerate(image):
+        rows[j] = {i: field.one}
+    return Matrix.from_rows(field, rows, len(image))
 
 
-def t23(n1: int, n2: int) -> PermutationMap:
+def t23(n1: int, n2: int) -> tuple:
     """Middle-factor shuffle aligning U*U*V*V with (U*V)*(U*V) coordinates.
 
     Sends the basis word (a, a', b, b') to (a, b, a', b').
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("alphabet sizes must be positive")
-    return PermutationMap([((a * n2 + b) * n1 + ap) * n2 + bp
-                           for a in range(n1) for ap in range(n1)
-                           for b in range(n2) for bp in range(n2)])
+    return tuple(((a * n2 + b) * n1 + ap) * n2 + bp
+                 for a in range(n1) for ap in range(n1)
+                 for b in range(n2) for bp in range(n2))
 
 
-def flip(n1: int, n2: int) -> PermutationMap:
+def flip(n1: int, n2: int) -> tuple:
     """Swap of tensor factors: word (a, b) of U*V goes to (b, a) of V*U."""
     if n1 < 1 or n2 < 1:
         raise ValueError("alphabet sizes must be positive")
-    return PermutationMap([b * n1 + a for a in range(n1) for b in range(n2)])
+    return tuple(b * n1 + a for a in range(n1) for b in range(n2))
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
@@ -94,18 +85,14 @@ def contract(X: Matrix, a: int, Y: Matrix, b: int) -> Matrix:
         raise ValueError(
             f"shape mismatch in contraction: {X.rows}x{X.cols} (x) I_{b} @ "
             f"I_{a} (x) {Y.rows}x{Y.cols}")
+    # with an identity factor the product is the other factor's kron
+    # with an identity
+    if Y.is_identity():
+        return kron(X, Matrix.identity(X.field, b))
+    if X.is_identity():
+        return kron(Matrix.identity(X.field, a), Y)
     f, width = X.field, Y.cols
     cols = a * width
-    # with an identity factor the product is the other factor's kron
-    # with the identity, and its entries are taken as they are
-    if Y.is_identity():
-        return Matrix.from_rows(f, [{j * b + t: x for j, x in row.items()}
-                                    for row in X.sparse for t in range(b)],
-                                cols)
-    if X.is_identity():
-        return Matrix.from_rows(f, [{j + s * width: y for j, y in row.items()}
-                                    for s in range(a) for row in Y.sparse],
-                                cols)
     reached = set().union(*X.sparse)
     kappas = {j % k for j in reached}
     side_by_side = {kappa: {t * cols + c: y for t in range(b)
@@ -125,11 +112,10 @@ def contract(X: Matrix, a: int, Y: Matrix, b: int) -> Matrix:
     return Matrix.from_rows(f, out, cols)
 
 
-def push_subspace(P: PermutationMap, S: Subspace) -> Subspace:
-    """Canonical image of S under a permutation of the basis vectors."""
-    if P.size != S.ambient_dim:
+def push_subspace(image, S: Subspace) -> Subspace:
+    """Canonical image of S under the basis permutation ``image``."""
+    if len(image) != S.ambient_dim:
         raise ValueError("permutation size != ambient dimension")
-    image = P.image
     rows = [{image[j]: x for j, x in row.items()} for row in S.basis.sparse]
     return Subspace(S.ambient_dim,
                     Matrix.from_rows(S.field, rows, S.ambient_dim))

@@ -51,7 +51,7 @@ from quadalg.laws import (
 )
 
 from quadalg.sampling import random_matrix
-from quadalg.tensorindex import PermutationMap, kron
+from quadalg.tensorindex import kron, permutation_matrix
 
 from conftest import CORPUS_NAMES, load
 from test_linalg import F5, F32003, int_scalars, mat, q_scalars
@@ -292,7 +292,7 @@ def _contragredient_cases():
         if not in_rigid_subcategory(U):
             continue
         f, n = U.field, U.n
-        shift = PermutationMap([(j - 1) % n for j in range(n)]).matrix(f)
+        shift = permutation_matrix(f, [(j - 1) % n for j in range(n)])
         rank1 = Matrix.from_rows(f, [{0: f.one}] + [{} for _ in range(n - 1)],
                                   n)
         for M in (shift, rank1, random_matrix(f, n, n, rng)):

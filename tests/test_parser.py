@@ -281,7 +281,7 @@ def dense_unparse(name, A):
         terms = []
         for pos in range(n * n):
             c = A.R.basis.entry(r, pos)
-            if A.field.is_zero(c):
+            if not c:
                 continue
             terms.append((c, f"{A.labels[pos // n]}*{A.labels[pos % n]}"))
         parts = []

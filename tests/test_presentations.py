@@ -10,8 +10,7 @@ from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_structure
 from quadalg.linalg import Matrix, Subspace, reduce_against
-from quadalg.tensorindex import (PermutationMap, kron, push_subspace, t23,
-                                 tensor_subspace)
+from quadalg.tensorindex import kron, push_subspace, t23, tensor_subspace
 from quadalg.presentations import (
     AlgebraMorphism,
     QuadraticPresentation,
@@ -302,7 +301,6 @@ VALUES = {
                  lambda: Subspace.span(QQ, [[1, 1]], 2)),
     "QuadraticPresentation": (lambda: load("sym3"), lambda: load("ext3")),
     "AlgebraMorphism": (lambda: _swap("sym2"), lambda: _swap("ext2")),
-    "PermutationMap": (lambda: t23(2, 3), lambda: PermutationMap([1, 0])),
 }
 
 

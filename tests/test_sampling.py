@@ -28,7 +28,8 @@ def reference_sample_endomorphisms(A, count, rng, budget=4000):
     keep(Matrix.identity(f, n))
     for _ in range(3):
         c = random_scalar(f, rng)
-        M = Matrix.identity(f, n).scale(c)
+        M = Matrix(f, [[c if j == i else f.zero for j in range(n)]
+                       for i in range(n)], cols=n)
         if M not in seen:
             keep(M)
     if n <= 4:

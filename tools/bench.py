@@ -306,7 +306,7 @@ def white_by_stacking(A, B) -> Subspace:
     """white(A, B)'s relations: the t23-shuffled spanning rows of
     V_A^2 (x) R_B and R_A (x) V_B^2, stacked and reduced by ``rref``."""
     f, na2, nb2 = A.field, A.n * A.n, B.n * B.n
-    image = t23(A.n, B.n).image
+    image = t23(A.n, B.n)
     rows = [{image[j]: x for j, x in row.items()}
             for half in (kron(Matrix.identity(f, na2), B.R.basis),
                          kron(A.R.basis, Matrix.identity(f, nb2)))
