@@ -20,6 +20,9 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 CORPUS = HERE.parent / "corpus"
+# a Q input whose RREF relations hold Fractions; outside corpus/, so the
+# corpus-wide entries and tests do not run on it
+FRAC3 = str(HERE / "inputs" / "frac3.qa")
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
@@ -65,6 +68,8 @@ def _manifest():
          ["product", "--kind", "white", _f("free2"), _f("sym3")], 0),
         ("hom_sym2_sym2", ["hom", _f("sym2"), _f("sym2")], 0),
         ("hom_ext2_sym2", ["hom", _f("ext2"), _f("sym2")], 0),
+        ("dual_frac3", ["dual", FRAC3], 0),
+        ("hom_frac3_frac3", ["hom", FRAC3, FRAC3], 0),
         ("selfdual_pair_sym2_ext2",
          ["selfdual-check", _f("sym2"), _f("ext2")], 0),
         ("laws_axioms_q",
