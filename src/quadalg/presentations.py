@@ -18,6 +18,12 @@ of rows:
   a_s (x) e_{q_r} + e_{p_s} (x) b_r - a_s (x) b_r, leading at (p_s, q_r);
 - (iii) a_s (x) e_u for each u that is no pivot of R_B, leading at (p_s, u).
 
+A row (ii) is built from the tails a_s - e_{p_s} and b_r - e_{q_r}, each
+cleared to integers over one denominator d_s or d_r once per pivot row, so
+each of its products is an int product with one finish: ``% p`` over GF(p),
+and over Q the division by d_s * d_r, an int where it is exact and else a
+Fraction.
+
 Each row lies in the sum and no two lead at the same word, so these
 n_A^2 c_B + c_A n_B^2 - c_A c_B rows, the dimension of the sum, are a basis
 of it.  In both products a row's lead is the least word (w, u) of its
@@ -31,10 +37,12 @@ canonical basis as they stand.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .fields import Record, check_same_field
-from .linalg import Matrix, Subspace, annihilator, reduce_against
+from .fields import PrimeField, Record, check_same_field
+from .linalg import (Matrix, Subspace, annihilator, int_rows,
+                     reduce_against)
 from .tensorindex import kron, t23, tensor_subspace
 
 
@@ -129,14 +137,18 @@ def white(A: QuadraticPresentation, B: QuadraticPresentation):
     """
     check_same_field(A.field, B.field)
     f, nb2 = A.field, B.n * B.n
+    p = f.p if isinstance(f, PrimeField) else None
     a_at = dict(zip(A.R.pivots, A.R.basis.sparse))
     b_at = dict(zip(B.R.pivots, B.R.basis.sparse))
-    # for the rows (ii): the entries of -(a_s - e_{p_s}) at their row
-    # offsets i * n_B^2, and those of b_r - e_{q_r}
-    a_tails = {p: [(i * nb2, f.neg(x)) for i, x in a.items() if i != p]
-               for p, a in a_at.items()}
-    b_tails = {q: [(j, y) for j, y in b.items() if j != q]
-               for q, b in b_at.items()}
+    # for the rows (ii): each pivot row as ints over one denominator (None
+    # over GF(p)), and from it the entries of -(a_s - e_{p_s}) at their row
+    # offsets i * n_B^2 and those of b_r - e_{q_r}
+    a_dens, a_ints = int_rows(f, a_at, a_at)
+    b_dens, b_ints = int_rows(f, b_at, b_at)
+    a_tails = {s: [(i * nb2, -x) for i, x in a_ints[s].items() if i != s]
+               for s in a_at}
+    b_tails = {r: [(j, y) for j, y in b_ints[r].items() if j != r]
+               for r in b_at}
     image = t23(A.n, B.n)
     rows = {}
     for w in range(A.n * A.n):
@@ -150,10 +162,17 @@ def white(A: QuadraticPresentation, B: QuadraticPresentation):
             elif b is None:
                 row = {image[i * nb2 + u]: x for i, x in a.items()}  # (iii)
             else:
-                row = {image[base + u]: f.one}  # (ii)
+                # (ii): int products of the tails, each given one finish
+                # by den, p over GF(p) and d_s * d_r over Q: the residue,
+                # or the quotient where it is exact and else a Fraction
+                row = {image[base + u]: f.one}
+                den = p if p is not None else a_dens[w] * b_dens[u]
                 for offset, x in a_tails[w]:
                     for j, y in b_tails[u]:
-                        row[image[offset + j]] = f.mul(x, y)
+                        v = x * y
+                        row[image[offset + j]] = (
+                            v % den if p is not None else
+                            v // den if v % den == 0 else Fraction(v, den))
             rows[image[base + u]] = row
     return QuadraticPresentation(A.field, _product_labels(A, B),
                                  _sorted_by_lead(f, len(image), rows))

@@ -60,8 +60,9 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                     for l, b in brow.items():
                         out[base + l] = b
                 else:
+                    # b == 1 copies a as well: kron(X, I) multiplies nothing
                     for l, b in brow.items():
-                        out[base + l] = f.mul(a, b)
+                        out[base + l] = a if b == 1 else f.mul(a, b)
             rows.append(out)
     return Matrix.from_rows(f, rows, A.cols * width)
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Subspace
-from quadalg.parser import ParseError, _as_scalar, parse, unparse
+from quadalg.parser import (ParseError, _TermError, _as_scalar,
+                            _parse_relation, parse, unparse)
 from quadalg.presentations import QuadraticPresentation, black, dual, white
 
 from conftest import CORPUS, CORPUS_NAMES
@@ -143,12 +144,24 @@ def test_reject_missing_sections_and_duplicates():
     ("field Q\ngens x y\nrel   y*x*y\n", 3, 7),
     ("field Q\ngens xy x\nrel 2/0*xy*x\n", 3, 5),
     ("field Q\n  gens x\n field2 x\n", 3, 2),
+    # an unknown generator after a coefficient, in each word slot
+    ("field Q\ngens x y\nrel x*y + 2*x*zz\n", 3, 15),
+    ("field Q\ngens x y\nrel  -1/2*zz*x - y*y\n", 3, 11),
 ], ids=["generator", "modulus", "sign", "missing-sign", "term",
-        "coefficient", "keyword"])
+        "coefficient", "keyword", "second-slot", "first-slot"])
 def test_error_column_is_that_of_the_offending_token(text, line, column):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_relation_whose_terms_cancel_is_a_zero_row():
+    for field in ("Q", "GF 7"):
+        _, A = parse(f"field {field}\ngens x y\nrel x*y - x*y\n"
+                     f"rel 3*y*x + 0*x*x - 3*y*x\n")
+        assert A.R.dim == 0
+    assert _parse_relation(["rel", "x*y", "-", "x*y"], "", QQ,
+                           {"x": 0, "y": 1}, 1) == {}
 
 
 @pytest.mark.parametrize("name", ["1", "2/3", "-4", "/", "x*", "*y", "a*b",
@@ -324,14 +337,14 @@ def test_sparse_unparse_matches_dense_reference(A):
 
 def reference_as_scalar(piece, field):
     """Every coefficient read by ``Fraction``: the scalar, or the message
-    of the ParseError the parser raises at line 1, column 1."""
+    of the error the parser raises at the start of the term."""
     try:
         return field.coerce(Fraction(piece))
     except ValueError:
         why = "bad coefficient"
     except ZeroDivisionError:
         why = f"zero denominator over {field} in coefficient"
-    return f"line 1, column 1: {why} {piece!r}"
+    return f"{why} {piece!r}"
 
 
 # "\u0663" is an Arabic-Indic 3, which both read; "\u00b2" is a
@@ -341,8 +354,9 @@ def reference_as_scalar(piece, field):
                                    "3/", "0", "-6/4", "1/5"])
 def test_integer_coefficients_read_as_fraction_would(piece, field):
     try:
-        got = _as_scalar(piece, 1, field, 1)
-    except ParseError as exc:
-        got = str(exc)
+        got = _as_scalar(piece, field)
+    except _TermError as exc:
+        got, offset = exc.args
+        assert offset == 0
     want = reference_as_scalar(piece, field)
     assert got == want and type(got) is type(want)

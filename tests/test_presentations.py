@@ -10,6 +10,7 @@ from quadalg import linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.graded import graded_structure
 from quadalg.linalg import Matrix, Subspace, reduce_against
+from quadalg.parser import parse, unparse
 from quadalg.tensorindex import kron, push_subspace, t23, tensor_subspace
 from quadalg.presentations import (
     AlgebraMorphism,
@@ -28,6 +29,7 @@ from quadalg.presentations import (
 )
 
 from conftest import assert_canonical, load, subspace_sum
+from test_parser import dense_unparse
 
 F5 = PrimeField(5)
 
@@ -170,6 +172,63 @@ def test_white_matches_sum_then_push_reference(field, n1, step, seed):
     A, B = presentations
     assert white(A, B).R == white_by_sum(A, B)
     assert white(B, A).R == white_by_sum(B, A)
+
+
+GF_TWIN = PrimeField(32003)
+
+
+def _twin_texts(rng, name, k):
+    """A 3-generator presentation with k relations whose integer
+    coefficients lie in -3..3, as Q text and as its GF(32003) twin."""
+    words = [f"{a}*{b}" for a in "xyz" for b in "xyz"]
+    rels = []
+    for _ in range(k):
+        coeffs = [0]
+        while not any(coeffs):
+            coeffs = [rng.randint(-3, 3) for _ in words]
+        terms = [f"{c}*{w}" for c, w in zip(coeffs, words) if c]
+        rels.append("rel " + " ".join(
+            [terms[0]] + [f"- {t[1:]}" if t[0] == "-" else f"+ {t}"
+                          for t in terms[1:]]))
+    body = f"algebra {name}\ngens x y z\n" + "\n".join(rels) + "\n"
+    return f"field Q\n{body}", f"field GF {GF_TWIN.p}\n{body}"
+
+
+def _reduced(A):
+    """The RREF rows of a Q presentation reduced mod 32003, or None when a
+    denominator vanishes there."""
+    try:
+        return tuple({j: y for j, x in row.items() if (y := GF_TWIN.coerce(x))}
+                     for row in A.R.basis.sparse)
+    except ZeroDivisionError:
+        return None
+
+
+def test_hom_on_workload_shaped_twins():
+    # the hom jobs of the graded-cold benchmark: 3 generators, 2-3
+    # relations, drawn over Q and as GF(32003) twins
+    rng = random.Random(29)
+    compared = 0
+    for draw in range(30):
+        (u_q, u_gf), (v_q, v_gf) = (_twin_texts(rng, name, rng.choice((2, 3)))
+                                    for name in ("u", "v"))
+        homs = {}
+        for texts in ((u_q, v_q), (u_gf, v_gf)):
+            U, V = (parse(t)[1] for t in texts)
+            H = internal_hom(U, V)
+            text = unparse("h", H)
+            assert text == dense_unparse("h", H)
+            assert parse(text)[1] == H
+            assert_canonical(H.R.basis)
+            assert H.R == white_by_sum(V, dual(U))
+            homs[U.field] = U, V, H
+        (U, V, H), (U_gf, V_gf, H_gf) = homs[QQ], homs[GF_TWIN]
+        if (_reduced(U) == U_gf.R.basis.sparse
+                and _reduced(V) == V_gf.R.basis.sparse):
+            assert _reduced(H) == H_gf.R.basis.sparse
+            compared += 1
+    # small integer coefficients almost never meet 32003
+    assert compared >= 25
 
 
 def test_unit_objects():

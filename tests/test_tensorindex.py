@@ -1,6 +1,7 @@
 """Tensor word indexing, shuffle permutations, Kronecker products, and
 the contraction (X (x) I) @ (I (x) Y)."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -144,6 +145,35 @@ def test_kron_agrees_with_entrywise_formula(ra, rb, data):
                     assert K.data[i * rb + k][j * cb + l] == F5.mul(
                         A.data[i][j], B.data[k][l]
                     )
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(32003)], ids=str)
+def test_kron_with_a_right_identity_multiplies_nothing(f, monkeypatch):
+    # kron(X, I_b) is contract(X, a, I, b): every entry is copied, not
+    # multiplied by 1
+    rng = random.Random(63)
+    X = Matrix(f, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    if rng.random() < 0.3 else 0 for _ in range(10)]
+                   for _ in range(6)], cols=10)
+    calls = []
+    mul = type(f).mul  # QQ's is a staticmethod, GF(p)'s takes self
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(type(f), "mul",
+                        staticmethod(counting) if f == QQ else counting)
+    for b in (1, 3):
+        K = kron(X, Matrix.identity(f, b))
+        assert calls == []
+        assert K.sparse == tuple({j * b + t: x for j, x in row.items()}
+                                 for row in X.sparse for t in range(b))
+        assert_canonical(K)
+    # the counter sees the products of a right factor that is no identity
+    kron(X, Matrix(f, [[2]], cols=1))
+    assert len(calls) == sum(1 for row in X.sparse for x in row.values()
+                             if x != 1)
 
 
 def test_kron_of_identities_is_identity():

@@ -33,6 +33,8 @@
   stacked spanning rows, on every ordered pair of corpus algebras over
   one field and on 3-generator pairs with the relation counts of
   ``workloads.HOM_RELATIONS``, over Q and over their GF(``GF_P``) twins.
+  Its ``unparse`` column times printing each ``internal_hom`` result,
+  which must parse back to it.
 
 Inputs: the corpus (Q algebras only, except for ``ext``, ``koszul`` and
 ``products``) and ``--seeds`` seeded presentations per family of
@@ -76,7 +78,7 @@ from quadalg.koszul import (ComplexSlice, bar_homology,  # noqa: E402
                             homology_report, koszul_verdict,
                             second_complex_slice)
 from quadalg.linalg import Matrix, Subspace, matrix_rank  # noqa: E402
-from quadalg.parser import parse  # noqa: E402
+from quadalg.parser import parse, unparse  # noqa: E402
 from quadalg.presentations import (black, dual, internal_hom,  # noqa: E402
                                    white)
 from quadalg.tensorindex import (kron, push_subspace, t23,  # noqa: E402
@@ -339,6 +341,10 @@ def bench_products(name, family, field, U, V):
                         "speedup": round(rref["median_s"]
                                          / closed_form["median_s"], 1)}
         row["agree"] = row["agree"] and got.R == want
+    # printing the hom result (got, as "hom" comes last in PRODUCTS), as
+    # the CLI's hom does; the text must parse back to it
+    row["unparse"], text = timed(unparse, "hom", got)
+    row["agree"] = row["agree"] and parse(text)[1] == got
     yield row
 
 
@@ -355,7 +361,8 @@ BENCHES = {
                bench_linalg),
     "products": ("white, black and internal_hom (closed-form RREF bases) vs "
                  "the stacked spanning rows reduced by rref, on corpus pairs "
-                 f"and 3-generator Q/GF({GF_P}) twins", bench_products),
+                 f"and 3-generator Q/GF({GF_P}) twins; unparse prints each "
+                 "hom result", bench_products),
 }
 
 
