@@ -2,9 +2,13 @@
 
 The degree-m component is the quotient of the word space by the degree-m
 piece of the relation ideal.  The engine builds quotients inductively,
-dividing A_{m-1} (x) V by the image of the relation space; the rank of the
+dividing A_{m-1} (x) V by K_m, the image of A_{m-2} (x) R; the rank of the
 direct span sum_i V^i (x) R (x) V^j is kept as an independent oracle
-(`graded_dim_by_oracle`) for cross-checks at small degrees.
+(`graded_dim_by_oracle`) for cross-checks at small degrees.  A dimension is
+a rank, dim A_m = n dim A_{m-1} - rank K_m, taken by forward elimination
+alone; the projection onto A_m and its section are finished from the kept
+forward rows only when something asks for them, so `hilbert` up to N
+builds projections up to N - 1 and none in degree N.
 
 Over Q, `hilbert` first tries `certified_hilbert`: the dimensions of the
 reduction mod the prime `CERT_P` (`reduce_mod_p`, the entrywise reduction
@@ -32,14 +36,19 @@ from __future__ import annotations
 from math import isqrt
 
 from .fields import PrimeField
-from .linalg import matrix_rank, Matrix, Subspace, quotient_data
+from .linalg import (Matrix, Subspace, echelon, matrix_rank, quotient_data,
+                     reduced)
 from .presentations import QuadraticPresentation, dual
 from .tensorindex import contract, kron
 
 
 class GradedStructure:
-    """Cached quotient bases, projections, and multiplication maps of the
+    """Cached dimensions, projections, and multiplication maps of the
     algebra with relation space R.
+
+    Dimensions come from ranks (`dim`); ``step_proj(m)`` and
+    ``step_section(m)`` are built on first request, from the forward rows
+    of K_m that `dim` kept, which are then dropped.
 
     Nothing here reads generator labels: a structure is fixed by R (its
     field and n = sqrt(dim of the degree-2 words) included).
@@ -53,41 +62,50 @@ class GradedStructure:
         # step_proj[m]: A_{m-1} (x) V  ->  A_m  (right multiplication data)
         self._step_proj = {1: Matrix.identity(f, n)}
         self._step_section = {1: Matrix.identity(f, n)}
+        # the forward-eliminated rows of K_m, kept from dim(m) until
+        # step_proj(m) or step_section(m) finishes them
+        self._echelons = {}
         self._mult = {}
 
     def dim(self, m: int) -> int:
-        self._ensure(m)
-        return self._dims[m]
+        """dim A_m = n dim A_{m-1} - rank K_m, with K_m the image of
+        A_{m-2} (x) R in A_{m-1} (x) V: forward elimination only."""
+        if m < 0:
+            raise ValueError("degree must be nonnegative")
+        dims, n = self._dims, self.n
+        while len(dims) <= m:
+            k = len(dims)
+            # K_k is spanned by the images of s (x) r, for s a basis vector
+            # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
+            push = contract(self.step_proj(k - 1), dims[k - 2],
+                            self.R.basis.transpose(), n)
+            self._echelons[k] = forward = echelon(push.transpose())
+            dims[k] = dims[k - 1] * n - len(forward[1])
+        return dims[m]
 
     def step_proj(self, m: int) -> Matrix:
-        self._ensure(m)
+        if m not in self._step_proj:
+            self._quotient(m)
         return self._step_proj[m]
 
     def step_section(self, m: int) -> Matrix:
-        self._ensure(m)
+        if m not in self._step_section:
+            self._quotient(m)
         return self._step_section[m]
 
-    def _ensure(self, m: int):
-        if m < 0:
-            raise ValueError("degree must be nonnegative")
-        n = self.n
-        while max(self._dims) < m:
-            k = max(self._dims) + 1
-            ambient = self._dims[k - 1] * n
-            # K is spanned by the images of s (x) r, for s a basis vector
-            # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
-            push = contract(self._step_proj[k - 1], self._dims[k - 2],
-                            self.R.basis.transpose(), n)
-            K = Subspace(ambient, push.transpose())
-            proj, section = quotient_data(ambient, K)
-            self._dims[k] = proj.rows
-            self._step_proj[k] = proj
-            self._step_section[k] = section
+    def _quotient(self, m: int):
+        """step_proj(m) and step_section(m), from the RREF of K_m that
+        back-substitution finishes from the rows ``dim(m)`` kept."""
+        self.dim(m)
+        ambient = self._dims[m - 1] * self.n
+        basis, _ = reduced(self.field, ambient, *self._echelons.pop(m))
+        self._step_proj[m], self._step_section[m] = quotient_data(
+            ambient, Subspace(ambient, basis, _canonical=True))
 
     def full_projection(self, m: int) -> Matrix:
         """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest),
         built afresh on each call as step_proj(m) @ (Pi_{m-1} (x) id_V)."""
-        self._ensure(m)
+        self.dim(m)
         f = self.field
         proj, id_v = Matrix.identity(f, 1), Matrix.identity(f, self.n)
         for k in range(1, m + 1):

@@ -24,11 +24,17 @@ denominators and kept primitive, so every stored integer is bounded by a
 minor of the input (see ``_echelon``).  ``_echelon_packed`` holds a dense
 GF(p) row as one int with a 64-bit slot per column, so that a row
 operation is one multiply-add.  ``matrix_rank`` is forward elimination
-alone; ``rref`` adds back-substitution and builds Fractions only where its
-integer rows do not divide exactly.  Products accumulate ints as well, in
-one core (``combine``) that serves ``Matrix.__matmul__`` and
-``tensorindex.contract``: over Q each factor's rows are cleared to one
-denominator first.  Membership (``reduce_against``) works on the same
+alone (``echelon``); ``rref`` adds back-substitution (``reduced``), which
+builds Fractions only where its integer rows do not divide exactly, and a
+caller that needs the rank first can finish the RREF later from the kept
+forward rows.  Products accumulate ints as well, in one core (``combine``)
+that serves ``Matrix.__matmul__`` and ``tensorindex.contract``: over Q
+each factor's rows are cleared to one denominator first.  An output row is
+summed into a list of ``width`` slots (one finish per slot) when the rows
+fill their width, and into a dict (one finish per entry) otherwise; one
+rule, ``_fills``, picks the accumulator once per call from the row lengths
+(4 x the expected terms per row >= width), as ``_packs`` picks the row form
+once per elimination.  Membership (``reduce_against``) works on the same
 sparse rows; a linear system is solved by ``rref`` of its augmented
 matrix.  The dense ``Matrix.data`` view exists for display only.
 """
@@ -151,8 +157,8 @@ class Matrix(Record):
             return self
         f = self.field
         dens, ints = int_rows(f, other.sparse, set().union(*self.sparse))
-        return Matrix.from_rows(f, combine(f, self.sparse, dens, ints),
-                                other.cols)
+        return Matrix.from_rows(
+            f, combine(f, self.sparse, dens, ints, other.cols), other.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -213,18 +219,36 @@ def int_rows(f, rows, keys):
     return dens, ints
 
 
-def combine(f, combos, dens, ints, shifts=None) -> list:
+def _fills(combos, ints, width: int) -> bool:
+    """The one rule that puts a product on the dense accumulator.
+
+    An output row sums about t = (mean length of a combination) x (mean
+    length of a row of ``ints``) terms.  A list of ``width`` slots takes
+    each term faster than a dict, but is allocated and read back whole, so
+    it wins once 4·t >= width.  The rule is judged once per call, from the
+    row lengths alone: judged per row, it made a 3000 x 3000 product with
+    2 entries per row (which stays on the dict) about a quarter slower.
+    """
+    rows = ints.values() if isinstance(ints, dict) else ints
+    terms = sum(map(len, combos)) * sum(map(len, rows))
+    return 0 < terms and 4 * terms >= width * len(combos) * len(rows)
+
+
+def combine(f, combos, dens, ints, width: int, shifts=None) -> list:
     """The canonical rows sum_k a_k * ints[k] / dens[k], one per
     ``{k: a_k}`` in ``combos``: the accumulation core of every product.
 
     ``dens`` and ``ints`` come from ``int_rows``; with ``shifts``, the
-    columns of ints[k] are moved right by shifts[k].  Over Q each
-    combination is cleared to one denominator first, so the sums run on
-    ints; over GF(p) they are unreduced residues.  Either way each output
-    entry gets one finish: ``% p``, or a division by the common
+    columns of ints[k] are moved right by shifts[k]; every output column
+    is below ``width``.  Over Q each combination is cleared to one
+    denominator first, so the sums run on ints; over GF(p) they are
+    unreduced residues.  The sums go into a list of ``width`` slots or a
+    dict, as ``_fills`` decides for the whole call.  Either way each
+    output entry gets one finish: ``% p``, or a division by the common
     denominator that gives an int wherever it is exact.
     """
     p = f.p if isinstance(f, PrimeField) else None
+    dense = _fills(combos, ints, width)
     out = []
     for row in combos:
         den = 1
@@ -233,21 +257,36 @@ def combine(f, combos, dens, ints, shifts=None) -> list:
             if den != 1:
                 row = {k: a.numerator * (den // (a.denominator * dens[k]))
                        for k, a in row.items()}
-        acc = {}
-        for k, a in row.items():
-            terms = ints[k].items()
-            if shifts is not None and (s := shifts[k]):
-                terms = [(j + s, a * y) for j, y in terms]
-            elif a != 1:
-                terms = [(j, a * y) for j, y in terms]
-            for j, y in terms:
-                acc[j] = acc[j] + y if j in acc else y
-        if p is not None:
-            out.append({j: x for j, v in acc.items() if (x := v % p)})
-        elif den == 1:
-            out.append({j: v for j, v in acc.items() if v})
+        if dense:
+            acc = [0] * width
+            for k, a in row.items():
+                if shifts is not None and (s := shifts[k]):
+                    for j, y in ints[k].items():
+                        acc[j + s] += a * y
+                elif a != 1:
+                    for j, y in ints[k].items():
+                        acc[j] += a * y
+                else:
+                    for j, y in ints[k].items():
+                        acc[j] += y
+            sums = enumerate(acc)
         else:
-            out.append({j: _ratio(v, den) for j, v in acc.items() if v})
+            acc = {}
+            for k, a in row.items():
+                terms = ints[k].items()
+                if shifts is not None and (s := shifts[k]):
+                    terms = [(j + s, a * y) for j, y in terms]
+                elif a != 1:
+                    terms = [(j, a * y) for j, y in terms]
+                for j, y in terms:
+                    acc[j] = acc[j] + y if j in acc else y
+            sums = acc.items()
+        if p is not None:
+            out.append({j: x for j, v in sums if (x := v % p)})
+        elif den == 1:
+            out.append({j: v for j, v in sums if v})
+        else:
+            out.append({j: _ratio(v, den) for j, v in sums if v})
     return out
 
 
@@ -395,15 +434,15 @@ def _echelon_packed(p, rows, cols):
     return tails
 
 
-def _rref_packed(p, rows, cols):
-    """``{pivot column: RREF row}`` over GF(p) on packed rows.
+def _back_packed(p, tails, cols):
+    """``{pivot column: RREF row}`` over GF(p) from the tails of
+    ``_echelon_packed``.
 
     Back-substitution runs from the last pivot up.  A finished row is zero
     at every other pivot column, so a forward row's coefficients there are
     read once; then one multiply-add per coefficient (within the slot
     bound of ``_packs``) and one reduction mod p finish it.
     """
-    tails = _echelon_packed(p, rows, cols)
     done, out = {}, {}
     for lead in sorted(tails, reverse=True):
         n = cols - lead
@@ -418,25 +457,36 @@ def _rref_packed(p, rows, cols):
     return out
 
 
-def rref(M: Matrix):
-    """Reduced row-echelon form.
+def echelon(M: Matrix):
+    """Forward elimination of M, the part of ``rref`` that gives the rank.
 
-    Returns ``(R, rank, pivots)`` where R keeps only the nonzero rows.
+    Returns ``(packed, rows)``, rows being ``{pivot column: row}`` with one
+    row per pivot: the tails of ``_echelon_packed`` where ``_packs``
+    chooses packed rows, else the integer row dicts of ``_echelon``.
+    ``reduced`` finishes them into the RREF basis.
     """
     f = M.field
+    if _packs(f, M.sparse, M.cols):
+        return True, _echelon_packed(f.p, M.sparse, M.cols)
+    return False, _echelon(f, M.sparse)
+
+
+def reduced(f, cols: int, packed: bool, rows: dict):
+    """``(R, pivots)``: the RREF basis, nonzero rows only, that
+    back-substitution makes of the rows of ``echelon`` (which it
+    consumes), and its pivot columns."""
     p = f.p if isinstance(f, PrimeField) else None
-    packed = _packs(f, M.sparse, M.cols)
-    rows = (_rref_packed(p, M.sparse, M.cols) if packed
-            else _echelon(f, M.sparse))
     pivots = sorted(rows)
-    # back-substitution on dict rows, from the last pivot up: the rows
-    # below are already reduced, so clearing one pivot column brings in no
-    # other
-    for lead in () if packed else reversed(pivots):
-        work = rows[lead]
-        for c in [k for k in work if k != lead and k in rows]:
-            work = _reduce(work, rows[c], c, p)
-        rows[lead] = work
+    if packed:
+        rows = _back_packed(p, rows, cols)
+    else:
+        # from the last pivot up: the rows below are already reduced, so
+        # clearing one pivot column brings in no other
+        for lead in reversed(pivots):
+            work = rows[lead]
+            for c in [k for k in work if k != lead and k in rows]:
+                work = _reduce(work, rows[c], c, p)
+            rows[lead] = work
     # over GF(p) the pivot rows are canonical residue rows with a leading
     # 1; over Q the primitive int rows are divided by their leading entry
     out = [rows[lead] for lead in pivots]
@@ -444,7 +494,16 @@ def rref(M: Matrix):
         out = [row if (d := row[lead]) == 1 else
                {k: _ratio(v, d) for k, v in row.items()}
                for row, lead in zip(out, pivots)]
-    return Matrix.from_rows(f, out, M.cols), len(pivots), pivots
+    return Matrix.from_rows(f, out, cols), pivots
+
+
+def rref(M: Matrix):
+    """Reduced row-echelon form.
+
+    Returns ``(R, rank, pivots)`` where R keeps only the nonzero rows.
+    """
+    R, pivots = reduced(M.field, M.cols, *echelon(M))
+    return R, len(pivots), pivots
 
 
 def _free_rows(basis: Matrix, pivots):
@@ -560,8 +619,5 @@ def reduce_against(A: Subspace, rows):
 
 
 def matrix_rank(M: Matrix) -> int:
-    """Exact rank: the forward elimination of ``rref``, on packed rows
-    where ``_packs`` chooses them."""
-    if _packs(M.field, M.sparse, M.cols):
-        return len(_echelon_packed(M.field.p, M.sparse, M.cols))
-    return len(_echelon(M.field, M.sparse))
+    """Exact rank: the forward elimination of ``rref`` alone."""
+    return len(echelon(M)[1])

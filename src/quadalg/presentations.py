@@ -22,7 +22,8 @@ A row (ii) is built from the tails a_s - e_{p_s} and b_r - e_{q_r}, each
 cleared to integers over one denominator d_s or d_r once per pivot row, so
 each of its products is an int product with one finish: ``% p`` over GF(p),
 and over Q the division by d_s * d_r, an int where it is exact and else a
-Fraction.
+Fraction.  Over Q about half the products of one call repeat, so each
+finished scalar is kept for the call, by denominator and product.
 
 Each row lies in the sum and no two lead at the same word, so these
 n_A^2 c_B + c_A n_B^2 - c_A c_B rows, the dimension of the sum, are a basis
@@ -150,6 +151,8 @@ def white(A: QuadraticPresentation, B: QuadraticPresentation):
     b_tails = {r: [(j, y) for j, y in b_ints[r].items() if j != r]
                for r in b_at}
     image = t23(A.n, B.n)
+    # over Q, the finished scalars of rows (ii) by denominator and product
+    finished = {}
     rows = {}
     for w in range(A.n * A.n):
         a, base = a_at.get(w), w * nb2
@@ -162,17 +165,23 @@ def white(A: QuadraticPresentation, B: QuadraticPresentation):
             elif b is None:
                 row = {image[i * nb2 + u]: x for i, x in a.items()}  # (iii)
             else:
-                # (ii): int products of the tails, each given one finish
-                # by den, p over GF(p) and d_s * d_r over Q: the residue,
-                # or the quotient where it is exact and else a Fraction
+                # (ii): int products of the tails, each given one finish:
+                # the residue mod p over GF(p); over Q, with den = d_s * d_r,
+                # the quotient where it is exact and else a Fraction
                 row = {image[base + u]: f.one}
-                den = p if p is not None else a_dens[w] * b_dens[u]
-                for offset, x in a_tails[w]:
-                    for j, y in b_tails[u]:
-                        v = x * y
-                        row[image[offset + j]] = (
-                            v % den if p is not None else
-                            v // den if v % den == 0 else Fraction(v, den))
+                if p is not None:
+                    for offset, x in a_tails[w]:
+                        for j, y in b_tails[u]:
+                            row[image[offset + j]] = x * y % p
+                else:
+                    den = a_dens[w] * b_dens[u]
+                    done = finished.setdefault(den, {})
+                    for offset, x in a_tails[w]:
+                        for j, y in b_tails[u]:
+                            if (q := done.get(v := x * y)) is None:
+                                q = done[v] = (v // den if v % den == 0
+                                               else Fraction(v, den))
+                            row[image[offset + j]] = q
             rows[image[base + u]] = row
     return QuadraticPresentation(A.field, _product_labels(A, B),
                                  _sorted_by_lead(f, len(image), rows))

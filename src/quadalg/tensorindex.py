@@ -46,11 +46,25 @@ def flip(n1: int, n2: int) -> tuple:
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product in row-major word order."""
+    """Kronecker product in row-major word order.
+
+    kron(X, I_b), which ``contract`` returns on an identity shortcut,
+    copies each row of X b times, one plain loop over its entries per
+    copy; the general loop would set up a pass over a one-entry row of I_b
+    for every entry of X.
+    """
     check_same_field(A.field, B.field)
     f = A.field
     width = B.cols
     rows = []
+    if B.is_identity():
+        for arow in A.sparse:
+            for t in range(width):
+                out = {}
+                for j, a in arow.items():
+                    out[j * width + t] = a
+                rows.append(out)
+        return Matrix.from_rows(f, rows, A.cols * width)
     for arow in A.sparse:
         for brow in B.sparse:
             out = {}
@@ -60,7 +74,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                     for l, b in brow.items():
                         out[base + l] = b
                 else:
-                    # b == 1 copies a as well: kron(X, I) multiplies nothing
+                    # b == 1 copies a as well
                     for l, b in brow.items():
                         out[base + l] = a if b == 1 else f.mul(a, b)
             rows.append(out)
@@ -102,7 +116,7 @@ def contract(X: Matrix, a: int, Y: Matrix, b: int) -> Matrix:
     dens, ints = int_rows(f, side_by_side, kappas)
     sums = combine(f, X.sparse,
                    None if dens is None else {j: dens[j % k] for j in reached},
-                   {j: ints[j % k] for j in reached},
+                   {j: ints[j % k] for j in reached}, b * cols,
                    {j: j // k * width for j in reached})
     out = []
     for row in sums:

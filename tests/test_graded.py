@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadalg import clear_caches, graded
 from quadalg.fields import QQ, PrimeField
-from quadalg.linalg import Matrix, Subspace, matrix_rank
+from quadalg.linalg import Matrix, Subspace, matrix_rank, quotient_data
 from quadalg.graded import (
     CERT_P,
     GradedStructure,
@@ -23,7 +24,8 @@ from quadalg.graded import (
 from quadalg.parser import parse
 from quadalg.presentations import (QuadraticPresentation, dual, unit_black,
                                    unit_white, white)
-from quadalg.tensorindex import kron
+from quadalg.sampling import random_presentation
+from quadalg.tensorindex import contract, kron
 
 from conftest import CORPUS_NAMES, load
 
@@ -233,3 +235,57 @@ def test_hilbert_over_q_matches_the_exact_structure_and_the_oracle(A):
     # the oracle over Q takes seconds on 4 generators in degree 4
     for m in range(5 if A.n < 4 else 4):
         assert dims[m] == graded_dim_by_oracle(A, m), m
+
+
+def eager_step(G, m):
+    """step_proj(m) and step_section(m) as a full RREF of K_m and its
+    quotient data build them, with no forward rows kept in between: the
+    reference for the rank-first degree step."""
+    n = G.n
+    ambient = G.dim(m - 1) * n
+    push = contract(G.step_proj(m - 1), G.dim(m - 2), G.R.basis.transpose(),
+                    n)
+    return quotient_data(ambient, Subspace(ambient, push.transpose()))
+
+
+def _sampled():
+    """``random_presentation`` inputs on 2 and 3 generators, over Q and
+    two primes."""
+    return [(f"{f}-n{n}-s{seed}", random_presentation(f, n, Random(seed)))
+            for f in (QQ, PrimeField(7), PrimeField(32003))
+            for n in (2, 3) for seed in range(6)]
+
+
+DIFFERENTIAL = [(name, load(name)) for name in CORPUS_NAMES] + _sampled()
+
+
+@pytest.mark.parametrize("A", [A for _, A in DIFFERENTIAL],
+                         ids=[name for name, _ in DIFFERENTIAL])
+def test_rank_first_step_matches_the_oracle_and_the_eager_step(A):
+    G = GradedStructure(A.R)
+    assert [G.dim(m) for m in range(6)] == [
+        graded_dim_by_oracle(A, m) for m in range(6)]
+    # dim(5) took ranks only: degree 5 waits as forward rows
+    assert set(G._dims) == set(range(6)) and 5 in G._echelons
+    f = A.field
+    assert G.step_proj(1) == G.step_section(1) == Matrix.identity(f, A.n)
+    for m in range(2, 6):
+        proj, section = eager_step(G, m)
+        assert G.step_proj(m) == proj and G.step_section(m) == section
+        assert proj.rows == G.dim(m)
+        # the projection exists, so the forward rows of K_m are gone
+        assert m not in G._echelons
+
+
+@pytest.mark.parametrize("A", [A for _, A in DIFFERENTIAL],
+                         ids=[name for name, _ in DIFFERENTIAL])
+def test_projection_asked_after_the_dimension_is_the_fresh_one(A):
+    for N in (2, 4):
+        late = GradedStructure(A.R)
+        late.dim(N)
+        fresh = GradedStructure(A.R)
+        # the section first on one side, the projection on the other
+        section = fresh.step_section(N)
+        assert late.step_proj(N) == fresh.step_proj(N)
+        assert late.step_section(N) == section
+        assert late._dims == fresh._dims

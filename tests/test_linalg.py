@@ -554,6 +554,12 @@ def slots_fit(p, cols):
     return 2 * p.bit_length() + cols.bit_length() + 1 <= 64
 
 
+def rref_packed(p, M):
+    """``{pivot column: RREF row}`` from the packed kernels alone."""
+    return linalg._back_packed(
+        p, linalg._echelon_packed(p, M.sparse, M.cols), M.cols)
+
+
 PACKED_PRIMES = [2, 7, 32003, 32749, P_BIG]
 
 
@@ -598,7 +604,7 @@ def test_packed_and_dict_rows_agree(M):
     p = M.field.p
     if slots_fit(p, M.cols):
         # whatever the rule picks, the packed kernel itself must agree
-        out = linalg._rref_packed(p, M.sparse, M.cols)
+        out = rref_packed(p, M)
         assert sorted(out) == pivots
         assert [out[c] for c in pivots] == list(R.sparse)
         assert len(linalg._echelon_packed(p, M.sparse, M.cols)) == rank
@@ -627,7 +633,7 @@ def test_packed_edge_shapes(p, rows):
     assert (R, rank, pivots) == reference_rref(M)
     assert matrix_rank(M) == rank
     if slots_fit(p, M.cols):
-        out = linalg._rref_packed(p, M.sparse, M.cols)
+        out = rref_packed(p, M)
         assert [out[c] for c in sorted(out)] == list(R.sparse)
 
 
@@ -831,3 +837,90 @@ def test_hash_ignores_dict_order():
     A, B = mat(QQ, [[0, 1]]), mat(QQ, [[1, 0]])
     assert list((A + B).sparse[0]) != list((B + A).sparse[0])
     assert A + B == B + A and hash(A + B) == hash(B + A)
+
+
+@contextmanager
+def accumulator(dense):
+    """Every product summed on the list accumulator (``dense``) or on the
+    dict one, whatever ``linalg._fills`` would choose."""
+    fills = linalg._fills
+    linalg._fills = lambda combos, ints, width: dense
+    try:
+        yield
+    finally:
+        linalg._fills = fills
+
+
+@st.composite
+def combine_cases(draw):
+    """A combine call over Q (Fraction entries) or GF(p): up to 6 sparse
+    combinations of up to 6 rows, each row shifted right or not."""
+    f = draw(st.sampled_from([QQ, F5, F32003, FBIG]))
+    scalars = q_scalars if f == QQ else int_scalars
+    fill = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    nk, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+
+    def entry():
+        return f.coerce(draw(scalars)) if rng.random() < fill else 0
+
+    combos = [{k: x for k in range(nk) if (x := entry())}
+              for _ in range(draw(st.integers(0, 6)))]
+    rows = [{j: x for j in range(cols) if (x := entry())}
+            for _ in range(nk)]
+    shifts = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, 5), min_size=nk, max_size=nk)))
+    return f, combos, rows, cols + 5, shifts
+
+
+def reference_combine(f, combos, rows, shifts):
+    """The sums entry by entry through the field operations."""
+    out = []
+    for combo in combos:
+        acc = {}
+        for k, a in combo.items():
+            s = shifts[k] if shifts else 0
+            for j, y in rows[k].items():
+                acc[j + s] = f.add(acc.get(j + s, f.zero), f.mul(a, y))
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(combine_cases())
+def test_both_accumulators_give_the_same_canonical_rows(case):
+    f, combos, rows, width, shifts = case
+    dens, ints = linalg.int_rows(f, rows, range(len(rows)))
+    expected = reference_combine(f, combos, rows, shifts)
+    for dense in (True, False):
+        with accumulator(dense):
+            out = linalg.combine(f, combos, dens, ints, width, shifts)
+        assert out == expected
+        assert_canonical(Matrix.from_rows(f, out, width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_agree_on_both_accumulators(data):
+    A = data.draw(field_matrices())
+    C = data.draw(partners(A.transpose()))
+    with accumulator(True):
+        dense = A @ C, C @ A
+    with accumulator(False):
+        assert (A @ C, C @ A) == dense
+    assert dense[0] == dense_product(A, C)
+
+
+def test_fill_rule_keeps_a_wide_sparse_product_on_the_dict():
+    # 3000 x 3000 with 2 entries per row: a list of 3000 slots per output
+    # row would cost far more than the 4 terms it sums
+    n = 3000
+    M = Matrix.from_rows(F32003, [{i: 1, (7 * i + 1) % n: 2}
+                                  for i in range(n)], n)
+    dens, ints = linalg.int_rows(F32003, M.sparse, range(n))
+    assert not linalg._fills(M.sparse, ints, n)
+    # and a product whose rows fill their width takes the list
+    full = mat(F32003, [[1] * 8 for _ in range(8)])
+    assert linalg._fills(full.sparse, full.sparse, 8)
+    assert not linalg._fills([], full.sparse, 8)
+    assert not linalg._fills([{}] * 8, full.sparse, 8)

@@ -176,6 +176,32 @@ def test_kron_with_a_right_identity_multiplies_nothing(f, monkeypatch):
                              if x != 1)
 
 
+def entrywise_kron(A, B):
+    """The Kronecker product cell by cell through the field operations."""
+    f = A.field
+    return Matrix(f, [[f.mul(a, b) for a in arow for b in brow]
+                      for arow in A.data for brow in B.data],
+                  cols=A.cols * B.cols)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(32003)], ids=str)
+def test_kron_identity_shortcuts_match_the_entrywise_product(f):
+    # the shapes contract hands kron on its identity shortcuts, with empty
+    # identities and a factor without columns among them
+    rng = random.Random(66)
+    X = Matrix(f, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    if rng.random() < 0.4 else 0 for _ in range(5)]
+                   for _ in range(4)], cols=5)
+    for other in (X, Matrix.zero(f, 3, 0)):
+        for b in (0, 1, 3):
+            I = Matrix.identity(f, b)
+            for K, ref in ((kron(other, I), entrywise_kron(other, I)),
+                           (kron(I, other), entrywise_kron(I, other))):
+                assert (K.rows, K.cols, K.sparse) == (
+                    ref.rows, ref.cols, ref.sparse)
+                assert_canonical(K)
+
+
 def test_kron_of_identities_is_identity():
     K = kron(Matrix.identity(QQ, 3), Matrix.identity(QQ, 4))
     assert K == Matrix.identity(QQ, 12)
