@@ -102,6 +102,14 @@ def _manifest():
         ("laws_structured_duality_q",
          ["laws", "--suite", "duality", "--trials", "3", "--seed", "0",
           "--output", "structured", _f("sym2"), _f("ext2")], 0),
+        ("product_structured_white_sym2_ext2",
+         ["product", "--kind", "white", "--output", "structured",
+          _f("sym2"), _f("ext2")], 0),
+        ("hom_structured_ext2_sym2",
+         ["hom", "--output", "structured", _f("ext2"), _f("sym2")], 0),
+        ("selfdual_structured_pair_sym2_ext2",
+         ["selfdual-check", "--output", "structured", _f("sym2"),
+          _f("ext2")], 0),
     ]
     entries += LOW_DEGREE_RUNS
     return entries
