@@ -2,13 +2,17 @@
 
 Text output is stable and golden-file friendly; ``--output structured``
 switches to line-delimited ``key=value`` records (keys documented in the
-README).  Exit status is 0 only when parsing succeeded and every check
-passed; 1 on any FAIL, or when ``laws`` made no check; 2 on usage or parse
-errors.
+README).  Every result is stated once for both modes, through ``_emit``,
+and printed as soon as the command has it: an exception raised
+mid-command leaves the results already produced on stdout.  Inputs load,
+and a ``ParseError`` is raised, before any result, so a run that exits 2
+prints only its error.  Exit status is 0 only when parsing succeeded and
+every check passed; 1 on any FAIL, or when ``laws`` made no check; 2 on
+usage or parse errors.
 
 ``main(argv)`` may be called repeatedly in one process: the argparse
 parser is built once, on the first call (not at import), and reused.
-Presentations are emitted from the sparse rows of their relation basis.
+Structured ``relation`` records print the rows of ``A.R.basis.data``.
 """
 
 from __future__ import annotations
@@ -51,147 +55,130 @@ def _load_all(*paths):
     return loaded
 
 
-def _emit_presentation(out, name, A, structured: bool, summary: bool = False):
-    if structured:
-        field = "Q" if not hasattr(A.field, "p") else f"GF{A.field.p}"
-        out.append(f"record=presentation name={name} field={field} "
-                   f"gens={','.join(A.labels)} dim_V={A.n} dim_R={A.R.dim}")
-        zero = str(A.field.zero)
-        for r, row in enumerate(A.R.basis.sparse):
-            coords = [zero] * (A.n * A.n)
-            for j in row:
-                coords[j] = str(row[j])
-            out.append(f"record=relation index={r} "
-                       f"coords={','.join(coords)}")
+def _emit(args, record, line, /, **fields):
+    """Print one result: ``line`` in text mode (nothing when it is None),
+    else ``record=<record>`` and the fields as ``key=value``, booleans as
+    true/false and every space in a value written as ``_``."""
+    if args.structured:
+        parts = [f"record={record}"]
+        for key, value in fields.items():
+            text = str(value)
+            text = text.lower() if isinstance(value, bool) else text
+            parts.append(f"{key}={text.replace(' ', '_')}")
+        print(*parts)
+    elif line is not None:
+        print(line)
+
+
+def _emit_presentation(args, name, A, summary: bool = False):
+    if not args.structured:
+        text = unparse(name, A).rstrip("\n")
+        print(f"{text}\n# dim V = {A.n}, dim R = {A.R.dim}" if summary
+              else text)
         return
-    out.append(unparse(name, A).rstrip("\n"))
-    if summary:
-        out.append(f"# dim V = {A.n}, dim R = {A.R.dim}")
+    field = "Q" if not hasattr(A.field, "p") else f"GF{A.field.p}"
+    _emit(args, "presentation", None, name=name, field=field,
+          gens=",".join(A.labels), dim_V=A.n, dim_R=A.R.dim)
+    for r, row in enumerate(A.R.basis.data):
+        _emit(args, "relation", None, index=r, coords=",".join(map(str, row)))
 
 
-def _cmd_dual(args, out):
+def _cmd_dual(args):
     name, A = _load(args.file)
-    _emit_presentation(out, f"{name}.dual", dual(A), args.structured)
+    _emit_presentation(args, f"{name}.dual", dual(A))
     return 0
 
 
-def _cmd_product(args, out):
+def _cmd_product(args):
     (na, A), (nb, B) = _load_all(args.a, args.b)
     op = black if args.kind == "black" else white
-    P = op(A, B)
-    _emit_presentation(out, f"{na}.{args.kind}.{nb}", P, args.structured,
-                       summary=True)
+    _emit_presentation(args, f"{na}.{args.kind}.{nb}", op(A, B), summary=True)
     return 0
 
 
-def _cmd_hom(args, out):
+def _cmd_hom(args):
     (nu, U), (nv, V) = _load_all(args.u, args.v)
-    H = internal_hom(U, V)
-    _emit_presentation(out, f"hom.{nu}.{nv}", H, args.structured,
+    _emit_presentation(args, f"hom.{nu}.{nv}", internal_hom(U, V),
                        summary=True)
     return 0
 
 
-def _cmd_hilbert(args, out):
+def _cmd_hilbert(args):
     name, A = _load(args.file)
     for m, dim in enumerate(hilbert(A, args.max)):
-        if args.structured:
-            out.append(f"record=hilbert name={name} degree={m} dim={dim}")
-        else:
-            out.append(f"{m}: {dim}")
+        _emit(args, "hilbert", f"{m}: {dim}", name=name, degree=m, dim=dim)
     return 0
 
 
-def _cmd_koszul(args, out):
+def _cmd_koszul(args):
     name, A = _load(args.file)
     reports, verdict = koszul.koszul_verdict(A, args.max)
-    euler = koszul.euler_hilbert_test(A, args.max)
     for r in reports:
-        pos = ",".join(str(d) for d in r.position_dims)
-        hom = ",".join(str(d) for d in r.homology_dims)
-        if args.structured:
-            out.append(f"record=koszul-degree name={name} "
-                       f"degree={r.internal_degree} positions={pos} "
-                       f"homology={hom} exact={str(r.exact).lower()}")
-        else:
-            out.append(f"degree {r.internal_degree} positions {pos} "
-                       f"homology {hom}")
-    euler_txt = ",".join("pass" if ok else "fail" for ok in euler)
-    if args.structured:
-        out.append(f"record=euler name={name} degrees=1..{args.max} "
-                   f"results={euler_txt}")
-        out.append(f"record=verdict name={name} max={args.max} "
-                   f"koszul={str(verdict).lower()}")
-    else:
-        out.append(f"euler 1..{args.max}: {euler_txt}")
-        out.append(f"koszul_up_to_{args.max}: {str(verdict).lower()}")
+        pos = ",".join(map(str, r.position_dims))
+        hom = ",".join(map(str, r.homology_dims))
+        _emit(args, "koszul-degree",
+              f"degree {r.internal_degree} positions {pos} homology {hom}",
+              name=name, degree=r.internal_degree, positions=pos,
+              homology=hom, exact=r.exact)
+    euler = ",".join("pass" if ok else "fail"
+                     for ok in koszul.euler_hilbert_test(A, args.max))
+    _emit(args, "euler", f"euler 1..{args.max}: {euler}", name=name,
+          degrees=f"1..{args.max}", results=euler)
+    _emit(args, "verdict", f"koszul_up_to_{args.max}: {str(verdict).lower()}",
+          name=name, max=args.max, koszul=verdict)
     return 0 if verdict else 1
 
 
-def _cmd_ext(args, out):
+def _cmd_ext(args):
     name, A = _load(args.file)
     table = koszul.ext_by_resolution(A, args.max)
     diag = table.on_diagonal(A)
     _, verdict = koszul.koszul_verdict(A, args.max)
     for m in range(args.max + 1):
         row = ",".join(str(table.entry(p, m)) for p in range(args.max + 1))
-        if args.structured:
-            out.append(f"record=ext-row name={name} m={m} dims={row}")
-        else:
-            out.append(f"m={m}: {row}")
+        _emit(args, "ext-row", f"m={m}: {row}", name=name, m=m, dims=row)
     agree = diag == verdict
-    if args.structured:
-        out.append(f"record=ext-verdict name={name} max={args.max} "
-                   f"diagonal={str(diag).lower()} "
-                   f"complex_verdict={str(verdict).lower()} "
-                   f"agree={str(agree).lower()}")
-    else:
-        out.append(f"ext_diagonal_up_to_{args.max}: {str(diag).lower()}")
-        # the label predates the resolution engine; scripts read it as is
-        out.append(f"bar_diagonal_vs_complex: "
-                   f"{'agree' if agree else 'DISAGREE'}")
+    # the second label predates the resolution engine; scripts read it as is
+    _emit(args, "ext-verdict",
+          f"ext_diagonal_up_to_{args.max}: {str(diag).lower()}\n"
+          f"bar_diagonal_vs_complex: {'agree' if agree else 'DISAGREE'}",
+          name=name, max=args.max, diagonal=diag, complex_verdict=verdict,
+          agree=agree)
     return 0 if agree else 1
 
 
-def _emit_checks(out, suite, checks, structured: bool) -> bool:
+def _emit_checks(args, suite, checks) -> bool:
     """One PASS/FAIL line (or check record) per check; True if any failed."""
-    failed = False
     for c in checks:
         objs = ",".join(c.objects)
-        if structured:
-            out.append(f"record=check suite={suite} name={c.name} "
-                       f"objects={objs} passed={str(c.passed).lower()}")
-        else:
-            out.append(f"{'PASS' if c.passed else 'FAIL'} {c.name} {objs}")
-        failed = failed or not c.passed
-    return failed
+        verdict = "PASS" if c.passed else "FAIL"
+        _emit(args, "check", f"{verdict} {c.name} {objs}", suite=suite,
+              name=c.name, objects=objs, passed=c.passed)
+    return not all(c.passed for c in checks)
 
 
-def _cmd_laws(args, out):
+def _cmd_laws(args):
     pool = [A for _, A in _load_all(*args.files)]
     suites = list(laws.SUITES) if args.suite == "all" else [args.suite]
     failed, checked = False, False
     for suite in suites:
         checks, reports = laws.run_suite(suite, pool, trials=args.trials,
                                          seed=args.seed)
-        failed |= _emit_checks(out, suite, checks, args.structured)
+        failed |= _emit_checks(args, suite, checks)
         checked |= bool(checks)
         for line in reports:
-            if args.structured:
-                out.append("record=note text=" + line.replace(" ", "_"))
-            else:
-                out.append(f"note: {line}")
+            _emit(args, "note", f"note: {line}", text=line)
     # a run that checked nothing passed nothing
     return 1 if failed or not checked else 0
 
 
-def _cmd_selfdual(args, out):
+def _cmd_selfdual(args):
     loaded = _load_all(*(p for p in (args.file, args.partner) if p))
     A, partner = loaded[0][1], loaded[-1][1]
     checks = [laws.double_dual_check(A)]
     checks.extend(laws.unit_duality_checks(A.field))
     checks.append(laws.check_dual_antimultiplicative(A, partner))
-    return 1 if _emit_checks(out, "selfdual", checks, args.structured) else 0
+    return 1 if _emit_checks(args, "selfdual", checks) else 0
 
 
 @functools.cache
@@ -266,18 +253,14 @@ def main(argv=None) -> int:
         ap.error("--max must be at least 1")
     if getattr(args, "trials", 1) < 1:
         ap.error("--trials must be at least 1")
-    out: list[str] = []
     try:
-        status = args.fn(args, out)
+        return args.fn(args)
     except ParseError as exc:
-        if args.structured:
-            print(f"record=error line={exc.line} column={exc.column} "
-                  f"message={str(exc).replace(' ', '_')}")
-        else:
+        _emit(args, "error", None, line=exc.line, column=exc.column,
+              message=exc)
+        if not args.structured:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(out))
-    return status
 
 
 if __name__ == "__main__":

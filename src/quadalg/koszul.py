@@ -180,15 +180,26 @@ def homology_report(A: QuadraticPresentation, m: int) -> HomologyReport:
 _reports: dict[tuple[Subspace, int], HomologyReport] = {}
 
 
+def _forced_by_euler(mod_p_dims) -> bool:
+    """Whether the mod-p dimensions of one internal degree's homology, in
+    the positions not already known, are also its dimensions over Q.
+
+    Over a certified twin each Q dimension is at most its mod-p one, and
+    the alternating sums over all positions (the Euler characteristic) are
+    equal.  When at most one unknown mod-p dimension is nonzero, every
+    other unknown Q dimension is 0, so the Euler characteristic forces
+    the remaining one to its mod-p value.
+    """
+    return sum(map(bool, mod_p_dims)) <= 1
+
+
 def koszul_verdict(A: QuadraticPresentation, N: int):
     """Per-degree homology reports for m = 1..N, plus the overall verdict.
 
     Over Q a degree is read off the reduction mod CERT_P when
-    `certified_twin` proves the dimensions of A and A^! and the homology
-    mod p of that degree is zero or sits at one position: the Q homology
-    is at most the mod-p homology at every position, and both have the
-    same Euler characteristic, so that position's value is forced.  Any
-    other degree is computed exactly over Q.
+    `certified_twin` proves the dimensions of A and A^! and its homology
+    mod p is `_forced_by_euler`; any other degree is computed exactly over
+    Q.
 
     Each degree's report is kept in ``_reports`` under (A.R, m) and read
     from there on later calls, so ``ext`` after ``koszul`` on the same
@@ -203,7 +214,7 @@ def koszul_verdict(A: QuadraticPresentation, N: int):
         twin = certified_twin(A, N)
         for m in missing:
             report = None if twin is None else homology_report(twin, m)
-            if report is None or sum(map(bool, report.homology_dims)) > 1:
+            if report is None or not _forced_by_euler(report.homology_dims):
                 report = homology_report(A, m)
             _reports[R, m] = report
     reports = [_reports[R, m] for m in range(1, N + 1)]
@@ -338,17 +349,16 @@ def certified_ext(A: QuadraticPresentation, m_max: int):
     CERT_P, or None where the proof does not go through.
 
     The table of the reduction is the answer when `certified_twin` proves
-    the dimensions of A and A^! and each degree m has at most one nonzero
-    off-diagonal cell (p < m) mod p.  The bar complex bounds each Q cell
-    by its mod-p cell, both have the same Euler characteristic in each
-    degree, and the diagonal ext^{m,m} = dim A^!_m is proven, so that
-    cell's value is forced.
+    the dimensions of A and A^! and, in each degree m, the off-diagonal
+    cells (p < m) are `_forced_by_euler`: the bar complex bounds each Q
+    cell by its mod-p cell, and the diagonal ext^{m,m} = dim A^!_m is
+    proven by the A^! dimensions.
     """
     twin = certified_twin(A, m_max)
     if twin is None:
         return None
     table = _resolve(twin, m_max)
-    if all(sum(bool(table.entry(p, m)) for p in range(m)) <= 1
+    if all(_forced_by_euler(table.entry(p, m) for p in range(m))
            for m in range(m_max + 1)):
         return table
     return None

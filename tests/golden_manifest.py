@@ -110,6 +110,9 @@ def _manifest():
         ("selfdual_structured_pair_sym2_ext2",
          ["selfdual-check", "--output", "structured", _f("sym2"),
           _f("ext2")], 0),
+        ("laws_structured_axioms_q",
+         ["laws", "--suite", "axioms", "--trials", "3", "--seed", "0",
+          "--output", "structured", _f("free2"), _f("sym2"), _f("ext2")], 0),
     ]
     entries += LOW_DEGREE_RUNS
     return entries

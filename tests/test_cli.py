@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from quadalg import clear_caches, koszul
+from quadalg import clear_caches, koszul, laws
 from quadalg.cli import build_parser, main
 
 # test_acceptance reads GOLDEN, MANIFEST and _run from this module
@@ -245,6 +245,93 @@ def test_structured_output_rejects_a_name_it_could_not_delimit(tmp_path, gens):
     assert "bad_generator_name" in text
 
 
+def _readme_records():
+    """{record: [keys]} from the README's "Structured output" table."""
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Structured output", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")[1:-1]
+        if len(cells) == 2 and cells[0].strip().startswith("`"):
+            keys = re.sub(r"\([^)]*\)", "", cells[1])
+            table[cells[0].strip().strip("`")] = re.findall(r"`([^`]+)`", keys)
+    return table
+
+
+def test_readme_table_names_every_structured_record(tmp_path):
+    # every record line the CLI prints names a documented record with
+    # exactly the documented keys, in order; a space in a value would split
+    # it into a part without '=' and fail here
+    table = _readme_records()
+    assert len(table) == 11
+    bad = tmp_path / "bad.qa"
+    bad.write_text("field Q\ngens x\nrel x*x*x\n")
+    # no golden holds an error or a note record
+    runs = [(["dual", str(bad)], 2),
+            (["laws", "--suite", "rigid", _f("sym2")], 1)]
+    texts = []
+    for argv, want_status in runs:
+        status, text = _run(argv + ["--output", "structured"])
+        assert status == want_status
+        texts.append(text)
+    texts += [(GOLDEN / f"{name}.txt").read_text()
+              for name, argv, _ in MANIFEST if "structured" in argv]
+    seen = set()
+    for text in texts:
+        for line in text.splitlines():
+            head, *parts = line.split(" ")
+            record = head.removeprefix("record=")
+            assert head != record, line
+            assert all("=" in p for p in parts), line
+            assert [p.split("=", 1)[0] for p in parts] == table[record], line
+            seen.add(record)
+    assert seen == set(table)
+
+
+def test_each_record_is_printed_as_it_is_produced(monkeypatch):
+    # the second suite fails: the first suite's lines are already out
+    argv = ["--trials", "1", _f("sym2"), _f("ext2")]
+    _, first = _run(["laws", "--suite", laws.SUITES[0]] + argv)
+    run_suite, calls = laws.run_suite, []
+
+    def second_suite_raises(suite, *args, **kwargs):
+        calls.append(suite)
+        if len(calls) == 2:
+            raise RuntimeError("second suite")
+        return run_suite(suite, *args, **kwargs)
+
+    monkeypatch.setattr(laws, "run_suite", second_suite_raises)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(RuntimeError):
+        main(["laws", "--suite", "all"] + argv)
+    assert calls == list(laws.SUITES[:2])
+    assert first.startswith("PASS ")
+    assert buf.getvalue() == first
+
+
+def test_cli_prints_only_through_its_emitters():
+    # one output path: print() only in _emit, _emit_presentation and
+    # main's stderr line, and the output mode read nowhere else
+    tree = ast.parse((HERE.parent / "src" / "quadalg" / "cli.py").read_text())
+    prints, mode_reads = [], []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "print"):
+                to = [ast.unparse(k) for k in node.keywords]
+                prints.append((func.name, to))
+            if (isinstance(node, ast.Attribute) and node.attr == "structured"
+                    and isinstance(node.ctx, ast.Load)):
+                mode_reads.append(func.name)
+    assert sorted(prints) == [
+        ("_emit", []), ("_emit", []), ("_emit_presentation", []),
+        ("main", ["file=sys.stderr"])]
+    assert set(mode_reads) == {"_emit", "_emit_presentation", "main"}
+    assert mode_reads.count("main") == 1
+
+
 def _library_nodes():
     """(file name, AST node) for every node of every library module."""
     for path in sorted((HERE.parent / "src" / "quadalg").glob("*.py")):
@@ -414,11 +501,12 @@ def test_golden_under_python_O():
     # validates every structure map through is_morphism and reduce_against;
     # hilbert_sym2 is answered by the modular certificate; ext_embed3 runs
     # the resolution's ArithmeticError checks over `contract`; laws_rigid_q
-    # builds each contragredient through AlgebraMorphism's ValueError.
+    # builds each contragredient through AlgebraMorphism's ValueError;
+    # laws_structured_axioms_q prints the same checks as records.
     env = _src_env()
     cases = {name: (argv, status) for name, argv, status in MANIFEST}
     for name in ("koszul_sym3", "laws_axioms_q", "hilbert_sym2",
-                 "ext_embed3", "laws_rigid_q"):
+                 "ext_embed3", "laws_rigid_q", "laws_structured_axioms_q"):
         argv, want_status = cases[name]
         proc = subprocess.run([sys.executable, "-O", "-c", MAIN_CODE, *argv],
                               capture_output=True, text=True, env=env,
