@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         _emit(args, "error", None, line=exc.line, column=exc.column,
-              message=exc)
+              message=exc.message)
         if not args.structured:
             print(f"error: {exc}", file=sys.stderr)
         return 2

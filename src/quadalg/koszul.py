@@ -11,9 +11,12 @@ from signed Kronecker blocks.
 
 The Ext table Ext^{p,m}_A(k, k) comes from a minimal graded free resolution
 of k (``ext_by_resolution``), which for a Koszul algebra has the size of
-the Koszul complex.  The reduced bar complex (``bar_homology``), whose size
-grows with the compositions of m, computes the same table and is kept as
-an independent oracle: both read only the multiplication of A.
+the Koszul complex.  Each differential is held as the images of its
+source basis, and a batch of new generators is the RREF null basis of
+the previous one at the free columns where the old image has no pivot.
+The reduced bar complex (``bar_homology``), whose size grows with the
+compositions of m, computes the same table and is kept as an independent
+oracle: both read only the multiplication of A.
 
 Over Q, `koszul_verdict` and `ext_by_resolution` first try a certificate
 on the reduction A' of A mod CERT_P.  When `certified_twin` proves dim A_m
@@ -48,8 +51,8 @@ from itertools import combinations
 from math import prod
 
 from .fields import Record
-from .linalg import (assemble, matrix_rank, null_basis, quotient_data, rref,
-                     Matrix, Subspace)
+from .linalg import (assemble, echelon, matrix_rank, null_basis, Matrix,
+                     Subspace)
 from .presentations import AlgebraMorphism, QuadraticPresentation, dual
 from .graded import certified_twin, graded_structure, hilbert
 from .tensorindex import contract, kron
@@ -274,63 +277,61 @@ def _layout(gs, gens, m: int):
 
 
 def _resolution_differential(gs, gens, target, m: int) -> Matrix:
-    """d on the generators ``gens`` of degree below m, in degree m.
+    """d on the generators ``gens`` of degree below m, in degree m: one
+    row per g (x) a, a in A_{m-e}, holding its image.
 
-    A generator g of degree e with d(g) = sum_h h (x) c_h sends g (x) a,
-    for a in A_{m-e}, to sum_h h (x) c_h a: the block (h, g) is
-    mult(i, m-e) @ (c_h (x) I), c_h in A_i.  A batch stacks the c_h of
-    the n generators h of one degree as the rows of C and those of its own
-    generators as the columns, so its block is (I_n (x) mult(i, m-e)) @
-    (C (x) I), the transpose of contract(C^T, n, mult(i, m-e)^T, dim
-    A_{m-e}).  ``target`` is the layout of the previous term in degree m.
+    A generator g of degree e with d(g) = sum_h h (x) c_h, c_h in A_i,
+    sends g (x) a to sum_h h (x) c_h a.  A batch keeps the c_h of its
+    generators on the n generators h of one degree as the rows of C^T, so
+    its block is contract(C^T, n, mult(i, m-e)^T, dim A_{m-e}).
+    ``target`` is the layout of the previous term in degree m.
     """
-    f = gs.field
-    row_of = {e: (off, n) for off, e, n in target[0]}
-    blocks, col = [], 0
+    col_of = {e: (off, n) for off, e, n in target[0]}
+    blocks, row = [], 0
     for e, count, parts in gens:
         j = m - e
         if not (d := gs.dim(j)):
             continue
-        for e_h, C in parts:
-            if e_h in row_of:
-                off, n = row_of[e_h]
-                block = contract(C.transpose(), n,
-                                 gs.mult(e - e_h, j).transpose(), d)
-                blocks.append((off, col, False, block.transpose()))
-        col += count * d
-    return assemble(f, target[1], col, blocks)
+        for e_h, Ct in parts:
+            if e_h in col_of:
+                off, n = col_of[e_h]
+                blocks.append((row, off, False, contract(
+                    Ct, n, gs.mult(e - e_h, j).transpose(), d)))
+        row += count * d
+    return assemble(gs.field, row, target[1], blocks)
 
 
-def _new_generators(d_old, K: Matrix, count: int) -> Matrix:
-    """``count`` rows of K, a basis of the kernel, independent modulo the
-    column space of ``d_old``, the image I of the old generators."""
-    n, new = K.cols, K
-    if count != K.rows:
-        # I is nonzero: keep the K rows whose classes modulo I are a basis
-        proj, _ = quotient_data(n, Subspace(n, d_old.transpose()))
-        _, rank, picked = rref(proj @ K.transpose())
-        if rank != count:
-            raise ArithmeticError(
-                f"complement has dim {rank}, expected {count}")
-        new = Matrix.from_rows(K.field, [K.sparse[t] for t in picked],
-                               n)
-    return new
+def _new_generators(d_old: Matrix, free, K: Matrix, count: int) -> Matrix:
+    """The ``count`` rows of K, the null basis of d_{p-1} (row t is 1 at
+    free[t], 0 at the other free columns), where ``d_old``, the old image
+    I, read at the free columns, has no pivot.  That reading is injective
+    on the kernel, so I keeps its rank and these rows span a complement."""
+    at = {c: t for t, c in enumerate(free)}
+    _, pivots = echelon(Matrix.from_rows(
+        K.field, [{at[c]: x for c, x in row.items() if c in at}
+                  for row in d_old.sparse], len(free)))
+    new = [row for t, row in enumerate(K.sparse) if t not in pivots]
+    if len(new) != count:
+        raise ArithmeticError(
+            f"complement has dim {len(new)}, expected {count}")
+    return Matrix.from_rows(K.field, new, K.cols)
 
 
-def _parts(gs, target, columns: Matrix, m: int):
-    """The new generators of degree m, one per column of ``columns``, as
-    the parts [(e_h, C)] of their batch: C holds their components on the
+def _parts(gs, target, new: Matrix, m: int):
+    """The new generators of degree m, one per row of ``new``, as the
+    parts [(e_h, C^T)] of their batch: C^T holds their components on the
     generators of degree e_h of the previous term."""
     parts = []
     for off, e, count in target[0]:
-        rows = columns.sparse[off:off + count * gs.dim(m - e)]
+        end = off + count * gs.dim(m - e)
+        rows = [{c - off: x for c, x in row.items() if off <= c < end}
+                for row in new.sparse]
         if any(rows):
             if e == m:
                 raise ArithmeticError(
                     f"a degree-{m} generator has a component on a generator "
                     f"of its own degree: the resolution is not minimal")
-            parts.append((e, Matrix.from_rows(columns.field, rows,
-                                              columns.cols)))
+            parts.append((e, Matrix.from_rows(new.field, rows, end - off)))
     return parts
 
 
@@ -369,14 +370,14 @@ def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
     ... -> P_1 -> P_0 = A -> k of right A-modules.
 
     P_p = E_p (x) A is built degree by degree from ``gs.mult`` alone, and
-    ext^{p,m} is the number of generators of P_p in degree m.  In degree m
-    let K be the kernel of d_{p-1} (for p = 1, all of A_m) and I the image
-    of the generators of P_p of lower degree; the new generators are K rows
-    that span K modulo I.  Exactness below gives dim K_{p+1} = dim P_p -
-    dim K_p, so ext^{p,m} = dim K - rank I costs one rank, and K itself is
-    computed only when that count is positive.  d_p in degree m, with the
-    new generators' columns appended, is the d_{p-1} of the next step.
-    """
+    ext^{p,m} is the number of generators of P_p in degree m.  Each d is
+    held transposed, one row per source basis vector holding its image.
+    In degree m let K be the kernel of d_{p-1} (for p = 1, all of A_m) and
+    I the image of the generators of P_p of lower degree.  Exactness below
+    gives dim K_{p+1} = dim P_p - dim K_p, so ext^{p,m} = dim K - rank I
+    costs one rank; only a positive count costs an RREF of d_{p-1}, whose
+    null basis holds the new generators (`_new_generators`).  d_p in degree
+    m, with their rows appended, is the d_{p-1} of the next step."""
     f = A.field
     gs = graded_structure(A)
     # gens[p]: the generators of P_p, one batch (degree, count, parts) per
@@ -386,30 +387,27 @@ def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
     for m in range(1, m_max + 1):
         entries[(0, m)] = 0
         # d_0 in degree m is the augmentation A_m -> k_m = 0
-        d_prev = Matrix.zero(f, 0, gs.dim(m))
-        k_dim = d_prev.cols
+        d_prev = Matrix.zero(f, gs.dim(m), 0)
+        k_dim = d_prev.rows
         for p in range(1, m + 1):
             target = _layout(gs, gens[p - 1], m)
-            d_old = _resolution_differential(gs, gens[p], target, m)
-            count = k_dim - matrix_rank(d_old)
+            d = _resolution_differential(gs, gens[p], target, m)
+            count = k_dim - matrix_rank(d)
             entries[(p, m)] = count
-            d_full = d_old
             if count:
-                K = null_basis(d_prev)
+                free, K = null_basis(d_prev.transpose())
                 if K.rows != k_dim:
                     raise ArithmeticError(
                         f"ker d_{p - 1} in degree {m} has dim {K.rows}, but "
                         f"exactness gives {k_dim}")
-                new = _new_generators(d_old, K, count).transpose()
+                new = _new_generators(d, free, K, count)
                 gens[p].append((m, count, _parts(gs, target, new, m)))
-                if not (d_prev @ new).is_zero():
+                if not (new @ d_prev).is_zero():
                     raise ArithmeticError(
                         f"d_{p - 1} is nonzero on a new generator of P_{p} "
                         f"in degree {m}")
-                d_full = assemble(f, d_old.rows, d_old.cols + count,
-                                  ((0, 0, False, d_old),
-                                   (0, d_old.cols, False, new)))
-            d_prev, k_dim = d_full, d_full.cols - k_dim
+                d = Matrix.from_rows(f, d.sparse + new.sparse, d.cols)
+            d_prev, k_dim = d, d.rows - k_dim
     return BidegreeTable(m_max, entries)
 
 

@@ -573,11 +573,11 @@ def annihilator(S: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, _free_rows(S.basis, S.pivots)[1])
 
 
-def null_basis(M: Matrix) -> Matrix:
-    """A basis of the right null space of M, one row per non-pivot column
-    of M's RREF, with a 1 there and 0 at the other non-pivot columns."""
+def null_basis(M: Matrix):
+    """``(free, K)``: the non-pivot columns of M's RREF and a basis of
+    M's right null space, K[t] 1 at free[t] and 0 at the other ones."""
     R, _, pivots = rref(M)
-    return _free_rows(R, pivots)[1]
+    return _free_rows(R, pivots)
 
 
 def quotient_data(ambient_dim: int, S: Subspace):

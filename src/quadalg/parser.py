@@ -36,10 +36,12 @@ from .presentations import QuadraticPresentation, dual_label
 
 
 class ParseError(ValueError):
+    """``message`` at ``line``, ``column``; line 0 has no position."""
+
     def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+        super().__init__(f"line {line}, column {column}: {message}"
+                         if line else message)
+        self.message, self.line, self.column = message, line, column
 
 
 def _error(message: str, raw: str, line: int, k: int, offset: int = 0):

@@ -474,12 +474,11 @@ def test_non_utf8_input_is_a_read_error(tmp_path, where, structured):
     if structured:
         assert proc.stderr == b""
         assert proc.stdout.decode() == (
-            "record=error line=0 column=1 message=line_0,_column_1:_"
+            "record=error line=0 column=1 message="
             + message.replace(" ", "_") + "\n")
     else:
         assert proc.stdout == b""
-        assert proc.stderr.decode() == (
-            f"error: line 0, column 1: {message}\n")
+        assert proc.stderr.decode() == f"error: {message}\n"
 
 
 def test_readme_quick_start_prints_its_commented_results():
