@@ -23,6 +23,9 @@ CORPUS = HERE.parent / "corpus"
 # a Q input whose RREF relations hold Fractions; outside corpus/, so the
 # corpus-wide entries and tests do not run on it
 FRAC3 = str(HERE / "inputs" / "frac3.qa")
+# a dense Q input that no prime certifies, so its hilbert, koszul and ext
+# jobs run exact Q and reach the Fraction paths of products and elimination
+SKEWD = str(HERE / "inputs" / "skewd.qa")
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
@@ -70,6 +73,9 @@ def _manifest():
         ("hom_ext2_sym2", ["hom", _f("ext2"), _f("sym2")], 0),
         ("dual_frac3", ["dual", FRAC3], 0),
         ("hom_frac3_frac3", ["hom", FRAC3, FRAC3], 0),
+        ("hilbert_skewd", ["hilbert", "--max", "6", SKEWD], 0),
+        ("koszul_skewd", ["koszul", "--max", "4", SKEWD], 0),
+        ("ext_skewd", ["ext", "--max", "4", SKEWD], 0),
         ("selfdual_pair_sym2_ext2",
          ["selfdual-check", _f("sym2"), _f("ext2")], 0),
         ("laws_axioms_q",

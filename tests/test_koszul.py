@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import pathlib
 import random
 
 from fractions import Fraction
@@ -41,7 +42,7 @@ from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
 
 from conftest import CORPUS, CORPUS_NAMES, assert_canonical, load
-from golden_manifest import run
+from golden_manifest import SKEWD, run
 
 F2 = PrimeField(2)
 
@@ -740,6 +741,27 @@ def test_cli_on_a_relabelled_copy_matches_a_cold_run(tmp_path):
     reports = dict(koszul._reports)
     assert [run(argv) for argv in calls] == cold
     assert koszul._reports == reports
+
+
+# skewd (tests/inputs/skewd.qa) is this sparse skew algebra after a dense
+# change of generators g in GL(V), which takes R to (g (x) g)R: an
+# isomorphic algebra, so every invariant agrees
+SKEW = ("field Q\nalgebra skew\ngens a b c d\n"
+        "rel a*b - 2*b*a\nrel b*c - 3*c*b\nrel a*c - 5*c*a\n")
+
+
+def test_a_change_of_generators_keeps_every_invariant():
+    A = parse(SKEW)[1]
+    B = parse(pathlib.Path(SKEWD).read_text())[1]
+    assert A.R.dim == B.R.dim == 3 and not A.same_relations(B)
+    # neither is generic, so both run the exact engines over Q
+    assert certified_hilbert(A, 6) is certified_hilbert(B, 6) is None
+    dims = hilbert(A, 6)
+    assert dims == [1, 4, 13, 41, 129, 406, 1278] == hilbert(B, 6)
+    reports, koszul_ok = koszul_verdict(A, 4)
+    assert koszul_ok and koszul_verdict(B, 4) == (reports, True)
+    table = ext_by_resolution(A, 4)
+    assert table == ext_by_resolution(B, 4) and table.on_diagonal(A)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
