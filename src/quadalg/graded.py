@@ -46,9 +46,10 @@ class GradedStructure:
     """Cached dimensions, projections, and multiplication maps of the
     algebra with relation space R.
 
-    Dimensions come from ranks (`dim`); ``step_proj(m)`` and
-    ``step_section(m)`` are built on first request, from the forward rows
-    of K_m that `dim` kept, which are then dropped.
+    Dimensions come from ranks (`dim`), which keeps the ``{pivot: row}``
+    dict that `echelon` returns for K_m.  The first request for
+    ``step_proj(m)`` or ``step_section(m)`` finishes those rows with
+    `reduced`, drops them, and builds both maps at once by `quotient_data`.
 
     Nothing here reads generator labels: a structure is fixed by R (its
     field and n = sqrt(dim of the degree-2 words) included).
@@ -59,9 +60,9 @@ class GradedStructure:
         self.field = f = R.field
         self.n = n = isqrt(R.ambient_dim)
         self._dims = {0: 1, 1: n}
-        # step_proj[m]: A_{m-1} (x) V  ->  A_m  (right multiplication data)
-        self._step_proj = {1: Matrix.identity(f, n)}
-        self._step_section = {1: Matrix.identity(f, n)}
+        # _quotients[m]: (step_proj(m), step_section(m)), the projection
+        # A_{m-1} (x) V -> A_m (right multiplication data) and its section
+        self._quotients = {1: (Matrix.identity(f, n),) * 2}
         # the forward-eliminated rows of K_m, kept from dim(m) until
         # step_proj(m) or step_section(m) finishes them
         self._echelons = {}
@@ -80,27 +81,25 @@ class GradedStructure:
             push = contract(self.step_proj(k - 1), dims[k - 2],
                             self.R.basis.transpose(), n)
             self._echelons[k] = forward = echelon(push.transpose())
-            dims[k] = dims[k - 1] * n - len(forward[1])
+            dims[k] = dims[k - 1] * n - len(forward)
         return dims[m]
 
     def step_proj(self, m: int) -> Matrix:
-        if m not in self._step_proj:
-            self._quotient(m)
-        return self._step_proj[m]
+        return self._quotient(m)[0]
 
     def step_section(self, m: int) -> Matrix:
-        if m not in self._step_section:
-            self._quotient(m)
-        return self._step_section[m]
+        return self._quotient(m)[1]
 
     def _quotient(self, m: int):
-        """step_proj(m) and step_section(m), from the RREF of K_m that
-        back-substitution finishes from the rows ``dim(m)`` kept."""
-        self.dim(m)
-        ambient = self._dims[m - 1] * self.n
-        basis, _ = reduced(self.field, ambient, *self._echelons.pop(m))
-        self._step_proj[m], self._step_section[m] = quotient_data(
-            ambient, Subspace(ambient, basis, _canonical=True))
+        """(step_proj(m), step_section(m)), built on first request from
+        the RREF of K_m that back-substitution finishes from the rows
+        ``dim(m)`` kept."""
+        q = self._quotients.get(m)
+        if q is None:
+            self.dim(m)
+            q = self._quotients[m] = quotient_data(*reduced(
+                self.field, self._dims[m - 1] * self.n, self._echelons.pop(m)))
+        return q
 
     def full_projection(self, m: int) -> Matrix:
         """Pi_m: degree-m word space onto A_m (n^m columns; keep m modest),

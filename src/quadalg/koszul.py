@@ -260,45 +260,33 @@ class BidegreeTable(Record):
                    for m in range(self.m_max + 1) for p in range(m + 1))
 
 
-def _layout(gs, gens, m: int):
-    """Where the generators of P = E (x) A sit in P_m.
-
-    ``gens`` lists one batch (e, count, parts) per generator degree e <= m,
-    in increasing e; each of its generators spans a copy of A_{m-e} there,
-    and a batch is left out when that is zero.  Returns ``[(offset, e, count)]``
-    and dim P_m.
-    """
-    layout, total = [], 0
-    for e, count, _ in gens:
-        if d := gs.dim(m - e):
-            layout.append((total, e, count))
-            total += count * d
-    return layout, total
-
-
-def _resolution_differential(gs, gens, target, m: int) -> Matrix:
+def _resolution_differential(gs, gens, target, cols: int, m: int):
     """d on the generators ``gens`` of degree below m, in degree m: one
-    row per g (x) a, a in A_{m-e}, holding its image.
+    row per g (x) a, a in A_{m-e}, holding its image; and the layout
+    ``[(offset, e, count)]`` of the rows of each batch, left out when
+    A_{m-e} = 0.
 
     A generator g of degree e with d(g) = sum_h h (x) c_h, c_h in A_i,
     sends g (x) a to sum_h h (x) c_h a.  A batch keeps the c_h of its
     generators on the n generators h of one degree as the rows of C^T, so
     its block is contract(C^T, n, mult(i, m-e)^T, dim A_{m-e}).
-    ``target`` is the layout of the previous term in degree m.
+    ``target`` is the layout of the previous term in degree m, and
+    ``cols`` its dimension.
     """
-    col_of = {e: (off, n) for off, e, n in target[0]}
-    blocks, row = [], 0
+    col_of = {e: (off, n) for off, e, n in target}
+    blocks, layout, row = [], [], 0
     for e, count, parts in gens:
         j = m - e
         if not (d := gs.dim(j)):
             continue
+        layout.append((row, e, count))
         for e_h, Ct in parts:
             if e_h in col_of:
                 off, n = col_of[e_h]
                 blocks.append((row, off, False, contract(
                     Ct, n, gs.mult(e - e_h, j).transpose(), d)))
         row += count * d
-    return assemble(gs.field, row, target[1], blocks)
+    return assemble(gs.field, row, cols, blocks), layout
 
 
 def _new_generators(d_old: Matrix, free, K: Matrix, count: int) -> Matrix:
@@ -307,7 +295,7 @@ def _new_generators(d_old: Matrix, free, K: Matrix, count: int) -> Matrix:
     I, read at the free columns, has no pivot.  That reading is injective
     on the kernel, so I keeps its rank and these rows span a complement."""
     at = {c: t for t, c in enumerate(free)}
-    _, pivots = echelon(Matrix.from_rows(
+    pivots = echelon(Matrix.from_rows(
         K.field, [{at[c]: x for c, x in row.items() if c in at}
                   for row in d_old.sparse], len(free)))
     new = [row for t, row in enumerate(K.sparse) if t not in pivots]
@@ -322,7 +310,7 @@ def _parts(gs, target, new: Matrix, m: int):
     parts [(e_h, C^T)] of their batch: C^T holds their components on the
     generators of degree e_h of the previous term."""
     parts = []
-    for off, e, count in target[0]:
+    for off, e, count in target:
         end = off + count * gs.dim(m - e)
         rows = [{c - off: x for c, x in row.items() if off <= c < end}
                 for row in new.sparse]
@@ -377,7 +365,9 @@ def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
     gives dim K_{p+1} = dim P_p - dim K_p, so ext^{p,m} = dim K - rank I
     costs one rank; only a positive count costs an RREF of d_{p-1}, whose
     null basis holds the new generators (`_new_generators`).  d_p in degree
-    m, with their rows appended, is the d_{p-1} of the next step."""
+    m, with their rows appended, is the d_{p-1} of the next step, and the
+    layout of its rows, which `_resolution_differential` returns and the
+    new batch extends, is that step's target."""
     f = A.field
     gs = graded_structure(A)
     # gens[p]: the generators of P_p, one batch (degree, count, parts) per
@@ -386,12 +376,14 @@ def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
     entries = {(0, 0): 1}
     for m in range(1, m_max + 1):
         entries[(0, m)] = 0
-        # d_0 in degree m is the augmentation A_m -> k_m = 0
+        # d_0 in degree m is the augmentation A_m -> k_m = 0, and P_0 in
+        # degree m is the unit's copy of A_m
         d_prev = Matrix.zero(f, gs.dim(m), 0)
         k_dim = d_prev.rows
+        target = [(0, 0, 1)] if k_dim else []
         for p in range(1, m + 1):
-            target = _layout(gs, gens[p - 1], m)
-            d = _resolution_differential(gs, gens[p], target, m)
+            d, layout = _resolution_differential(gs, gens[p], target,
+                                                 d_prev.rows, m)
             count = k_dim - matrix_rank(d)
             entries[(p, m)] = count
             if count:
@@ -406,8 +398,9 @@ def _resolve(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
                     raise ArithmeticError(
                         f"d_{p - 1} is nonzero on a new generator of P_{p} "
                         f"in degree {m}")
+                layout.append((d.rows, m, count))
                 d = Matrix.from_rows(f, d.sparse + new.sparse, d.cols)
-            d_prev, k_dim = d, d.rows - k_dim
+            d_prev, k_dim, target = d, d.rows - k_dim, layout
     return BidegreeTable(m_max, entries)
 
 

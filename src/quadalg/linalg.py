@@ -25,9 +25,12 @@ minor of the input (see ``_echelon``).  ``_echelon_packed`` holds a dense
 GF(p) row as one int with a 64-bit slot per column, so that a row
 operation is one multiply-add.  ``matrix_rank`` is forward elimination
 alone (``echelon``); ``rref`` adds back-substitution (``reduced``), which
-builds Fractions only where its integer rows do not divide exactly, and a
-caller that needs the rank first can finish the RREF later from the kept
-forward rows.  Products accumulate ints as well, in one core (``combine``)
+builds Fractions only where its integer rows do not divide exactly.
+``echelon`` returns ``{pivot column: row}``, a packed row an int and a
+sparse one a dict, so ``reduced`` reads the row form off the rows and no
+flag leaves this module; a caller that needs the rank first keeps that
+dict and finishes the RREF later, and ``quotient_data`` takes the
+``(basis, pivots)`` that ``reduced`` returns.  Products accumulate ints as well, in one core (``combine``)
 that serves ``Matrix.__matmul__`` and ``tensorindex.contract``: over Q
 each factor's rows are cleared to one denominator first.  An output row is
 summed into a list of ``width`` slots (one finish per slot) when the rows
@@ -457,27 +460,28 @@ def _back_packed(p, tails, cols):
     return out
 
 
-def echelon(M: Matrix):
+def echelon(M: Matrix) -> dict:
     """Forward elimination of M, the part of ``rref`` that gives the rank.
 
-    Returns ``(packed, rows)``, rows being ``{pivot column: row}`` with one
-    row per pivot: the tails of ``_echelon_packed`` where ``_packs``
-    chooses packed rows, else the integer row dicts of ``_echelon``.
-    ``reduced`` finishes them into the RREF basis.
+    Returns ``{pivot column: row}`` with one row per pivot: the int tails
+    of ``_echelon_packed`` where ``_packs`` chooses packed rows, else the
+    integer row dicts of ``_echelon``.  ``reduced`` finishes them into the
+    RREF basis.
     """
     f = M.field
     if _packs(f, M.sparse, M.cols):
-        return True, _echelon_packed(f.p, M.sparse, M.cols)
-    return False, _echelon(f, M.sparse)
+        return _echelon_packed(f.p, M.sparse, M.cols)
+    return _echelon(f, M.sparse)
 
 
-def reduced(f, cols: int, packed: bool, rows: dict):
+def reduced(f, cols: int, rows: dict):
     """``(R, pivots)``: the RREF basis, nonzero rows only, that
     back-substitution makes of the rows of ``echelon`` (which it
-    consumes), and its pivot columns."""
+    consumes), and its pivot columns.  The rows are packed tails when they
+    are ints and row dicts otherwise."""
     p = f.p if isinstance(f, PrimeField) else None
     pivots = sorted(rows)
-    if packed:
+    if pivots and type(rows[pivots[0]]) is int:
         rows = _back_packed(p, rows, cols)
     else:
         # from the last pivot up: the rows below are already reduced, so
@@ -502,7 +506,7 @@ def rref(M: Matrix):
 
     Returns ``(R, rank, pivots)`` where R keeps only the nonzero rows.
     """
-    R, pivots = reduced(M.field, M.cols, *echelon(M))
+    R, pivots = reduced(M.field, M.cols, echelon(M))
     return R, len(pivots), pivots
 
 
@@ -580,15 +584,16 @@ def null_basis(M: Matrix):
     return _free_rows(R, pivots)
 
 
-def quotient_data(ambient_dim: int, S: Subspace):
-    """Projection and section for the quotient by S.
+def quotient_data(basis: Matrix, pivots):
+    """Projection and section for the quotient by the span of the RREF
+    ``basis`` with pivot columns ``pivots``, as ``reduced`` returns them.
 
-    Quotient coordinates are indexed by the non-pivot columns of S; the
-    section sends the class of e_f back to e_f.
+    Quotient coordinates are indexed by the non-pivot columns; the section
+    sends the class of e_f back to e_f.
     """
-    f = S.field
-    free, proj = _free_rows(S.basis, S.pivots)
-    section_rows = [{} for _ in range(ambient_dim)]
+    f = basis.field
+    free, proj = _free_rows(basis, pivots)
+    section_rows = [{} for _ in range(basis.cols)]
     for i, c in enumerate(free):
         section_rows[c][i] = f.one
     return proj, Matrix.from_rows(f, section_rows, len(free))
@@ -620,4 +625,4 @@ def reduce_against(A: Subspace, rows):
 
 def matrix_rank(M: Matrix) -> int:
     """Exact rank: the forward elimination of ``rref`` alone."""
-    return len(echelon(M)[1])
+    return len(echelon(M))

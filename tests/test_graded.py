@@ -245,7 +245,8 @@ def eager_step(G, m):
     ambient = G.dim(m - 1) * n
     push = contract(G.step_proj(m - 1), G.dim(m - 2), G.R.basis.transpose(),
                     n)
-    return quotient_data(ambient, Subspace(ambient, push.transpose()))
+    K = Subspace(ambient, push.transpose())
+    return quotient_data(K.basis, K.pivots)
 
 
 def _sampled():

@@ -386,7 +386,7 @@ def kron_step_proj(gs, k):
     relations = kron(Matrix.identity(f, gs.dim(k - 2)), gs.R.basis)
     push = kron(gs.step_proj(k - 1), Matrix.identity(f, n))
     K = Subspace(gs.dim(k - 1) * n, relations @ push.transpose())
-    return quotient_data(gs.dim(k - 1) * n, K)[0]
+    return quotient_data(K.basis, K.pivots)[0]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -527,7 +527,7 @@ def test_resolution_checks_minimality(monkeypatch):
 def test_resolution_checks_the_complement(monkeypatch):
     # nonkoszul_gf2, degree 4, p = 3: ker d_2 has dim 5 and one new
     # generator; an elimination that ignores the old image keeps all five
-    monkeypatch.setattr(koszul, "echelon", lambda M: (False, {}))
+    monkeypatch.setattr(koszul, "echelon", lambda M: {})
     with pytest.raises(ArithmeticError, match="complement has dim 5"):
         ext_by_resolution(load("nonkoszul_gf2"), 4)
 

@@ -382,7 +382,7 @@ def test_sum_intersection_dimension_formula(Ma, Mb):
 
 def test_quotient_data_projection_section():
     S = Subspace.span(QQ, [[1, -1, 0]], 3)
-    proj, section = quotient_data(3, S)
+    proj, section = quotient_data(S.basis, S.pivots)
     assert proj.rows == 2
     # proj kills S, and proj . section = identity on the quotient
     assert (proj @ column(QQ, [1, -1, 0])).is_zero()
@@ -764,8 +764,8 @@ def test_operations_keep_sparse_rows_canonical(data):
         "identity": Matrix.identity(f, A.rows),
         "zero": Matrix.zero(f, A.rows, A.cols),
     }
-    results["proj"], results["section"] = quotient_data(
-        A.cols, Subspace(A.cols, A))
+    S = Subspace(A.cols, A)
+    results["proj"], results["section"] = quotient_data(S.basis, S.pivots)
     for M in results.values():
         assert_canonical(M)
     assert (A - A).is_zero()
