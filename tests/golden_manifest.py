@@ -26,6 +26,9 @@ FRAC3 = str(HERE / "inputs" / "frac3.qa")
 # a dense Q input that no prime certifies, so its hilbert, koszul and ext
 # jobs run exact Q and reach the Fraction paths of products and elimination
 SKEWD = str(HERE / "inputs" / "skewd.qa")
+# a generic Q input on which the first certificate prime is unlucky, so its
+# jobs are certified by the second prime or run exact Q
+N4K4X = str(HERE / "inputs" / "n4k4x.qa")
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
@@ -76,6 +79,9 @@ def _manifest():
         ("hilbert_skewd", ["hilbert", "--max", "6", SKEWD], 0),
         ("koszul_skewd", ["koszul", "--max", "4", SKEWD], 0),
         ("ext_skewd", ["ext", "--max", "4", SKEWD], 0),
+        ("hilbert_n4k4x", ["hilbert", "--max", "5", N4K4X], 0),
+        ("koszul_n4k4x", ["koszul", "--max", "4", N4K4X], 0),
+        ("ext_n4k4x", ["ext", "--max", "4", N4K4X], 0),
         ("selfdual_pair_sym2_ext2",
          ["selfdual-check", _f("sym2"), _f("ext2")], 0),
         ("laws_axioms_q",
