@@ -10,25 +10,21 @@ alone; the projection onto A_m and its section are finished from the kept
 forward rows only when something asks for them, so `hilbert` up to N
 builds projections up to N - 1 and none in degree N.
 
-Over Q, `hilbert` first tries `certified_hilbert`: the dimensions of the
-reduction mod the prime `CERT_P` (`reduce_mod_p`, the entrywise reduction
-of the RREF relation basis, or None when CERT_P divides a denominator)
-are exact over Q wherever they meet the lower bound
-max(0, n d_{m-1} - r d_{m-2}) that holds for every algebra with n
-generators and r relations.  Generic algebras meet it (Anick 1982;
-Polishchuk and Positselski, *Quadratic Algebras*, ch. 6); elsewhere
-`hilbert` falls back to the exact structure over Q.  `certified_twin`
-proves the same for A and for A^! (with n^2 - r relations), which is what
-the Koszul and Ext certificates of `koszul` rest on.
+Over Q, `hilbert` reads the dimensions off the reduction that
+`certified_reduction` returns, mod 32749 or else mod 32719, when its
+dimensions prove those of A (the argument is in its docstring), and off the
+exact structure over Q otherwise.  `certified_twin` proves the same for A
+and for A^!, at the same prime, which is what the Koszul and Ext
+certificates of `koszul` rest on.
 `graded_dim_by_oracle` never reduces mod p.
 
 `graded_structure` caches one `GradedStructure` per relation space in the
 module-level dict ``_structures``.  A structure reads no generator labels,
 and a relation space carries its field and n, so a relabelled copy of an
 algebra, or one algebra's dual under another's names (ext3 is sym3^!),
-shares it.  The reductions are relation spaces over GF(CERT_P), so
-`hilbert`, `koszul` and `ext` share one A' and one A'^!, and a hit on such
-a key is exact.  `quadalg.clear_caches()` empties the dict.
+shares it.  The reductions are relation spaces over a GF(p), so `hilbert`,
+`koszul` and `ext` share one A' and one A'^!, and a hit on such a key is
+exact.  `quadalg.clear_caches()` empties the dict.
 """
 
 from __future__ import annotations
@@ -159,36 +155,32 @@ def graded_dim(A: QuadraticPresentation, m: int) -> int:
 
 
 def hilbert(A: QuadraticPresentation, N: int):
-    """Graded dimensions in degrees 0..N.
-
-    Over Q the certificate answers when it can (`certified_hilbert`);
-    otherwise the exact structure does, and stays cached.
-    """
-    if not isinstance(A.field, PrimeField):
-        dims = certified_hilbert(A, N)
-        if dims is not None:
-            return dims
-    gs = graded_structure(A)
+    """Graded dimensions in degrees 0..N, from the structure of the
+    reduction that `certified_reduction` returns, or else from the exact
+    structure of A, which stays cached."""
+    gs = graded_structure(certified_reduction(A, N) or A)
     return [gs.dim(m) for m in range(N + 1)]
 
 
-# The certificate's prime: below 2^15, so that the product of two residues
-# fits in one 30-bit CPython digit.
-CERT_P = 32749
-_CERT_FIELD = PrimeField(CERT_P)
+# The certificate's primes, in the order tried: below 2^15, so that the
+# product of two residues fits in one 30-bit CPython digit (32719 is the
+# prime just below 32749).
+CERT_PRIMES = (32749, 32719)
+_CERT_FIELDS = {p: PrimeField(p) for p in CERT_PRIMES}
 
 
-def reduce_mod_p(A: QuadraticPresentation):
-    """The reduction of a Q presentation mod CERT_P, or None when CERT_P
-    divides a denominator of the RREF basis of its relations (exactly when
-    ``coerce`` into GF(CERT_P) raises ZeroDivisionError).
+def reduce_mod_p(A: QuadraticPresentation, p: int):
+    """The reduction of a Q presentation mod the certificate prime p, or
+    None when p divides a denominator of the RREF basis of its relations
+    (exactly when ``coerce`` into GF(p) raises ZeroDivisionError).
 
     Otherwise the RREF rows are a Z_(p)-basis of the saturated lattice
     R cap Z_(p)^{n^2}, their entrywise reduction is again in RREF (a pivot
     stays 1, a pivot column stays clear), and the annihilator of the
     reduction is the reduction of the annihilator lattice.
     """
-    coerce = _CERT_FIELD.coerce
+    f = _CERT_FIELDS[p]
+    coerce = f.coerce
     try:
         rows = [{j: y for j, x in row.items() if (y := coerce(x))}
                 for row in A.R.basis.sparse]
@@ -196,60 +188,60 @@ def reduce_mod_p(A: QuadraticPresentation):
         return None
     n2 = A.n * A.n
     return QuadraticPresentation(
-        _CERT_FIELD, A.labels,
-        Subspace(n2, Matrix.from_rows(_CERT_FIELD, rows, n2),
-                 _canonical=True))
+        f, A.labels, Subspace(n2, Matrix.from_rows(f, rows, n2),
+                              _canonical=True))
 
 
-def _generic_dims(B: QuadraticPresentation, r: int, N: int):
-    """dim B_0..B_N when each meets max(0, n d_{m-1} - r d_{m-2}), else
-    None; stops at the first degree that does not."""
-    gs = graded_structure(B)
-    dims = [1, B.n]
-    for m in range(2, N + 1):
-        bound = max(0, B.n * dims[m - 1] - r * dims[m - 2])
-        if gs.dim(m) != bound:
-            return None
-        dims.append(bound)
-    return dims[:N + 1]
+def _meets_bound(B: QuadraticPresentation, r: int, N: int) -> bool:
+    """Whether dim B_m = max(0, n dim B_{m-1} - r dim B_{m-2}) for every
+    m <= N; stops at the first degree that misses."""
+    gs, n = graded_structure(B), B.n
+    return all(gs.dim(m) == max(0, n * gs.dim(m - 1) - r * gs.dim(m - 2))
+               for m in range(2, N + 1))
 
 
-def certified_hilbert(A: QuadraticPresentation, N: int):
-    """dim A_0..A_N of a Q presentation, proven from its reduction mod
-    CERT_P, or None where the proof does not go through.
+def certified_reduction(A: QuadraticPresentation, N: int):
+    """The reduction A' of a Q presentation mod the first prime of
+    CERT_PRIMES at which it proves dim A_m = dim A'_m for every m <= N, or
+    None (and None over a prime field).
 
-    The reduction A' (`reduce_mod_p`) reduces a Z_(p)-spanning set of
-    every ideal component, and a rank mod p is at most the rank over Q, so
+    The reduction (`reduce_mod_p`) reduces a Z_(p)-spanning set of every
+    ideal component, and a rank mod p is at most the rank over Q, so
     dim A'_m >= dim A_m.  A_m = (A_{m-1} (x) V)/K with K spanned by the
     images of A_{m-2} (x) R, so dim A_m >= max(0, n d_{m-1} - r d_{m-2})
-    once d_{m-1} and d_{m-2} are proven.  Where dim A'_m equals that
-    bound, both bounds meet and d_m is proven; at the first degree where
-    it does not, the attempt stops.  An unlucky prime costs time, never an
-    answer.  The structure of A' enters the cache of `graded_structure`
-    under its own relation space over GF(CERT_P), where `certified_twin`
-    and a later GF(CERT_P) job with the same relations find it: it is
-    exact there.
-    """
-    reduced = reduce_mod_p(A)
-    return None if reduced is None else _generic_dims(reduced, A.R.dim, N)
-
-
-def certified_twin(A: QuadraticPresentation, N: int):
-    """The reduction A' of a Q presentation mod CERT_P when dim A'_m and
-    dim A'^!_m meet the generic bound for every m <= N, else None (and
-    None over a prime field).
-
-    Then dim A_m = dim A'_m and dim A^!_m = dim A'^!_m are proven as in
-    `certified_hilbert`, dual(A') having n^2 - r relations.  Every A_m and
-    A^!_m is then a free Z_(p)-module, so each Koszul or bar complex of A
-    in internal degree at most N is the generic fibre of a complex of free
-    modules whose special fibre is the one of A' (see `koszul`).
+    once d_{m-1} and d_{m-2} are proven, r being the number of relations.
+    Where dim A'_m equals that bound, both bounds meet and d_m is proven;
+    at the first degree where it does not, the prime is given up.  Generic
+    algebras meet the bound (Anick 1982; Polishchuk and Positselski,
+    *Quadratic Algebras*, ch. 6); where no prime proves A, its dimensions
+    come from the exact structure over Q, so an unlucky prime costs time,
+    never an answer.  The structure of A' enters the cache of
+    `graded_structure` under its own relation space over GF(p), where
+    `certified_twin` and a later GF(p) job with the same relations find
+    it: it is exact there.
     """
     if isinstance(A.field, PrimeField):
         return None
-    reduced = reduce_mod_p(A)
-    if (reduced is None or _generic_dims(reduced, A.R.dim, N) is None
-            or _generic_dims(dual(reduced), A.n * A.n - A.R.dim, N) is None):
+    for p in CERT_PRIMES:
+        reduced = reduce_mod_p(A, p)
+        if reduced is not None and _meets_bound(reduced, A.R.dim, N):
+            return reduced
+    return None
+
+
+def certified_twin(A: QuadraticPresentation, N: int):
+    """The reduction A' that `certified_reduction` returns when A'^! meets
+    the bound at the same prime for every m <= N as well, else None.
+
+    Then dim A^!_m = dim A'^!_m is proven as in `certified_reduction`,
+    dual(A') having n^2 - r relations.  Every A_m and A^!_m is then a free
+    Z_(p)-module, so each Koszul or bar complex of A in internal degree at
+    most N is the generic fibre of a complex of free modules whose special
+    fibre is the one of A' (see `koszul`).
+    """
+    reduced = certified_reduction(A, N)
+    if reduced is None or not _meets_bound(dual(reduced),
+                                           A.n * A.n - A.R.dim, N):
         return None
     return reduced
 

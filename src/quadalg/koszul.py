@@ -19,19 +19,21 @@ compositions of m, computes the same table and is kept as an independent
 oracle: both read only the multiplication of A.
 
 Over Q, `koszul_verdict` and `ext_by_resolution` first try a certificate
-on the reduction A' of A mod CERT_P.  When `certified_twin` proves dim A_m
-= dim A'_m and dim A^!_m = dim A'^!_m, every A_m and A^!_m is a free
-Z_(p)-module, so each Koszul and bar complex over Q is the generic fibre
-of a complex of free modules whose special fibre is that of A'.  A rank
-mod p is at most the rank over Q, so at each position the Q homology is at
-most the mod-p homology, and the Euler characteristic of each internal
-degree is the same over both fields.  A degree of the Koszul complex whose
-mod-p homology is zero or sits at one position therefore has the same
-homology over Q.  For Ext the diagonal ext^{m,m} = dim A^!_m is proven by
-the A^! dimensions, so one nonzero off-diagonal cell per degree is forced
-in the same way; without the A^! check the diagonal, and with it that
-cell, may differ (see the tests).  Everything else is computed exactly
-over Q.  `bar_homology`, `homology_report`, `second_complex_slice` and
+on the reduction A' of A that `graded.certified_reduction` returns (mod
+32749, or else mod 32719; the dimension argument is in its docstring).
+When `certified_twin` proves dim A_m = dim A'_m and dim A^!_m = dim A'^!_m
+at that prime, every A_m and A^!_m is a free Z_(p)-module, so each Koszul
+and bar complex over Q is the generic fibre of a complex of free modules
+whose special fibre is that of A'.  A rank mod p is at most the rank over
+Q, so at each position the Q homology is at most the mod-p homology, and
+the Euler characteristic of each internal degree is the same over both
+fields.  A degree of the Koszul complex whose mod-p homology is zero or
+sits at one position therefore has the same homology over Q.  For Ext the
+diagonal ext^{m,m} = dim A^!_m is proven by the A^! dimensions, so one
+nonzero off-diagonal cell per degree is forced in the same way; without
+the A^! check the diagonal, and with it that cell, may differ (see the
+tests).  Everything else is computed exactly over Q.  `bar_homology`,
+`homology_report`, `second_complex_slice` and
 `graded.graded_dim_by_oracle` on a Q presentation never reduce mod p:
 they stay exact-only oracles.
 
@@ -199,10 +201,9 @@ def _forced_by_euler(mod_p_dims) -> bool:
 def koszul_verdict(A: QuadraticPresentation, N: int):
     """Per-degree homology reports for m = 1..N, plus the overall verdict.
 
-    Over Q a degree is read off the reduction mod CERT_P when
-    `certified_twin` proves the dimensions of A and A^! and its homology
-    mod p is `_forced_by_euler`; any other degree is computed exactly over
-    Q.
+    Over Q a degree is read off the reduction mod p when `certified_twin`
+    proves the dimensions of A and A^! and its homology mod p is
+    `_forced_by_euler`; any other degree is computed exactly over Q.
 
     Each degree's report is kept in ``_reports`` under (A.R, m) and read
     from there on later calls, so ``ext`` after ``koszul`` on the same
@@ -334,8 +335,8 @@ def ext_by_resolution(A: QuadraticPresentation, m_max: int) -> BidegreeTable:
 
 
 def certified_ext(A: QuadraticPresentation, m_max: int):
-    """The Ext table of a Q presentation, proven from its reduction mod
-    CERT_P, or None where the proof does not go through.
+    """The Ext table of a Q presentation, proven from the reduction that
+    `certified_twin` returns, or None where the proof does not go through.
 
     The table of the reduction is the answer when `certified_twin` proves
     the dimensions of A and A^! and, in each degree m, the off-diagonal

@@ -502,12 +502,13 @@ def test_golden_under_python_O():
     # the resolution's ArithmeticError checks over `contract`; laws_rigid_q
     # builds each contragredient through AlgebraMorphism's ValueError;
     # laws_structured_axioms_q prints the same checks as records;
-    # ext_skewd runs the resolution's checks over exact Q, with Fractions.
+    # ext_skewd runs the resolution's checks over exact Q, with Fractions;
+    # ext_n4k4x is certified by the second prime.
     env = _src_env()
     cases = {name: (argv, status) for name, argv, status in MANIFEST}
     for name in ("koszul_sym3", "laws_axioms_q", "hilbert_sym2",
                  "ext_embed3", "laws_rigid_q", "laws_structured_axioms_q",
-                 "ext_skewd"):
+                 "ext_skewd", "ext_n4k4x"):
         argv, want_status = cases[name]
         proc = subprocess.run([sys.executable, "-O", "-c", MAIN_CODE, *argv],
                               capture_output=True, text=True, env=env,

@@ -1,6 +1,7 @@
 """Graded components: dimensions, multiplication maps, and the rank oracle."""
 
 import math
+import pathlib
 from fractions import Fraction
 from random import Random
 
@@ -12,9 +13,9 @@ from quadalg import clear_caches, graded
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace, matrix_rank, quotient_data
 from quadalg.graded import (
-    CERT_P,
+    CERT_PRIMES,
     GradedStructure,
-    certified_hilbert,
+    certified_reduction,
     graded_dim,
     graded_dim_by_oracle,
     graded_structure,
@@ -28,6 +29,11 @@ from quadalg.sampling import random_presentation
 from quadalg.tensorindex import contract, kron
 
 from conftest import CORPUS_NAMES, load
+from golden_manifest import N4K4X
+
+# the certificate's two primes, and a coefficient that both divide
+CERT_P, SECOND_P = CERT_PRIMES
+BOTH_P = CERT_P * SECOND_P
 
 
 def section_words(G, m):
@@ -167,18 +173,21 @@ NON_GENERIC = {"sym3", "ext3"}
 def test_certificate_on_the_q_corpus(name):
     A = load(name)
     exact = _exact_dims(A, 6)
-    assert certified_hilbert(A, 6) == (None if name in NON_GENERIC
-                                       else exact)
+    reduced = certified_reduction(A, 6)
+    if name in NON_GENERIC:
+        assert reduced is None
+    else:
+        assert _exact_dims(reduced, 6) == exact
     assert hilbert(A, 6) == exact
 
 
 @pytest.mark.parametrize("rels, dims", [
-    # generic over Q, but CERT_P sits in the denominators of the RREF
-    # basis, so the reduction is k<x,y>/(yx, yy) and misses the bound in
-    # degree 3
-    ((f"{CERT_P}*x*x + y*x + y*y", f"{CERT_P}*x*y + 2*y*x + 3*y*y"),
+    # generic over Q, but both primes sit in the denominators of the RREF
+    # basis, so neither reduction exists
+    ((f"{BOTH_P}*x*x + y*x + y*y", f"{BOTH_P}*x*y + 2*y*x + 3*y*y"),
      [1, 2, 2, 0, 0, 0]),
-    # the reduction mod CERT_P has one relation where Q has two
+    # not generic (the bound is 0 from degree 3 on), so no prime certifies
+    # it; CERT_P also sits in the denominators of the RREF basis
     ((f"{CERT_P}*x*x + y*x", f"{CERT_P}*x*y + y*x"), [1, 2, 2, 1, 1, 1]),
     # not generic; reducing only the numerators would give xx + yx,
     # xy - yx + yy, which meets the bound in degree 3
@@ -187,8 +196,22 @@ def test_certificate_on_the_q_corpus(name):
 def test_certificate_falls_back_to_the_q_dimensions(rels, dims):
     A = _q(*rels)
     assert _exact_dims(A, 5) == dims
-    assert certified_hilbert(A, 5) is None
+    assert certified_reduction(A, 5) is None
     assert hilbert(A, 5) == dims
+
+
+def test_the_second_prime_certifies_where_the_first_misses_the_bound():
+    # n4k4x: the reduction mod CERT_P has dimension 33 in degree 3, above
+    # the bound 4 * 12 - 4 * 4 = 32; exact Q is compared only up to degree
+    # 3, since its normal forms swell from degree 4 on
+    A = parse(pathlib.Path(N4K4X).read_text())[1]
+    assert _exact_dims(reduce_mod_p(A, CERT_P), 3) == [1, 4, 12, 33]
+    reduced = certified_reduction(A, 6)
+    assert reduced == reduce_mod_p(A, SECOND_P)
+    assert reduced.field == PrimeField(SECOND_P)
+    dims = hilbert(A, 6)
+    assert dims == [1, 4, 12, 32, 80, 192, 448]
+    assert _exact_dims(A, 3) == dims[:4]
 
 
 def test_certificate_caches_the_reduction_and_not_the_q_presentation():
@@ -196,7 +219,7 @@ def test_certificate_caches_the_reduction_and_not_the_q_presentation():
     # where the Koszul and Ext certificates and later GF(CERT_P) jobs share
     # it
     A = _q("u*v - 3*v*u", gens="u v")
-    reduced = reduce_mod_p(A)
+    reduced = reduce_mod_p(A, CERT_P)
     assert reduced.field == PrimeField(CERT_P)
     assert reduced.R.basis == Matrix(reduced.field, [[0, 1, CERT_P - 3, 0]],
                                      cols=4)
@@ -210,7 +233,8 @@ def test_certificate_caches_the_reduction_and_not_the_q_presentation():
 
 COEFFS = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),
                                     Fraction(-2, 3), Fraction(5, 4), CERT_P,
-                                    Fraction(1, CERT_P)])
+                                    Fraction(1, CERT_P), SECOND_P, BOTH_P,
+                                    Fraction(1, SECOND_P)])
 
 
 @st.composite

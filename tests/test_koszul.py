@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from quadalg import clear_caches, graded, koszul
 from quadalg.cli import main
 from quadalg.fields import QQ, PrimeField
-from quadalg.graded import (CERT_P, certified_hilbert, certified_twin,
-                            graded_dim, graded_structure, hilbert,
-                            reduce_mod_p)
+from quadalg.graded import (CERT_PRIMES, certified_reduction,
+                            certified_twin, graded_dim, graded_structure,
+                            hilbert, reduce_mod_p)
 from quadalg.koszul import (
     BidegreeTable,
     ComplexSlice,
@@ -42,7 +42,7 @@ from quadalg.sampling import random_presentation, sample_endomorphisms
 from quadalg.tensorindex import kron
 
 from conftest import CORPUS, CORPUS_NAMES, assert_canonical, load
-from golden_manifest import SKEWD, run
+from golden_manifest import N4K4X, SKEWD, run
 
 F2 = PrimeField(2)
 
@@ -428,7 +428,7 @@ def _q(*rels, gens="x y"):
 # Random inputs seldom give a batch of new generators whose degree already
 # holds a nonzero image of older ones (P_3 in degree 4 here), so each field
 # with such an input runs it too, through _resolve itself: over Q
-# ext_by_resolution would answer from the reduction mod CERT_P.  Over Q
+# ext_by_resolution would answer from a reduction mod p.  Over Q
 # the relations of nonkoszul_gf2 are not Koszul either.
 @pytest.mark.parametrize("field, complement_input", [
     (QQ, _q("x*x", "x*y", "x*z + z*z", gens="x y z")),
@@ -551,7 +551,10 @@ def test_value_classes_are_immutable_records():
 
 
 # The certificate over Q: Koszul homology and Ext read off the reduction
-# mod CERT_P where the proof goes through, the exact engine elsewhere.
+# mod CERT_P or SECOND_P where the proof goes through, the exact engine
+# elsewhere.  BOTH_P is a coefficient that both primes divide.
+CERT_P, SECOND_P = CERT_PRIMES
+BOTH_P = CERT_P * SECOND_P
 
 def _assert_exact_answers(A, N):
     """koszul_verdict and ext_by_resolution over Q equal the exact Q slices,
@@ -577,8 +580,9 @@ DUAL_MISMATCH = _q(
 
 def test_certificate_falls_back_when_the_dual_differs_mod_p():
     A = DUAL_MISMATCH
-    reduced = reduce_mod_p(A)
-    assert certified_hilbert(A, 5) == [1, 3, 4, 0, 0, 0]
+    reduced = reduce_mod_p(A, CERT_P)
+    assert certified_reduction(A, 5) == reduced
+    assert hilbert(reduced, 5) == [1, 3, 4, 0, 0, 0]
     assert hilbert(dual(A), 5) == [1, 3, 5, 3, 0, 0]
     assert hilbert(dual(reduced), 5) == [1, 3, 5, 3, 1, 1]
     assert certified_twin(A, 5) is None
@@ -592,35 +596,58 @@ def test_certificate_falls_back_when_the_dual_differs_mod_p():
 
 
 def test_certificate_falls_back_on_an_unlucky_prime():
-    # CERT_P sits in the denominators of the RREF basis
-    A = _q(f"{CERT_P}*x*x + y*x + y*y", f"{CERT_P}*x*y + 2*y*x + 3*y*y")
-    assert reduce_mod_p(A) is None
+    # both primes sit in the denominators of the RREF basis
+    A = _q(f"{BOTH_P}*x*x + y*x + y*y", f"{BOTH_P}*x*y + 2*y*x + 3*y*y")
+    assert [reduce_mod_p(A, p) for p in CERT_PRIMES] == [None, None]
     assert certified_twin(A, 5) is None
     _assert_exact_answers(A, 5)
 
 
 def test_certificate_falls_back_when_a_differs_mod_p():
-    # generic over Q (dims m + 1); mod CERT_P the relation is x*x, whose
-    # dims are Fibonacci numbers
-    A = _q(f"x*x - {CERT_P}*y*y")
-    reduced = reduce_mod_p(A)
-    assert hilbert(reduced, 4) == [1, 2, 3, 5, 8]
+    # generic over Q (dims m + 1); mod either prime the relation is x*x,
+    # whose dims are Fibonacci numbers
+    A = _q(f"x*x - {BOTH_P}*y*y")
+    for p in CERT_PRIMES:
+        reduced = reduce_mod_p(A, p)
+        assert hilbert(reduced, 4) == [1, 2, 3, 5, 8]
     assert hilbert(A, 4) == [1, 2, 3, 4, 5]
     assert certified_twin(A, 4) is None
     _assert_exact_answers(A, 4)
 
 
+@pytest.mark.parametrize("rels, N", [
+    # CERT_P sits in the denominators of the RREF basis
+    ((f"{CERT_P}*x*x + y*x + y*y", f"{CERT_P}*x*y + 2*y*x + 3*y*y"), 5),
+    # mod CERT_P the relation is x*x, whose dims are Fibonacci numbers
+    ((f"x*x - {CERT_P}*y*y",), 4),
+])
+def test_certificate_takes_the_second_prime_where_the_first_is_unlucky(
+        rels, N):
+    A = _q(*rels)
+    twin = certified_twin(A, N)
+    assert twin.field == PrimeField(SECOND_P)
+    assert certified_reduction(A, N) == twin == reduce_mod_p(A, SECOND_P)
+    assert hilbert(A, N) == [graded_dim(A, m) for m in range(N + 1)]
+    _assert_exact_answers(A, N)
+
+
 def test_certified_answers_build_no_q_structure():
     A = _q("x*y - 3*y*x + z*z", "x*z + 2*z*y", "y*y - x*x + 5*z*x",
            gens="x y z")
-    assert certified_twin(A, 4) is not None
-    table = ext_by_resolution(A, 4)
-    assert certified_ext(A, 4) == table
-    table.on_diagonal(A)
-    koszul_verdict(A, 4)
-    euler_hilbert_test(A, 4)
-    assert not {A.R, dual(A).R} & set(graded._structures)
+    # n4k4x is certified by the second prime; its exact engines are
+    # compared only up to degree 3 (the bar complex takes seconds at 4)
+    B = parse(pathlib.Path(N4K4X).read_text())[1]
+    for C in (A, B):
+        assert certified_twin(C, 4) is not None
+        table = ext_by_resolution(C, 4)
+        assert certified_ext(C, 4) == table
+        table.on_diagonal(C)
+        koszul_verdict(C, 4)
+        euler_hilbert_test(C, 4)
+        assert not {C.R, dual(C).R} & set(graded._structures)
+    assert certified_twin(B, 4).field == PrimeField(SECOND_P)
     _assert_exact_answers(A, 4)
+    _assert_exact_answers(B, 3)
 
 
 def test_certificate_rules_on_a_non_koszul_input():
@@ -755,7 +782,7 @@ def test_a_change_of_generators_keeps_every_invariant():
     B = parse(pathlib.Path(SKEWD).read_text())[1]
     assert A.R.dim == B.R.dim == 3 and not A.same_relations(B)
     # neither is generic, so both run the exact engines over Q
-    assert certified_hilbert(A, 6) is certified_hilbert(B, 6) is None
+    assert certified_reduction(A, 6) is certified_reduction(B, 6) is None
     dims = hilbert(A, 6)
     assert dims == [1, 4, 13, 41, 129, 406, 1278] == hilbert(B, 6)
     reports, koszul_ok = koszul_verdict(A, 4)
@@ -820,13 +847,15 @@ def test_ext_certificate_needs_one_off_diagonal_cell(monkeypatch):
 
 CERT_COEFFS = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),
                                          CERT_P, -CERT_P, 2 * CERT_P,
-                                         Fraction(1, CERT_P)])
+                                         Fraction(1, CERT_P), SECOND_P,
+                                         BOTH_P, Fraction(1, SECOND_P)])
 
 
 @st.composite
 def q_presentations(draw):
-    """2 or 3 generators, sparse relations whose entries include CERT_P
-    and 1/CERT_P, so that every fallback is reached."""
+    """2 or 3 generators, sparse relations whose entries include CERT_P,
+    SECOND_P, their product and their inverses, so that every fallback is
+    reached."""
     n = draw(st.integers(2, 3))
     k = draw(st.integers(1, n * n - 1))
     rows = draw(st.lists(st.lists(CERT_COEFFS, min_size=n * n,

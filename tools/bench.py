@@ -14,7 +14,7 @@
   mod p (``certified_ext``).
 - ``hilbert``: ``hilbert(A, N)`` (the modular certificate, with the exact
   structure as its fallback) against a fresh exact ``GradedStructure`` over
-  Q; ``certified`` says whether the certificate answered.
+  Q; ``certified`` says whether ``certified_reduction`` answered.
 - ``koszul``: ``koszul_verdict(A, N)`` (the engine behind ``quadalg
   koszul``, which over Q reads a degree off the reduction mod p where
   ``certified_twin`` allows) against the exact ``homology_report(A, m)``
@@ -216,7 +216,7 @@ def bench_hilbert(name, family, field, gens, rels, degrees):
         hilbert, dims = timed(graded.hilbert, A, N)
         yield {"input": name, "family": family, "n": A.n, "k": A.R.dim,
                "degree": N,
-               "certified": graded.certified_hilbert(A, N) is not None,
+               "certified": graded.certified_reduction(A, N) is not None,
                "exact": exact, "hilbert": hilbert,
                "speedup": round(exact["median_s"] / hilbert["median_s"], 1),
                "agree": dims == oracle, "dims": oracle}
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
               "settings": {"seeds": seeds, "degrees": args.degrees,
                            "inputs": INPUTS[args.bench], "repeat": REPEAT,
                            "bar_budget_s": BAR_BUDGET_S, "gf_p": GF_P,
-                           "cert_p": graded.CERT_P},
+                           "cert_primes": graded.CERT_PRIMES},
               "rows": rows}
     if args.bench == "linalg":
         record["q_over_gf_by_family"] = q_over_gf_by_family(rows)
