@@ -6,9 +6,9 @@ dividing A_{m-1} (x) V by K_m, the image of A_{m-2} (x) R; the rank of the
 direct span sum_i V^i (x) R (x) V^j is kept as an independent oracle
 (`graded_dim_by_oracle`) for cross-checks at small degrees.  A dimension is
 a rank, dim A_m = n dim A_{m-1} - rank K_m, taken by forward elimination
-alone; the projection onto A_m and its section are finished from the kept
-forward rows only when something asks for them, so `hilbert` up to N
-builds projections up to N - 1 and none in degree N.
+alone, on rows built from the RREF of K_{m-1} (`GradedStructure._step`).
+The projection onto A_m and its section are built from the RREF of K_m
+only when something asks for them, so `hilbert` up to N builds none.
 
 Over Q, `hilbert` reads the dimensions off the reduction that
 `certified_reduction` returns, mod 32749 or else mod 32719, when its
@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from math import isqrt
 
+from . import linalg
 from .fields import PrimeField
-from .linalg import (Matrix, Subspace, echelon, matrix_rank, quotient_data,
-                     reduced)
+from .linalg import (Matrix, Subspace, combine, int_rows, matrix_rank,
+                     quotient_data, reduced)
 from .presentations import QuadraticPresentation, dual
 from .tensorindex import contract, kron
 
@@ -42,10 +43,13 @@ class GradedStructure:
     """Cached dimensions, projections, and multiplication maps of the
     algebra with relation space R.
 
-    Dimensions come from ranks (`dim`), which keeps the ``{pivot: row}``
-    dict that `echelon` returns for K_m.  The first request for
-    ``step_proj(m)`` or ``step_section(m)`` finishes those rows with
-    `reduced`, drops them, and builds both maps at once by `quotient_data`.
+    Dimensions come from ranks (`dim`), which keeps the forward rows of
+    K_m, a ``{pivot: row}`` dict of packed ints or of row dicts.  The step
+    to degree m + 1, or the first request for ``step_proj(m)`` or
+    ``step_section(m)``, finishes them with `reduced` into the RREF of
+    K_m; the projection and the section are built from that RREF at once
+    by `quotient_data`, and the RREF is dropped once both the quotient of
+    degree m and dim(m + 1) exist.
 
     Nothing here reads generator labels: a structure is fixed by R (its
     field and n = sqrt(dim of the degree-2 words) included).
@@ -59,26 +63,96 @@ class GradedStructure:
         # _quotients[m]: (step_proj(m), step_section(m)), the projection
         # A_{m-1} (x) V -> A_m (right multiplication data) and its section
         self._quotients = {1: (Matrix.identity(f, n),) * 2}
-        # the forward-eliminated rows of K_m, kept from dim(m) until
-        # step_proj(m) or step_section(m) finishes them
+        # the forward-eliminated rows of K_m, kept from dim(m) until its
+        # RREF is asked for
         self._echelons = {}
+        # _rrefs[m]: (basis, pivots), the RREF of K_m, kept until both
+        # the quotient of degree m and dim(m + 1) are built; K_1 = 0
+        self._rrefs = {1: (Matrix.zero(f, 0, n), [])}
         self._mult = {}
 
     def dim(self, m: int) -> int:
         """dim A_m = n dim A_{m-1} - rank K_m, with K_m the image of
-        A_{m-2} (x) R in A_{m-1} (x) V: forward elimination only."""
+        A_{m-2} (x) R in A_{m-1} (x) V: forward elimination only, on the
+        rows that `_step` builds from the RREF of K_{m-1}."""
         if m < 0:
             raise ValueError("degree must be nonnegative")
         dims, n = self._dims, self.n
         while len(dims) <= m:
             k = len(dims)
-            # K_k is spanned by the images of s (x) r, for s a basis vector
-            # of A_{k-2} and r one of R, under step_proj(k-1) (x) id_V
-            push = contract(self.step_proj(k - 1), dims[k - 2],
-                            self.R.basis.transpose(), n)
-            self._echelons[k] = forward = echelon(push.transpose())
+            self._echelons[k] = forward = self._step(k)
             dims[k] = dims[k - 1] * n - len(forward)
+            if k - 1 in self._quotients:
+                del self._rrefs[k - 1]
         return dims[m]
+
+    def _step(self, k: int) -> dict:
+        """The forward-eliminated rows of K_k, built row by row.
+
+        Row (s, r), for s a basis vector of A_{k-2} and r a relation, is
+        the image of s (x) r: sum_{ab} r_ab pi(s n + a) (x) e_b, where
+        pi(c) is the normal form in A_{k-1} of the word c of A_{k-2} (x) V,
+        read off the RREF of K_{k-1}: e_idx(c) for a free column c, minus
+        the RREF row at the free columns for a pivot column c.  `_packs`
+        picks the row form from an nnz estimate (the length of each pi(c)
+        times the relation terms with first letter c mod n).
+
+        Packed, each pi(c) is an int whose slot i n holds entry i, and each
+        relation r gives one small int per first letter a, sum_b r_ab at
+        slot b; a row is one multiply-add per pair (r, a).  Slot (i, b) of
+        a row gets at most n addends below p^2 (one per a), and
+        `_eliminate_packed` adds at most cols more, so the slot bound is
+        2·bitlen(p) + bitlen(cols + n) + 1 <= 64, the ``addends`` given to
+        `_packs`.  Otherwise the rows are the sums of the strided pi(c)
+        shifted by b that `combine` takes, whose denominator clearing
+        serves Q.
+        """
+        f, n, rels = self.field, self.n, self.R.basis.sparse
+        basis, pivots = self._rref(k - 1)
+        words, cols = self._dims[k - 2] * n, self._dims[k - 1] * n
+        lead = dict(zip(pivots, basis.sparse))
+        free = [c for c in range(words) if c not in lead]
+        idx = {c: i * n for i, c in enumerate(free)}
+        first = [0] * n
+        for rel in rels:
+            for w in rel:
+                first[w // n] += 1
+        nnz = (sum(first[c % n] for c in free)
+               + sum(first[c % n] * (len(row) - 1) for c, row in lead.items()))
+        if linalg._packs(f, self._dims[k - 2] * len(rels), nnz, cols,
+                         cols + n):
+            p = f.p
+            pi = {c: 1 << (i << 6) for c, i in idx.items()}
+            for c, row in lead.items():
+                dense = [0] * cols
+                for j, x in row.items():
+                    if j != c:
+                        dense[idx[j]] = p - x
+                pi[c] = linalg._pack(dense)
+            # per relation, {a: sum_b r_ab << 64 b}: pi(s n + a) times that
+            # adds r_ab pi(s n + a) (x) e_b for every b at once
+            terms = []
+            for rel in rels:
+                t = {}
+                for w, x in rel.items():
+                    t[w // n] = t.get(w // n, 0) + (x << (w % n << 6))
+                terms.append(t.items())
+            return linalg._eliminate_packed(
+                p, (sum(pi[s + a] * y for a, y in t)
+                    for s in range(0, words, n) for t in terms), cols)
+        one, neg = f.one, f.neg
+        pi = {c: {i: one} for c, i in idx.items()}
+        for c, row in lead.items():
+            pi[c] = {idx[j]: neg(x) for j, x in row.items() if j != c}
+        # keyed by the words c (x) b of A_{k-2} (x) V (x) V
+        dens, ints = int_rows(f, pi, range(words))
+        keys = range(words * n)
+        sums = combine(
+            f, [{s * n + w: x for w, x in rel.items()}
+                for s in range(0, words, n) for rel in rels],
+            None if dens is None else {w: dens[w // n] for w in keys},
+            {w: ints[w // n] for w in keys}, cols, {w: w % n for w in keys})
+        return linalg._echelon(f, sums)
 
     def step_proj(self, m: int) -> Matrix:
         return self._quotient(m)[0]
@@ -86,15 +160,24 @@ class GradedStructure:
     def step_section(self, m: int) -> Matrix:
         return self._quotient(m)[1]
 
+    def _rref(self, m: int):
+        """The RREF of K_m as ``(basis, pivots)``, finished on first
+        request by back-substitution from the rows ``dim(m)`` kept."""
+        r = self._rrefs.get(m)
+        if r is None:
+            self.dim(m)
+            r = self._rrefs[m] = reduced(
+                self.field, self._dims[m - 1] * self.n, self._echelons.pop(m))
+        return r
+
     def _quotient(self, m: int):
         """(step_proj(m), step_section(m)), built on first request from
-        the RREF of K_m that back-substitution finishes from the rows
-        ``dim(m)`` kept."""
+        the RREF of K_m."""
         q = self._quotients.get(m)
         if q is None:
-            self.dim(m)
-            q = self._quotients[m] = quotient_data(*reduced(
-                self.field, self._dims[m - 1] * self.n, self._echelons.pop(m)))
+            q = self._quotients[m] = quotient_data(*self._rref(m))
+            if m + 1 in self._dims:
+                del self._rrefs[m]
         return q
 
     def full_projection(self, m: int) -> Matrix:

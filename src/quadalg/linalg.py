@@ -16,22 +16,26 @@ already hold, without coercing them again.  A canonical sum is zero exactly
 when it is falsy, so the code tests ``if x`` rather than ``x == zero``, and
 a canonical entry is one exactly when it is the int 1.
 
-Rows are eliminated in one of two forms, chosen by ``_packs``.
+Rows are eliminated in one of two forms, chosen by ``_packs``, the one
+rule for ``echelon`` and for the graded degree step (``graded``).
 ``_echelon`` works on sparse ``{column: int}`` row dicts, over Q and for
 sparse GF(p) matrices or large p: over GF(p) on residues, each pivot row
 scaled to a leading 1; over Q fraction-free, each row cleared of
 denominators and kept primitive, so every stored integer is bounded by a
-minor of the input (see ``_echelon``).  ``_echelon_packed`` holds a dense
-GF(p) row as one int with a 64-bit slot per column, so that a row
-operation is one multiply-add.  ``matrix_rank`` is forward elimination
-alone (``echelon``); ``rref`` adds back-substitution (``reduced``), which
-builds Fractions only where its integer rows do not divide exactly.
+minor of the input (see ``_echelon``).  ``_eliminate_packed`` holds a
+dense GF(p) row as one int with a 64-bit slot per column, so that a row
+operation is one multiply-add; ``_echelon_packed`` packs row dicts for
+it, and the degree step hands it rows that it builds packed.
+``matrix_rank`` is forward elimination alone (``echelon``); ``rref`` adds
+back-substitution (``reduced``), which builds Fractions only where its
+integer rows do not divide exactly.
 ``echelon`` returns ``{pivot column: row}``, a packed row an int and a
 sparse one a dict, so ``reduced`` reads the row form off the rows and no
 flag leaves this module; a caller that needs the rank first keeps that
 dict and finishes the RREF later, and ``quotient_data`` takes the
-``(basis, pivots)`` that ``reduced`` returns.  Products accumulate ints as well, in one core (``combine``)
-that serves ``Matrix.__matmul__`` and ``tensorindex.contract``: over Q
+``(basis, pivots)`` that ``reduced`` returns.  Products accumulate ints
+as well, in one core (``combine``) that serves ``Matrix.__matmul__``,
+``tensorindex.contract`` and the degree step's dict rows: over Q
 each factor's rows are cleared to one denominator first.  An output row is
 summed into a list of ``width`` slots (one finish per slot) when the rows
 fill their width, and into a dict (one finish per entry) otherwise; one
@@ -377,22 +381,24 @@ def _echelon(field, rows):
     return pivots
 
 
-def _packs(field, rows, cols) -> bool:
-    """The one rule that puts a GF(p) matrix on packed rows.
+def _packs(field, rows: int, nnz: int, cols: int, addends: int) -> bool:
+    """The one rule that puts GF(p) rows on packed rows, for ``echelon``
+    and for the graded degree step: ``rows`` rows of ``cols`` columns with
+    about ``nnz`` nonzeros.
 
     A packed row is one int with a 64-bit slot per column.  A slot starts
-    below p and gains at most ``cols`` addends, each below p^2, so while
-    2·bitlen(p) + bitlen(cols) + 1 <= 64 it stays below 2^63 and never
-    carries.  Each pivot costs a Python pass over all the columns, and each
-    row operation saves one over a pivot row's nonzeros; with k = nnz /
-    cols, packed rows won on the graded, Koszul and resolution matrices
-    where k >= 6 and k·density >= 2 (k <= rows, so 6 rows at least).
+    below p and gains at most ``addends`` addends, each below p^2: ``cols``
+    during elimination, and for the degree step the n that build a row
+    besides.  So while 2·bitlen(p) + bitlen(addends) + 1 <= 64 it stays
+    below 2^63 and never carries.  Each pivot costs a Python pass over all
+    the columns, and each row operation saves one over a pivot row's
+    nonzeros; with k = nnz / cols, packed rows won on the graded, Koszul
+    and resolution matrices where k >= 6 and k·density >= 2 (k <= rows, so
+    6 rows at least).
     """
-    if (len(rows) < 6 or not isinstance(field, PrimeField)
-            or 2 * field.p.bit_length() + cols.bit_length() + 1 > 64):
-        return False
-    nnz = sum(map(len, rows))
-    return 0 < 6 * cols <= nnz and nnz * nnz >= 2 * len(rows) * cols * cols
+    return (rows >= 6 and isinstance(field, PrimeField)
+            and 2 * field.p.bit_length() + addends.bit_length() + 1 <= 64
+            and 0 < 6 * cols <= nnz and nnz * nnz >= 2 * rows * cols * cols)
 
 
 def _pack(values) -> int:
@@ -406,18 +412,17 @@ def _unpack(row: int, n: int) -> tuple:
 _SLOT = (1 << 64) - 1
 
 
-def _echelon_packed(p, rows, cols):
-    """``_echelon`` over GF(p) on packed rows: ``{pivot column: tail}``,
-    tail being the pivot row scaled to a leading 1, from its pivot column
-    on, with that 1 removed.  A work row is shifted so that its lowest
-    nonzero slot, v, is slot 0.  Adding (p - v % p)·tail, one multiply-add,
-    leaves slot 0 divisible by p, and it is dropped."""
+def _eliminate_packed(p, packed, cols):
+    """``_echelon`` over GF(p) on the packed rows ``packed``:
+    ``{pivot column: tail}``, tail being the pivot row scaled to a leading
+    1, from its pivot column on, with that 1 removed.  A work row is
+    shifted so that its lowest nonzero slot, v, is slot 0.  Adding
+    (p - v % p)·tail, one multiply-add, leaves slot 0 divisible by p, and
+    it is dropped.  The slots need not be reduced mod p on entry; the
+    caller keeps them within the bound of ``_packs``."""
     tails = {}
-    for row in rows:
-        dense = [0] * cols
-        for j, x in row.items():
-            dense[j] = x
-        work, off = _pack(dense), 0
+    for work in packed:
+        off = 0
         while work:
             if not (v := work & _SLOT):
                 r = (work & -work).bit_length() - 1 >> 6
@@ -437,9 +442,21 @@ def _echelon_packed(p, rows, cols):
     return tails
 
 
+def _echelon_packed(p, rows, cols):
+    """``_eliminate_packed`` on canonical row dicts, each packed as it is
+    reached."""
+    def packed():
+        for row in rows:
+            dense = [0] * cols
+            for j, x in row.items():
+                dense[j] = x
+            yield _pack(dense)
+    return _eliminate_packed(p, packed(), cols)
+
+
 def _back_packed(p, tails, cols):
     """``{pivot column: RREF row}`` over GF(p) from the tails of
-    ``_echelon_packed``.
+    ``_eliminate_packed``.
 
     Back-substitution runs from the last pivot up.  A finished row is zero
     at every other pivot column, so a forward row's coefficients there are
@@ -468,10 +485,10 @@ def echelon(M: Matrix) -> dict:
     integer row dicts of ``_echelon``.  ``reduced`` finishes them into the
     RREF basis.
     """
-    f = M.field
-    if _packs(f, M.sparse, M.cols):
-        return _echelon_packed(f.p, M.sparse, M.cols)
-    return _echelon(f, M.sparse)
+    f, rows = M.field, M.sparse
+    if _packs(f, len(rows), sum(map(len, rows)), M.cols, M.cols):
+        return _echelon_packed(f.p, rows, M.cols)
+    return _echelon(f, rows)
 
 
 def reduced(f, cols: int, rows: dict):

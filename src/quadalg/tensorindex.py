@@ -8,8 +8,9 @@ presentations modules apply it inline.  A permutation of basis vectors is
 its image tuple: vector i goes to image[i].
 
 ``contract(X, a, Y, b)`` is the product (X (x) I_b) @ (I_a (x) Y) without
-either Kronecker factor: the graded degree step, the graded multiplication
-maps, the Koszul differentials and the resolution are built with it.
+either Kronecker factor: the graded multiplication maps, the Koszul
+differentials and the resolution are built with it.  The graded degree
+step is not: it builds the rows of K_m from normal forms (``graded``).
 """
 
 from __future__ import annotations

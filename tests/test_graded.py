@@ -2,6 +2,8 @@
 
 import math
 import pathlib
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadalg import clear_caches, graded
+from quadalg import clear_caches, graded, linalg
 from quadalg.fields import QQ, PrimeField
 from quadalg.linalg import Matrix, Subspace, matrix_rank, quotient_data
 from quadalg.graded import (
@@ -30,6 +32,10 @@ from quadalg.tensorindex import contract, kron
 
 from conftest import CORPUS_NAMES, load
 from golden_manifest import N4K4X
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "perfbench"))
+from workloads import qa_text, random_relations  # noqa: E402
 
 # the certificate's two primes, and a coefficient that both divide
 CERT_P, SECOND_P = CERT_PRIMES
@@ -314,3 +320,133 @@ def test_projection_asked_after_the_dimension_is_the_fresh_one(A):
         assert late.step_proj(N) == fresh.step_proj(N)
         assert late.step_section(N) == section
         assert late._dims == fresh._dims
+
+
+def _dense_gf(n, k, seed, p=32003):
+    """A dense GF(p) presentation: ``random_relations`` of the benchmark
+    workloads, with every integer coefficient read mod p."""
+    gens, rels = random_relations(Random(seed), n, k)
+    return parse(qa_text(f"n{n}k{k}s{seed}", f"GF {p}", gens, rels))[1]
+
+
+DENSE_GF = [(f"gf32003-n4k{k}", _dense_gf(4, k, 2)) for k in (4, 5, 6)]
+
+
+@contextmanager
+def row_form(rule):
+    """Every packed-row decision, of `echelon` and of the degree step, made
+    by ``rule`` in place of `linalg._packs`."""
+    packs = linalg._packs
+    linalg._packs = rule
+    try:
+        yield
+    finally:
+        linalg._packs = packs
+
+
+def slots_fit(field, rows, nnz, cols, addends):
+    """Packed rows wherever the slot bound allows them, whatever the fill."""
+    return (isinstance(field, PrimeField)
+            and 2 * field.p.bit_length() + addends.bit_length() + 1 <= 64)
+
+
+def row_forms(G, N):
+    """Build G up to degree N; return, per degree step, the types of the
+    forward rows it kept: ``{int}`` for packed rows, ``{dict}`` for row
+    dicts (empty where K_k is zero)."""
+    forms = {}
+    for k in range(2, N + 1):
+        G.dim(k)
+        forms[k] = {type(row) for row in G._echelons[k].values()}
+    return forms
+
+
+def structure_numbers(G, N):
+    """Everything the two row forms must agree on, up to degree N."""
+    return ([G.dim(m) for m in range(N + 1)],
+            [(G.step_proj(m), G.step_section(m)) for m in range(1, N + 1)],
+            [G.mult(1, m) for m in range(N)])
+
+
+@pytest.mark.parametrize("A", [A for _, A in DIFFERENTIAL + DENSE_GF],
+                         ids=[name for name, _ in DIFFERENTIAL + DENSE_GF])
+def test_packed_and_dict_degree_steps_agree(A):
+    N = 5
+    G = GradedStructure(A.R)
+    forms = row_forms(G, N)
+    expected = structure_numbers(G, N)
+    assert expected[0] == [graded_dim_by_oracle(A, m) for m in range(N + 1)]
+    for rule in (lambda *args: False, slots_fit):
+        with row_form(rule):
+            forced = GradedStructure(A.R)
+            forced_forms = row_forms(forced, N)
+            assert structure_numbers(forced, N) == expected
+        packed = rule is slots_fit and A.field != QQ
+        assert set().union(*forced_forms.values()) <= (
+            {int} if packed else {dict})
+    # the rule itself: never packed over Q, and the dense GF(32003)
+    # inputs are packed from degree 4 on, so both forms were compared
+    if A.field == QQ:
+        assert set().union(*forms.values()) <= {dict}
+    if any(A is B for _, B in DENSE_GF):
+        assert all(forms[k] == {int} for k in range(4, N + 1))
+
+
+# the largest primes below 2^28 and 2^29
+P28, P29 = 268435399, 536870909
+
+
+def test_degree_step_slot_bound_at_its_edge():
+    """The step to degree k has cols = n dim A_{k-1} columns and gives a
+    slot at most cols + n addends below p^2, so it packs only while
+    2·bitlen(p) + bitlen(cols + n) + 1 <= 64.
+
+    On 3 generators with 2 dense relations (dims 1, 3, 7, 15, 31), the
+    step to degree 5 over GF(P28) meets it exactly: 2·28 + bitlen(96) + 1
+    = 64, packed.  On 4 generators with 9 dense relations (dims 1, 4, 7,
+    0), the step to degree 3 over GF(P29) misses it by one: 2·29 +
+    bitlen(32) + 1 = 65, dict rows, although bitlen(cols) = bitlen(28)
+    alone would give 64 and the same step over GF(P28) is packed."""
+    def bound(p, G, k):
+        cols = G.dim(k - 1) * G.n
+        return 2 * p.bit_length() + (cols + G.n).bit_length() + 1
+
+    cases = [(3, 2, 2, P28, 5, 64, {int}), (4, 9, 0, P29, 3, 65, {dict}),
+             (4, 9, 0, P28, 3, 63, {int})]
+    for n, k, seed, p, step, edge, form in cases:
+        A = _dense_gf(n, k, seed, p)
+        G = GradedStructure(A.R)
+        assert row_forms(G, step)[step] == form
+        assert bound(p, G, step) == edge
+        top = 5 if n == 3 else 4
+        assert [G.dim(m) for m in range(top + 1)] == [
+            graded_dim_by_oracle(A, m) for m in range(top + 1)]
+        with row_form(lambda *args: False):
+            assert structure_numbers(GradedStructure(A.R), top) == \
+                structure_numbers(G, top)
+
+
+@pytest.mark.parametrize("A", [A for _, A in DENSE_GF[:2]] + [
+    load("sym3"), load("gf7_seed3"), _over(QQ, load("gf7_seed3"))],
+    ids=["dense-gf-0", "dense-gf-1", "sym3", "gf7_seed3", "gf7_seed3-over-q"])
+def test_rref_dropped_after_the_quotient_and_the_next_step(A):
+    # the projection first, the next dimension second
+    first = GradedStructure(A.R)
+    proj = first.step_proj(4)
+    assert 4 in first._rrefs
+    first.dim(5)
+    assert 4 not in first._rrefs
+    # the other way round: the next step keeps the RREF until the
+    # quotient is built from it
+    second = GradedStructure(A.R)
+    second.dim(5)
+    assert 4 in second._rrefs
+    assert second.step_proj(4) == proj
+    assert 4 not in second._rrefs
+    for G in (first, second):
+        assert not set(G._rrefs) & set(G._quotients)
+    assert first._dims == second._dims
+    assert structure_numbers(first, 5) == structure_numbers(second, 5)
+    # every mult that reads the dropped degree still succeeds
+    assert first.mult(2, 2) == second.mult(2, 2)
+    assert first.mult(1, 4).rows == first.dim(5)

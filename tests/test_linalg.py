@@ -490,7 +490,7 @@ def test_matrix_rank_equals_rref_rank_across_sizes(M):
     # whichever rows M itself is eliminated on
     k = 10
     big = kron(M, Matrix.identity(M.field, k))
-    assert not linalg._packs(big.field, big.sparse, big.cols)
+    assert not packs(big.field, big)
     assert matrix_rank(M) == rref(M)[1]
     assert matrix_rank(big) == rref(big)[1] == k * rref(M)[1]
 
@@ -502,7 +502,7 @@ def test_matrix_rank_q_sparse_path(M):
     # on dict rows; its rank is k * rank(M)
     k = 10
     big = kron(M, Matrix.identity(QQ, k))
-    assert not linalg._packs(QQ, big.sparse, big.cols)
+    assert not packs(QQ, big)
     rank = rref(M)[1]
     assert matrix_rank(big) == k * rank
     assert reference_sparse_rank(QQ, row_dicts(big)) == k * rank
@@ -517,7 +517,7 @@ def test_matrix_rank_q_sparse_path_dense_block():
     rows.append([0] * n)
     rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
     M = mat(QQ, rows)
-    assert not linalg._packs(QQ, M.sparse, M.cols)
+    assert not packs(QQ, M)
     rank = rref(M)[1]
     assert matrix_rank(M) == rank == reference_sparse_rank(QQ, row_dicts(M))
     assert rank <= n - 2
@@ -543,11 +543,17 @@ def dict_rows():
     """Every GF(p) matrix eliminated on dict rows: the sparse loop is the
     reference that the packed rows must match."""
     packs = linalg._packs
-    linalg._packs = lambda field, rows, cols: False
+    linalg._packs = lambda field, rows, nnz, cols, addends: False
     try:
         yield
     finally:
         linalg._packs = packs
+
+
+def packs(field, M):
+    """The packed-row rule as ``echelon`` applies it to M over ``field``."""
+    return linalg._packs(field, M.rows, sum(map(len, M.sparse)), M.cols,
+                         M.cols)
 
 
 def slots_fit(p, cols):
@@ -614,10 +620,10 @@ def test_packed_rule_is_crossed_by_the_drawn_matrices():
     full = mat(F32003, [[1] * 80 for _ in range(40)])
     diagonal = mat(F32003, [[int(i == j) for j in range(80)]
                             for i in range(40)])
-    assert linalg._packs(F32003, full.sparse, 80)
-    assert not linalg._packs(F32003, diagonal.sparse, 80)
-    assert not linalg._packs(FBIG, full.sparse, 80)
-    assert not linalg._packs(QQ, full.sparse, 80)
+    assert packs(F32003, full)
+    assert not packs(F32003, diagonal)
+    assert not packs(FBIG, full)
+    assert not packs(QQ, full)
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
@@ -663,7 +669,7 @@ def test_packed_slots_do_not_carry(p, case):
             last[-1] = 1 - n
         rows.append(last)
     M = mat(f, rows)
-    assert linalg._packs(f, M.sparse, n)
+    assert packs(f, M)
     R, rank, pivots = rref(M)
     with dict_rows():
         assert rref(M) == (R, rank, pivots)
@@ -680,7 +686,7 @@ def test_wide_slots_take_the_dict_rows(p, cols):
     f, rng = PrimeField(p), Random(p)
     M = mat(f, [[rng.randrange(p) for _ in range(cols)] for _ in range(24)])
     assert not slots_fit(p, cols)
-    assert not linalg._packs(f, M.sparse, cols)
+    assert not packs(f, M)
     R, rank, pivots = rref(M)
     assert (R, rank, pivots) == reference_rref(M)
     assert matrix_rank(M) == rank == min(24, cols)
